@@ -41,7 +41,6 @@ from .incidence import (
     IncidenceReport,
     RichLine,
     beck_stats,
-    check_bounds,
     check_rich_bound,
     count_incidences,
     rich_lines,
@@ -85,6 +84,6 @@ from .diagnostics import (
     refine_step,
     separate_to_orthogonal,
 )
-from .generators import ExperimentConfig, gen_bundle_fixture, gen_erdos, gen_random_system
+from .generators import gen_bundle_fixture, gen_erdos, gen_random_system
 
 __version__ = "0.1.0"

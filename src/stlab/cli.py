@@ -3,18 +3,18 @@
 Subcommands cover the generators, the counting engines, the covering
 and region builders, the direction-space utilities, and a verifier
 that exits nonzero when any checked property fails.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error or bad input (one
+line on stderr, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
 from . import fileio
-from .covering import build_shift_graph, normalize_points, run_covering, verify_cover
+from .covering import CoveringError, build_shift_graph, normalize_points, run_covering, verify_cover
 from .directions import (
     DIR_INF,
     Direction,
@@ -23,11 +23,10 @@ from .directions import (
     max_cover_gap_deg,
     sphere_disk_cover,
 )
-from .exact import GaussianRational
+from .exact import GaussianRational, GeometryError
 from .generators import gen_bundle_fixture, gen_erdos, gen_random_system
 from .incidence import (
     beck_stats,
-    check_bounds,
     check_rich_bound,
     count_incidences,
     rich_lines,
@@ -35,14 +34,6 @@ from .incidence import (
     sum_product,
 )
 from .regions import CombineDetail, combine, verify_regions
-
-
-def worker_count() -> int:
-    """Requested parallelism; engines treat anything below 2 as serial."""
-    try:
-        return max(1, int(os.environ.get("STLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_direction(tok: str) -> Direction:
@@ -108,7 +99,7 @@ def cmd_rich(args) -> int:
 
 def cmd_bounds(args) -> int:
     pts, lines = _load_system(args.infile)
-    rep = check_bounds(pts, lines, float(args.C))
+    rep = count_incidences(pts, lines, C=float(args.C))
     print(
         "I=%d bound=%.6g ratio=%.6g violated=%s"
         % (rep.I, rep.st_bound, rep.ratio, rep.violated)
@@ -368,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (fileio.FormatError, GeometryError, CoveringError, OSError) as exc:
+        print("stlab: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

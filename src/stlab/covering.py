@@ -866,28 +866,12 @@ def _edge_condition2(
     return _corridor_open(base, blockers)
 
 
-def _worker_count() -> int:
-    import os
-
-    try:
-        return max(1, int(os.environ.get("STLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _condition2_chunk(args):
-    cubes, pairs, kappa = args
-    return [(i, j) for i, j in pairs if _edge_condition2(cubes, i, j, kappa)]
-
-
 def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
     """Exact shift graph of a family of non-overlapping cubes.
 
     Edge (Q1, Q2) iff the below-spill of the shifted bottom side-cube
     of Q1 meets shift(Q2) in a common interior point and an unblocked
-    vertical segment joins bott(Q1) to the top of Q2.  The corridor
-    checks fan out over STLAB_WORKERS processes when that is set above
-    one and enough candidate pairs survive the overlap prefilter.
+    vertical segment joins bott(Q1) to the top of Q2.
     """
     cubes = list(k)
     boxes = [c.box() for c in cubes]
@@ -919,19 +903,7 @@ def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
         ):
             continue
         survivors.append((i, j))
-    workers = _worker_count()
-    if workers > 1 and len(survivors) >= 4 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [
-            (cubes, survivors[w::workers], kappa) for w in range(workers)
-        ]
-        edges: List[Tuple[int, int]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_condition2_chunk, chunks):
-                edges.extend(part)
-    else:
-        edges = [(i, j) for i, j in survivors if _edge_condition2(cubes, i, j, kappa)]
+    edges = [(i, j) for i, j in survivors if _edge_condition2(cubes, i, j, kappa)]
     return ShiftGraph(len(cubes), sorted(edges))
 
 
@@ -962,10 +934,6 @@ class VerificationReport:
             and self.edges_ok
             and self.in_degree_ok
         )
-
-
-def _count_in_box_exact(points: List[Point], box: Box) -> int:
-    return sum(1 for p in points if point_in_box_closed(p, box))
 
 
 def verify_cover(

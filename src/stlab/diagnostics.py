@@ -45,6 +45,7 @@ from .directions import (
     to_sphere,
     unit_direction_from_angle,
 )
+from .incidence import incident_lines
 
 
 class Unbalanceable(GeometryError):
@@ -80,18 +81,7 @@ class SystemView:
 
     @classmethod
     def build(cls, points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]) -> "SystemView":
-        by_slope: Dict[object, Dict[GaussianRational, List[int]]] = {}
-        for li, l in enumerate(lines):
-            key = None if l.is_vertical else l.a
-            by_slope.setdefault(key, {}).setdefault(l.b, []).append(li)
-        index: List[List[int]] = []
-        for p in points:
-            mine: List[int] = []
-            for a, table in by_slope.items():
-                val = p.z1 if a is None else p.z2 - a * p.z1
-                mine.extend(table.get(val, ()))
-            index.append(sorted(mine))
-        return cls(list(points), list(lines), index)
+        return cls(list(points), list(lines), incident_lines(points, lines))
 
     @property
     def n(self) -> int:

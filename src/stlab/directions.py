@@ -128,10 +128,6 @@ def dist_deg(d1: Direction, d2: Direction) -> float:
     return _angle_deg(to_sphere(d1).v, to_sphere(d2).v)
 
 
-def sphere_dist_deg(p: SpherePoint, q: SpherePoint) -> float:
-    return _angle_deg(p.v, q.v)
-
-
 def is_orthogonal(d1: Direction, d2: Direction) -> bool:
     """Exact antipodality test.
 

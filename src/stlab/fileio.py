@@ -46,6 +46,20 @@ def parse_rational(tok: str) -> Fraction:
         raise FormatError("bad rational %r" % tok) from exc
 
 
+def _parse_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise FormatError("bad integer %r" % tok) from exc
+
+
+def _int_record(rec: List[str]) -> int:
+    """The value of a "<name> <int>" record such as "dim 2"."""
+    if len(rec) != 2:
+        raise FormatError("bad %s record %r" % (rec[0], " ".join(rec)))
+    return _parse_int(rec[1])
+
+
 def _header(kind: str) -> str:
     return "stlab %s %d" % (kind, FORMAT_VERSION)
 
@@ -113,10 +127,10 @@ def load_system(stream: TextIO) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
             points.append(
                 ComplexPoint(GaussianRational(vals[0], vals[1]), GaussianRational(vals[2], vals[3]))
             )
-        elif rec[0] == "l" and rec[1] == "V" and len(rec) == 4:
+        elif rec[:2] == ["l", "V"] and len(rec) == 4:
             vals = [parse_rational(t) for t in rec[2:]]
             lines.append(ComplexLine.vertical(GaussianRational(vals[0], vals[1])))
-        elif rec[0] == "l" and rec[1] == "S" and len(rec) == 6:
+        elif rec[:2] == ["l", "S"] and len(rec) == 6:
             vals = [parse_rational(t) for t in rec[2:]]
             lines.append(
                 ComplexLine.slanted(GaussianRational(vals[0], vals[1]), GaussianRational(vals[2], vals[3]))
@@ -142,7 +156,7 @@ def load_points(stream: TextIO) -> Tuple[List[Tuple[Fraction, ...]], int]:
     pts: List[Tuple[Fraction, ...]] = []
     for rec in _records(stream):
         if rec[0] == "dim":
-            d = int(rec[1])
+            d = _int_record(rec)
         elif rec[0] == "p":
             if d is None or len(rec) != d + 1:
                 raise FormatError("point record before dim or wrong arity")
@@ -181,7 +195,7 @@ def load_bundle(stream: TextIO) -> FlatBundle:
         if rec[0] == "anchor" and len(rec) == 5:
             anchors.append(tuple(parse_rational(t) for t in rec[1:]))
         elif rec[0] == "flat" and len(rec) == 15:
-            fam, pid = int(rec[1]), int(rec[2])
+            fam, pid = _parse_int(rec[1]), _parse_int(rec[2])
             vals = [parse_rational(t) for t in rec[3:]]
             flat = Flat2(
                 RVector4.of(vals[0:4]), RVector4.of(vals[4:8]), RVector4.of(vals[8:12])
@@ -243,16 +257,18 @@ def load_cover(stream: TextIO) -> CoverFile:
     cubes: List[FreeCube] = []
     for rec in _records(stream):
         if rec[0] == "dim":
-            d = int(rec[1])
+            d = _int_record(rec)
         elif rec[0] == "kappa":
-            kappa = int(rec[1])
+            kappa = _int_record(rec)
         elif rec[0] == "r":
-            r = int(rec[1])
+            r = _int_record(rec)
         elif rec[0] == "axismap":
             if d is None or len(rec) != 2 * d + 1:
                 raise FormatError("axismap before dim or wrong arity")
-            perm = tuple(int(t) for t in rec[1 : d + 1])
-            signs = tuple(int(t) for t in rec[d + 1 :])
+            perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
+            signs = tuple(_parse_int(t) for t in rec[d + 1 :])
+            if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
+                raise FormatError("axismap is not a signed permutation")
             amap = SignedPermutation(perm, signs)
         elif rec[0] == "p":
             pts.append(tuple(parse_rational(t) for t in rec[1:]))
@@ -306,7 +322,7 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
 
     for rec in _records(stream):
         if rec[0] == "r":
-            r = int(rec[1])
+            r = _int_record(rec)
         elif rec[0] == "region":
             flush()
         elif rec[0] == "box" and len(rec) == 9:
@@ -316,7 +332,7 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
             vals = [parse_rational(t) for t in rec[1:]]
             hs = Halfspace(tuple(vals[:4]), vals[4])
         elif rec[0] == "points":
-            ids = tuple(int(t) for t in rec[1:])
+            ids = tuple(_parse_int(t) for t in rec[1:])
         else:
             raise FormatError("bad regions record %r" % " ".join(rec))
     flush()

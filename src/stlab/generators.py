@@ -9,7 +9,6 @@ incidences cannot be lattice artifacts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -29,23 +28,6 @@ from .directions import Subspace2, gr_dist_deg
 
 class SpreadTooLarge(GeometryError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """Knobs of the experiment runner; the huge theorem constants stay
-    configuration, never baked into checks."""
-
-    seed: int = 0
-    n: int = 100
-    e: int = 100
-    k: int = 3
-    t: int = 2
-    r: int = 1
-    kappa: int = 1
-    d: int = 2
-    C: str = "1e70"
-    M: str = "1e10"
 
 
 def gen_erdos(k: int) -> Tuple[List[ComplexPoint], List[ComplexLine]]:

@@ -1,25 +1,28 @@
 """Exact incidence counting and the counting applications built on it.
 
-The counting engine keeps two routes to the same number: a full
-point-by-line predicate sweep, and an indexed path that groups points
-by line-evaluation keys.  Both are exact; the sweep is the baseline the
-indexed path is checked against.  The sweep drops to plain integer
-arithmetic whenever every coordinate is integral, which is what makes
-million-pair brute-force runs affordable.
+Every incidence route runs on one exact integer form (``_scaled``):
+points become Gaussian integers over one common denominator L, and
+each line becomes an integer slope key and an integer intercept, so the
+predicate is a pure-int equality.  Over that form the engine keeps two
+routes to the same number: the full point-by-line sweep
+``count_naive``, and ``incident_lines``, which groups lines by slope
+and intercept and makes one pass over the points per distinct slope.
+The sweep is the baseline the keyed route is checked against; both are
+checked against the Fraction predicate ``exact.incident`` in the tests.
+The scaled integers grow with the bit length of L.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exact import (
     ComplexLine,
     ComplexPoint,
     GaussianRational,
     GeometryError,
-    incident,
     line_through,
 )
 
@@ -60,95 +63,97 @@ def _check_unique(items: Iterable, what: str) -> None:
         seen.add(it)
 
 
-def _all_integral(points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]) -> bool:
-    for p in points:
-        for f in (p.z1.re, p.z1.im, p.z2.re, p.z2.im):
-            if f.denominator != 1:
-                return False
+# Slope key of a vertical line x = c: with D = 0 and A = -1 the slanted
+# test D*X2 == A*X1 + B reads X1 == B, so verticals need no own branch.
+_VERTICAL = (0, -1, 0)
+
+_LineKey = Tuple[Tuple[int, int, int], Tuple[int, int]]
+
+
+def _scaled(
+    points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]
+) -> Tuple[List[Tuple[int, int, int, int]], List[Optional[_LineKey]]]:
+    """The exact integer form shared by every incidence route.
+
+    Points are scaled by L, the lcm of all point coordinate
+    denominators, to Gaussian integers (X1.re, X1.im, X2.re, X2.im).  A
+    slanted line y = a*x + b gets the slope key (D, A.re, A.im), D the
+    lcm of a's denominators and A = D*a, and the intercept B = D*L*b; a
+    vertical line x = c gets ``_VERTICAL`` and B = L*c.  A point lies on
+    the line iff D*X2 == A*X1 + B.  When B is not integral no scaled
+    point can satisfy that, and the line's entry is None.
+    """
+    L = math.lcm(
+        *{f.denominator for p in points for f in (p.z1.re, p.z1.im, p.z2.re, p.z2.im)}
+    )
+    pts = [
+        (
+            p.z1.re.numerator * (L // p.z1.re.denominator),
+            p.z1.im.numerator * (L // p.z1.im.denominator),
+            p.z2.re.numerator * (L // p.z2.re.denominator),
+            p.z2.im.numerator * (L // p.z2.im.denominator),
+        )
+        for p in points
+    ]
+    keys: List[Optional[_LineKey]] = []
     for l in lines:
-        coeffs = (l.b.re, l.b.im) if l.is_vertical else (l.a.re, l.a.im, l.b.re, l.b.im)
-        for f in coeffs:
-            if f.denominator != 1:
-                return False
-    return True
+        if l.is_vertical:
+            slope, scale = _VERTICAL, L
+        else:
+            ar, ai = l.a.re, l.a.im
+            d = math.lcm(ar.denominator, ai.denominator)
+            slope = (d, ar.numerator * (d // ar.denominator), ai.numerator * (d // ai.denominator))
+            scale = d * L
+        br, rr = divmod(scale * l.b.re.numerator, l.b.re.denominator)
+        bi, ri = divmod(scale * l.b.im.numerator, l.b.im.denominator)
+        keys.append(None if rr or ri else (slope, (br, bi)))
+    return pts, keys
 
 
 def count_naive(points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]) -> int:
     """Full n*e sweep of the incidence predicate, exact."""
-    if _all_integral(points, lines):
-        pts = [
-            (p.z1.re.numerator, p.z1.im.numerator, p.z2.re.numerator, p.z2.im.numerator)
-            for p in points
-        ]
-        total = 0
-        for l in lines:
-            if l.is_vertical:
-                cr, ci = l.b.re.numerator, l.b.im.numerator
-                for x1, y1, _, _ in pts:
-                    if x1 == cr and y1 == ci:
-                        total += 1
-            else:
-                ar, ai = l.a.re.numerator, l.a.im.numerator
-                br, bi = l.b.re.numerator, l.b.im.numerator
-                for x1, y1, x2, y2 in pts:
-                    if x2 == ar * x1 - ai * y1 + br and y2 == ar * y1 + ai * x1 + bi:
-                        total += 1
-        return total
-    pts = [(p.z1.re, p.z1.im, p.z2.re, p.z2.im) for p in points]
+    pts, keys = _scaled(points, lines)
     total = 0
-    for l in lines:
-        if l.is_vertical:
-            cr, ci = l.b.re, l.b.im
-            for x1, y1, _, _ in pts:
-                if x1 == cr and y1 == ci:
-                    total += 1
-        else:
-            ar, ai = l.a.re, l.a.im
-            br, bi = l.b.re, l.b.im
-            for x1, y1, x2, y2 in pts:
-                if x2 == ar * x1 - ai * y1 + br and y2 == ar * y1 + ai * x1 + bi:
-                    total += 1
+    for key in keys:
+        if key is None:
+            continue
+        (d, ar, ai), (br, bi) = key
+        for x1r, x1i, x2r, x2i in pts:
+            if d * x2r == ar * x1r - ai * x1i + br and d * x2i == ar * x1i + ai * x1r + bi:
+                total += 1
     return total
+
+
+def incident_lines(
+    points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]
+) -> List[List[int]]:
+    """For each point, the ascending ids of the lines through it.
+
+    Lines are grouped by slope key, then by intercept.  For slope
+    (D, A) the key of a point is D*X2 - A*X1, and a line carries
+    exactly the points whose key equals its intercept, so the cost is
+    one pass over the points per distinct slope: O(n * #slopes + e)
+    instead of O(n * e).
+    """
+    pts, keys = _scaled(points, lines)
+    by_slope: Dict[Tuple[int, int, int], Dict[Tuple[int, int], List[int]]] = {}
+    for li, key in enumerate(keys):
+        if key is not None:
+            by_slope.setdefault(key[0], {}).setdefault(key[1], []).append(li)
+    index: List[List[int]] = [[] for _ in pts]
+    for (d, ar, ai), table in by_slope.items():
+        for mine, (x1r, x1i, x2r, x2i) in zip(index, pts):
+            ids = table.get((d * x2r - ar * x1r + ai * x1i, d * x2i - ar * x1i - ai * x1r))
+            if ids:
+                mine.extend(ids)
+    for mine in index:
+        mine.sort()
+    return index
 
 
 def count_indexed(points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]) -> int:
-    """Group points by line-evaluation keys, one pass per distinct slope.
-
-    For slope a the key of a point is z2 - a*z1; a line y = a*x + b
-    then carries exactly the points whose key equals b.  Verticals key
-    on z1.  Cost is O(n * #slopes + e) instead of O(n * e).
-    """
-    # integer-tuple keys: hashing Fractions costs a modular inverse each,
-    # plain int tuples do not
-    def key_of(g: GaussianRational):
-        return (g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator)
-
-    slopes: Set[GaussianRational] = set()
-    has_vertical = False
-    for l in lines:
-        if l.is_vertical:
-            has_vertical = True
-        else:
-            slopes.add(l.a)
-    tables: Dict[object, Dict[object, int]] = {}
-    for a in slopes:
-        tab: Dict[object, int] = {}
-        for p in points:
-            k = key_of(p.z2 - a * p.z1)
-            tab[k] = tab.get(k, 0) + 1
-        tables[key_of(a)] = tab
-    vert_tab: Dict[object, int] = {}
-    if has_vertical:
-        for p in points:
-            k = key_of(p.z1)
-            vert_tab[k] = vert_tab.get(k, 0) + 1
-    total = 0
-    for l in lines:
-        if l.is_vertical:
-            total += vert_tab.get(key_of(l.b), 0)
-        else:
-            total += tables[key_of(l.a)].get(key_of(l.b), 0)
-    return total
+    """Incidence count through the keyed route of ``incident_lines``."""
+    return sum(map(len, incident_lines(points, lines)))
 
 
 def count_incidences(
@@ -175,44 +180,42 @@ def count_incidences(
 def rich_lines(points: Sequence[ComplexPoint], t: int) -> List[RichLine]:
     """Every complex line incident to at least t input points, t >= 2.
 
-    Enumerates lines through point pairs, deduplicates on canonical
-    form, and counts incident points per candidate by key grouping.
-    Output is sorted by canonical form, so it is deterministic.
+    Per-point slope bucketing over the scaled integers: for each point
+    i, every other point is bucketed by the reduced slope of the line
+    joining them, so a bucket of size c is a line with c + 1 points.
+    The line is emitted once, from its lowest-index point.  Output is
+    sorted by canonical form, so it is deterministic.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     _check_unique(points, "point")
-
-    def key_of(g: GaussianRational):
-        return (g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator)
-
-    seen = set()
-    by_slope: Dict[object, List[ComplexLine]] = {}
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            l = line_through(points[i], points[j])
-            k = (None if l.is_vertical else key_of(l.a), key_of(l.b))
-            if k in seen:
-                continue
-            seen.add(k)
-            by_slope.setdefault(k[0], []).append(l)
+    pts, _ = _scaled(points, ())
+    gcd = math.gcd
     out: List[RichLine] = []
-    for ka, group in by_slope.items():
-        tab: Dict[object, int] = {}
-        if ka is None:
-            for p in points:
-                pk = key_of(p.z1)
-                tab[pk] = tab.get(pk, 0) + 1
-        else:
-            a = group[0].a
-            for p in points:
-                pk = key_of(p.z2 - a * p.z1)
-                tab[pk] = tab.get(pk, 0) + 1
-        for l in group:
-            cnt = tab.get(key_of(l.b), 0)
-            if cnt >= t:
-                out.append(RichLine(l, cnt))
+    for i, (x1r, x1i, x2r, x2i) in enumerate(pts):
+        first: Dict[object, int] = {}
+        size: Dict[object, int] = {}
+        for j, (y1r, y1i, y2r, y2i) in enumerate(pts):
+            if j == i:
+                continue
+            dr, di = y1r - x1r, y1i - x1i
+            if dr == 0 and di == 0:
+                key = None  # vertical
+            else:
+                # slope (y2 - x2) / (y1 - x1) = (er + i*ei) * conj(dr + i*di) / den
+                er, ei = y2r - x2r, y2i - x2i
+                nr, ni, den = er * dr + ei * di, ei * dr - er * di, dr * dr + di * di
+                g = gcd(nr, ni, den)
+                key = (nr // g, ni // g, den // g)
+            if key in size:
+                size[key] += 1
+            else:
+                size[key] = 1
+                first[key] = j
+        for key, c in size.items():
+            j = first[key]
+            if j > i and c + 1 >= t:
+                out.append(RichLine(line_through(points[i], points[j]), c + 1))
     out.sort(key=lambda r: r.line.sort_key())
     return out
 
@@ -224,12 +227,6 @@ class RichBoundReport:
     rich_count: int
     bound: float  # c * (n^2/t^3 + n/t)
     violated: bool
-
-
-def check_bounds(
-    points: Sequence[ComplexPoint], lines: Sequence[ComplexLine], C: float
-) -> IncidenceReport:
-    return count_incidences(points, lines, C=C)
 
 
 def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float) -> RichBoundReport:

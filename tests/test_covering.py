@@ -346,15 +346,14 @@ def test_grid_cube_geometry():
     assert g0.box() == ((F(3, 5), F(4, 5)), (F(0), F(1, 5)))
 
 
-def test_shift_graph_worker_env(monkeypatch):
-    # the corridor checks agree with the serial path under STLAB_WORKERS
+def test_shift_graph_perched_family_oracle():
+    # twenty big cubes, each with a small cube hanging just below its
+    # bottom face: one edge per pair
     cubes = []
     for k in range(20):
         y = F(10 * k)
         cubes.append(fc((0, y), 3))
         cubes.append(FreeCube((F(-1, 2), y + F(5, 4)), F(1, 2)))
-    serial = build_shift_graph(cubes, kappa=1)
-    monkeypatch.setenv("STLAB_WORKERS", "2")
-    parallel = build_shift_graph(cubes, kappa=1)
-    assert serial.edges == parallel.edges
-    assert len(serial.edges) == 20
+    graph = build_shift_graph(cubes, kappa=1)
+    assert graph.edges == _oracle_shift_graph(cubes, 1)
+    assert len(graph.edges) == 20

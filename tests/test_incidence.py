@@ -10,8 +10,8 @@ from stlab.incidence import (
     DuplicateInput,
     TooSmallPattern,
     ZeroElement,
+    _scaled,
     beck_stats,
-    check_bounds,
     check_rich_bound,
     count_incidences,
     count_indexed,
@@ -52,6 +52,27 @@ def test_count_examples():
     pts, lines = gen_erdos(2)
     assert count_incidences(pts, lines).I == oracle_count(pts, lines) == 16
     assert count_incidences(pts, []).I == 0
+    # non-integral system: halves and thirds (common denominator L = 6),
+    # slopes from Gaussian division
+    F = Fraction
+    pts = [
+        ComplexPoint(GR(F(1, 2), F(1, 3)), GR(F(-2, 3), 1)),
+        ComplexPoint(GR(F(3, 2), F(-1, 3)), GR(F(1, 6), F(5, 2))),
+        ComplexPoint(GR(F(-1, 3), 2), GR(F(7, 2), F(-4, 3))),
+        ComplexPoint(GR(F(1, 2), F(1, 3)), GR(3, F(1, 6))),
+        ComplexPoint(GR(5), GR(F(1, 2))),
+    ]
+    lines = [line_through(pts[i], pts[j]) for i, j in ((0, 1), (1, 2), (0, 2), (2, 4))]
+    lines.append(line_through(pts[0], pts[3]))  # vertical through two points
+    assert lines[-1].is_vertical and lines[0].a.im != 0 and lines[0].a.re.denominator > 1
+    lines.append(ComplexLine.vertical(GR(F(1, 7), 0)))  # L*c = 6/7 is unreachable
+    lines.append(ComplexLine.slanted(GR(1), GR(F(1, 5))))  # D*L*b = 6/5 is not integral
+    lines.append(ComplexLine.slanted(GR(F(2, 3), F(-1, 4)), GR(0)))  # D = 12
+    assert _scaled(pts, lines)[1][5:7] == [None, None]
+    expect = oracle_count(pts, lines)
+    assert expect == 10
+    assert count_naive(pts, lines) == count_indexed(pts, lines) == expect
+    assert count_incidences(pts, lines, method="naive").I == expect
 
 
 def test_duplicate_input_rejected():
@@ -68,7 +89,8 @@ def test_indexed_equals_naive_on_random_systems():
         n = 20 + (seed * 13) % 60
         e = 20 + (seed * 7) % 60
         pts, lines = gen_random_system(n, e, seed)
-        assert count_naive(pts, lines) == count_indexed(pts, lines)
+        expect = oracle_count(pts, lines)
+        assert count_naive(pts, lines) == count_indexed(pts, lines) == expect
 
 
 def test_rich_lines_grid():
@@ -87,12 +109,33 @@ def test_rich_lines_grid():
         assert by_line[r.line] == r.count
 
 
+def test_rich_lines_similarity_image_of_grid():
+    # (z1, z2) -> (u z1 + v, w z2 + s) maps lines to lines, so the 3x3 grid's
+    # rich lines carry over to Gaussian-rational coordinates and slopes
+    u, v = GR(Fraction(1, 2), Fraction(1, 3)), GR(Fraction(-3), Fraction(5, 7))
+    w, s = GR(Fraction(-2, 5), 1), GR(Fraction(1, 4), Fraction(-1, 2))
+    pts = [ComplexPoint(u * p.z1 + v, w * p.z2 + s) for p in grid_points(3, 3)]
+    counts = oracle_pair_lines(pts)
+    for t, size in ((2, 20), (3, 8)):
+        got = rich_lines(pts, t)
+        assert {r.line: r.count for r in got} == {l: c for l, c in counts.items() if c >= t}
+        assert len(got) == size
+
+
 def test_rich_lines_examples():
     collinear = [ComplexPoint(GR(k), GR(2 * k)) for k in range(3)]
     rich = rich_lines(collinear, 2)
     assert len(rich) == 1 and rich[0].count == 3
     general = [ComplexPoint(GR(0), GR(0)), ComplexPoint(GR(1), GR(0)), ComplexPoint(GR(0), GR(1))]
     assert rich_lines(general, 3) == []
+    # a complex line meets its points at complex parameters: z1 = 0, 1, i, 1+i
+    a, b = GR(Fraction(1, 3), Fraction(2, 3)), GR(Fraction(-1, 2), 1)
+    params = [GR(0), GR(1), GR(0, 1), GR(1, 1)]
+    pts = [ComplexPoint(z, a * z + b) for z in params] + [ComplexPoint(GR(2), GR(0, 1))]
+    rich = rich_lines(pts, 3)
+    assert [(r.line, r.count) for r in rich] == [(ComplexLine.slanted(a, b), 4)]
+    counts = oracle_pair_lines(pts)
+    assert {r.line: r.count for r in rich_lines(pts, 2)} == counts
 
 
 def test_beck_stats():
@@ -107,13 +150,15 @@ def test_beck_stats():
 
 def test_check_bounds_erdos():
     pts, lines = gen_erdos(4)
-    rep = check_bounds(pts, lines, C=1.0)
+    rep = count_incidences(pts, lines, C=1.0)
     assert rep.I == 4**4
     # I / (n^(2/3) e^(2/3)) is exactly 2^(-2/3)
     n, e = len(pts), len(lines)
     assert abs(rep.I / (n ** (2 / 3) * e ** (2 / 3)) - 2 ** (-2 / 3)) < 1e-12
-    assert not check_bounds(pts, lines, C=1e70).violated
-    one = check_bounds([ComplexPoint(GR(0), GR(0))], [ComplexLine.slanted(GR(1), GR(0))], C=1e70)
+    assert not count_incidences(pts, lines, C=1e70).violated
+    one = count_incidences(
+        [ComplexPoint(GR(0), GR(0))], [ComplexLine.slanted(GR(1), GR(0))], C=1e70
+    )
     assert one.I == 1 and not one.violated
 
 

@@ -168,3 +168,35 @@ def test_cli_beck_and_bounds(tmp_path, capsys):
     erd = tmp_path / "erd.txt"
     main(["gen", "erdos", "--k", "2", "--out", str(erd)])
     assert main(["bounds", "--C", "1e70", "--in", str(erd)]) == 0
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("system", "p 1/x 0 0 0\n"),  # malformed rational
+        ("system", "p 0 0 0 0\nl\n"),  # bare line record
+        ("points", "dim\np 1 2\n"),  # bare dim record
+        ("points", "dim two\np 1 2\n"),  # non-integer dim record
+        ("system", "p 1 2 3 4\np 1 2 3 4\n"),  # duplicate point
+        ("system", None),  # missing file
+        ("cover", "dim 2\nkappa 1\nr 1\naxismap 5 0 1 1\n"),  # not a permutation
+        ("bundle", "flat 1 x" + " 0" * 12 + "\n"),  # non-integer point id
+    ],
+    ids=[
+        "bad-rational", "bare-l", "bare-dim", "word-dim", "duplicate-point",
+        "missing-file", "bad-axismap", "word-point-id",
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
+    path = tmp_path / "in.txt"
+    if body is not None:
+        path.write_text("stlab %s 1\n%s" % (kind, body))
+    argv = {
+        "system": ["incidences", "--in", str(path)],
+        "points": ["cover", "--dim", "2", "--in", str(path)],
+        "cover": ["verify", "--cover", str(path)],
+        "bundle": ["combine", "--bundle", str(path), "--r", "1"],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stlab: error: ") and err.count("\n") == 1
