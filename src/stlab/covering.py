@@ -131,10 +131,6 @@ class GridCube:
         s = self.side
         return tuple((o * s, (o + 1) * s) for o in self.origin)
 
-    def free(self) -> FreeCube:
-        s = self.side
-        return FreeCube(tuple(o * s for o in self.origin), s)
-
 
 def side_cube(q: FreeCube, orientation: Tuple[int, int], kappa: int) -> FreeCube:
     """The kappa-side-cube of q along the face given by (axis, sign).
@@ -319,12 +315,6 @@ class SignedPermutation:
     @classmethod
     def identity(cls, d: int) -> "SignedPermutation":
         return cls(tuple(range(d)), (1,) * d)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm))) and all(
-            s == 1 for s in self.signs
-        )
 
     def apply_point(self, p: Sequence[Rational]) -> Point:
         return tuple(self.signs[i] * _frac(p[self.perm[i]]) for i in range(len(self.perm)))

@@ -17,7 +17,7 @@ assumptions are made or used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -28,17 +28,15 @@ from .exact import (
     ComplexPoint,
     GaussianRational,
     GeometryError,
-    Rational,
-    _frac,
     line_through,
 )
 from .directions import (
     ComplexLinearMap,
     Direction,
+    PoleDirection,
     apply_mobius,
     direction_of,
     dist_deg,
-    gamma_arg,
     pi_lambda,
     scaling_map,
     shear_map,
@@ -123,32 +121,48 @@ def apply_map_system(sys: SystemView, m: ComplexLinearMap) -> SystemView:
 # -- parameters and arcs -------------------------------------------------------
 
 
+# The paper's big constant M; it enters the concentration allowance
+# d_a / (_NA_DENOM * M) and the per-round decay of the sparse invariant.
+_BIG_M = 10**10
+_NA_DENOM = 200
+_NEIGHBORHOOD_DEG = 10.0  # radius of the concentration disks
+_P0_DENOM = 100  # P0 points meet at least d_a / 100 lines on each side
+
+
 @dataclass(frozen=True)
 class DiagnosticParams:
-    """Thresholds shared by the point classifiers.
-
-    d_a is the average point degree I/n of the host system; the big
-    constant m_const only enters through the concentration allowance
-    d_a / (na_divisor * m_const).
-    """
+    """The host system's average point degree d_a = I/n, which scales
+    the thresholds of the point classifiers."""
 
     d_a: Fraction
-    m_const: int = 10**10
-    neighborhood_deg: float = 10.0
-    p0_divisor: int = 100
-    na_divisor: int = 200
 
     def __post_init__(self) -> None:
-        if self.d_a < 0 or self.m_const <= 0 or self.neighborhood_deg <= 0:
-            raise ValueError("parameters must be positive")
+        if self.d_a < 0:
+            raise ValueError("d_a must be nonnegative")
 
-    @property
-    def p0_threshold(self) -> Fraction:
-        return self.d_a / self.p0_divisor
 
-    @property
-    def na_allowance(self) -> Fraction:
-        return self.d_a / (self.na_divisor * self.m_const)
+def _circle_position(a: GaussianRational) -> int:
+    """Where a nonzero a points, in steps of 22.5 degrees: 2k on the ray
+    at 45k degrees, 2k + 1 strictly inside the octant after it.
+
+    x and y are re and im times the positive re.den * im.den.  Folding
+    (x, y) by a half turn into the upper half plane and by a quarter
+    turn into the first quadrant leaves one comparison of x with y;
+    together these read off the signs of re, im, re + im and re - im
+    with integer comparisons only.
+    """
+    if a.is_zero():
+        raise PoleDirection("the meridian projection is undefined at 0")
+    x, y, pos = a.re.numerator * a.im.denominator, a.im.numerator * a.re.denominator, 0
+    if y < 0 or (y == 0 and x < 0):
+        x, y, pos = -x, -y, 8
+    if x <= 0:
+        x, y, pos = y, -x, pos + 4
+    if y == 0:
+        return pos
+    if y < x:
+        return pos + 1
+    return pos + 2 if y == x else pos + 3
 
 
 @dataclass(frozen=True)
@@ -156,19 +170,28 @@ class ArcSpec:
     """A closed arc of the unit-modulus circle, by angles in degrees.
 
     May wrap through 180: ArcSpec(135, -135) is the short arc around
-    the negative real axis.
+    the negative real axis.  Both endpoints must be multiples of 45
+    degrees, which is what makes membership exact: ``contains`` decides
+    it from signs of the slope's coordinates, never from an angle.
+    ``length`` and ``midpoint_deg`` are float geometry for the
+    refinement planes and grids only.
     """
 
     lo: float
     hi: float
 
+    def __post_init__(self) -> None:
+        if self.lo % 45 != 0 or self.hi % 45 != 0:
+            raise ValueError("arc endpoints must be multiples of 45 degrees")
+
     def length(self) -> float:
         span = (self.hi - self.lo) % 360.0
         return 360.0 if span == 0 else span
 
-    def contains(self, theta: float) -> bool:
-        t = (theta - self.lo) % 360.0
-        return t <= self.length()
+    def contains(self, a: GaussianRational) -> bool:
+        """Does the meridian projection a/|a| of a nonzero a lie on the arc?"""
+        start = int(self.lo) // 45 * 2
+        return (_circle_position(a) - start) % 16 <= int(self.length()) // 45 * 2
 
     def midpoint_deg(self) -> float:
         mid = self.lo + self.length() / 2.0
@@ -295,7 +318,8 @@ def hemisphere_split(
     if sys.e < 2:
         raise ValueError("need at least two lines")
     transform = ComplexLinearMap.identity()
-    dirs = sys.directions()
+    base = sys.directions()
+    dirs = base
     for attempt in range(len(_FIX_MAPS) + 1):
         slopes = [None if d.is_infinite else d.a for d in dirs]
         mods = [None if a is None else a.abs2() for a in slopes]
@@ -309,7 +333,7 @@ def hemisphere_split(
             else:
                 scale = scaling_map(_rational_sqrt_between(*payload))
             total = scale.compose(transform)
-            final = [apply_mobius(total, d) for d in sys.directions()]
+            final = [apply_mobius(total, d) for d in base]
             e1: Set[int] = set()
             e2: Set[int] = set()
             boundary: List[int] = []
@@ -332,13 +356,8 @@ def hemisphere_split(
             return e1, e2, total
         if attempt == len(_FIX_MAPS):
             break
-        fix = _FIX_MAPS[attempt]
-        # a squeeze has a pole: skip it when a direction sits there
-        dirs2 = [apply_mobius(fix, d) for d in sys.directions()]
-        transform_cand = fix.compose(transform)
-        dirs = [apply_mobius(transform_cand, d) for d in sys.directions()]
-        del dirs2
-        transform = transform_cand
+        transform = _FIX_MAPS[attempt].compose(transform)
+        dirs = [apply_mobius(transform, d) for d in base]
     raise SplitFailed("no transform in the candidate pool balanced the split")
 
 
@@ -359,7 +378,7 @@ def classify_points(
     p0: Set[int] = set()
     p1: Set[int] = set()
     p2: Set[int] = set()
-    thr = params.p0_threshold
+    thr = params.d_a / _P0_DENOM
     for pi, ls in enumerate(sys.incident_lines):
         c1 = sum(1 for li in ls if li in e1)
         c2 = sum(1 for li in ls if li in e2)
@@ -386,57 +405,41 @@ def is_na_point(
     allowance of d_a / (200 M) have their directions inside the open
     10-degree disk around the center.
     """
-    allowance = params.na_allowance
-    radius = params.neighborhood_deg
+    allowance = params.d_a / (_NA_DENOM * _BIG_M)
     for side in (e1, e2):
         mine = [li for li in sys.incident_lines[p] if li in side]
         close = sum(
-            1 for li in mine if dist_deg(direction_of(sys.lines[li]), center) < radius
+            1 for li in mine if dist_deg(direction_of(sys.lines[li]), center) < _NEIGHBORHOOD_DEG
         )
         if Fraction(close) < len(mine) - allowance:
             return False
     return True
 
 
-def is_gamma_point(p: int, sys: SystemView, arc: ArcSpec) -> bool:
-    """Does a third of the point's incident directions project into the arc?
+def _meets_quota(dirs: Sequence[Direction], arc: ArcSpec) -> bool:
+    """Do a third of a point's incident directions project into the arc?
 
     The meridian projection is undefined at 0 and infinity; lines with
     those directions never count toward the quota but stay in the
     denominator.  Points of degree zero fail by convention.
     """
-    ls = sys.incident_lines[p]
-    if not ls:
+    if not dirs:
         return False
-    hits = 0
-    for li in ls:
-        d = direction_of(sys.lines[li])
-        if d.is_infinite or d.a.is_zero():
-            continue
-        if arc.contains(gamma_arg(d)):
-            hits += 1
-    return 3 * hits >= len(ls)
+    hits = sum(1 for d in dirs if not d.is_infinite and not d.a.is_zero() and arc.contains(d.a))
+    return 3 * hits >= len(dirs)
+
+
+def is_gamma_point(p: int, sys: SystemView, arc: ArcSpec) -> bool:
+    """Does a third of the point's incident directions project into the arc?"""
+    return _meets_quota([direction_of(sys.lines[li]) for li in sys.incident_lines[p]], arc)
 
 
 def gamma_count(sys: SystemView, arc: ArcSpec, transform: Optional[ComplexLinearMap] = None) -> int:
     """Number of points whose transformed directions meet the arc quota."""
-    if transform is None:
-        return sum(1 for p in range(sys.n) if is_gamma_point(p, sys, arc))
-    dirs = [apply_mobius(transform, direction_of(l)) for l in sys.lines]
-    count = 0
-    for ls in sys.incident_lines:
-        if not ls:
-            continue
-        hits = 0
-        for li in ls:
-            d = dirs[li]
-            if d.is_infinite or d.a.is_zero():
-                continue
-            if arc.contains(gamma_arg(d)):
-                hits += 1
-        if 3 * hits >= len(ls):
-            count += 1
-    return count
+    dirs = sys.directions()
+    if transform is not None:
+        dirs = [apply_mobius(transform, d) for d in dirs]
+    return sum(_meets_quota([dirs[li] for li in ls], arc) for ls in sys.incident_lines)
 
 
 # -- meridian balancing -----------------------------------------------------------
@@ -447,9 +450,8 @@ def balance_lambda(
     target_k: int,
     axis_center: Direction,
     precision: int = 64,
-    arc: ArcSpec = ARC_A1,
 ) -> Tuple[Fraction, ComplexLinearMap]:
-    """Smallest dyadic squeeze parameter meeting an arc quota.
+    """Smallest dyadic squeeze parameter meeting the quota on ARC_A1.
 
     Returns the least lambda on the 2^-precision grid for which at
     least target_k points meet the one-third arc quota after the
@@ -462,7 +464,7 @@ def balance_lambda(
     seen: List[Tuple[Fraction, int]] = []
 
     def count_at(lam: Fraction) -> int:
-        c = gamma_count(sys, arc, pi_lambda(axis_center, lam))
+        c = gamma_count(sys, ARC_A1, pi_lambda(axis_center, lam))
         seen.append((lam, c))
         return c
 
@@ -501,16 +503,16 @@ class SparseInvariant:
     t_j: Fraction
 
     @classmethod
-    def initial(cls, n: int, e: int, d_a: Fraction, m_const: int) -> "SparseInvariant":
+    def initial(cls, n: int, e: int, d_a: Fraction) -> "SparseInvariant":
         return cls(0, Fraction(n, 10), Fraction(e), d_a / 200)
 
-    def advance(self, d_a: Fraction, m_const: int) -> "SparseInvariant":
+    def advance(self, d_a: Fraction) -> "SparseInvariant":
         j = self.j + 1
         return SparseInvariant(
             j,
-            self.n_j * (1 - Fraction(3, m_const)) / 3,
+            self.n_j * (1 - Fraction(3, _BIG_M)) / 3,
             self.e_j / 2,
-            d_a / 200 * (1 - Fraction(j, m_const)),
+            d_a / 200 * (1 - Fraction(j, _BIG_M)),
         )
 
 
@@ -535,8 +537,8 @@ def _na_arc_point(
 ) -> bool:
     """Concentration near some boundary direction within 10 degrees of
     the arc, decided over a deterministic angle grid."""
-    lo = arc.lo - params.neighborhood_deg
-    span = arc.length() + 2 * params.neighborhood_deg
+    lo = arc.lo - _NEIGHBORHOOD_DEG
+    span = arc.length() + 2 * _NEIGHBORHOOD_DEG
     steps = int(span / step_deg) + 1
     for k in range(steps + 1):
         theta = lo + min(k * step_deg, span)
@@ -577,8 +579,6 @@ def refine_step(
     sys: SystemView,
     params: DiagnosticParams,
     invariant: SparseInvariant,
-    arcs_a: Tuple[ArcSpec, ArcSpec, ArcSpec] = ARCS_A,
-    arcs_b: Tuple[ArcSpec, ArcSpec, ArcSpec] = ARCS_B,
 ) -> RefineResult:
     """One refinement round over a system slice.
 
@@ -605,13 +605,13 @@ def refine_step(
         return out
 
     planes = []
-    for arc in arcs_a:
+    for arc in ARCS_A:
         normal = np.array(to_sphere(unit_direction_from_angle(arc.midpoint_deg())).v)
         cval, nrm = _bisecting_constant(dirs_xyz, normal)
-        threshold = math.cos(math.radians(arc.length() / 2 + params.neighborhood_deg))
+        threshold = math.cos(math.radians(arc.length() / 2 + _NEIGHBORHOOD_DEG))
         planes.append((arc, cval, nrm, cval >= threshold))
 
-    nxt = invariant.advance(params.d_a, params.m_const)
+    nxt = invariant.advance(params.d_a)
     for k, (arc, cval, nrm, intersects) in enumerate(planes):
         if intersects:
             continue
@@ -625,13 +625,13 @@ def refine_step(
         return RefineResult(o_new, u_new, v_new, "plane-avoids-arc", k, nxt)
 
     best_m, best_pts = None, None
-    for m, arc_b in enumerate(arcs_b):
+    for m, arc_b in enumerate(ARCS_B):
         pts = {p for p in o if _na_arc_point(p, sys, u, v, arc_b, params)}
         if best_pts is None or len(pts) > len(best_pts):
             best_m, best_pts = m, pts
     if not best_pts:
         raise EmptySelection("no concentrated points for any complementary arc")
-    arc_b = arcs_b[best_m]
+    arc_b = ARCS_B[best_m]
     _, cval, nrm, _ = planes[best_m]
     mid_b = np.array(to_sphere(unit_direction_from_angle(arc_b.midpoint_deg())).v)
     want_positive = bool(np.dot(mid_b, nrm) > cval)

@@ -250,7 +250,10 @@ def gamma_arg(d: Direction) -> float:
     """Meridian projection to H0, reported as an angle in (-180, 180].
 
     Defined for neither pole: the meridians through 0 and infinity are
-    the constant-argument rays, so the projection of a is a/|a|.
+    the constant-argument rays, so the projection of a is a/|a|.  The
+    angle is a float for display only; arc quotas are decided exactly
+    by ``diagnostics.ArcSpec.contains``, whose arcs end on multiples of
+    45 degrees.
     """
     if d.is_infinite or d.a.is_zero():
         raise PoleDirection("gamma undefined at 0 and infinity")

@@ -124,11 +124,6 @@ def as_gaussian(x) -> GaussianRational:
     raise TypeError("cannot interpret %r as GaussianRational" % (x,))
 
 
-GR_ZERO = GaussianRational(0, 0)
-GR_ONE = GaussianRational(1, 0)
-GR_I = GaussianRational(0, 1)
-
-
 @dataclass(frozen=True)
 class ComplexPoint:
     z1: GaussianRational
@@ -170,12 +165,6 @@ class ComplexLine:
     @property
     def is_vertical(self) -> bool:
         return self.a is None
-
-    @property
-    def c(self) -> GaussianRational:
-        if not self.is_vertical:
-            raise GeometryError("slanted line has no vertical abscissa")
-        return self.b
 
     def sort_key(self):
         if self.is_vertical:

@@ -196,6 +196,8 @@ def load_bundle(stream: TextIO) -> FlatBundle:
             anchors.append(tuple(parse_rational(t) for t in rec[1:]))
         elif rec[0] == "flat" and len(rec) == 15:
             fam, pid = _parse_int(rec[1]), _parse_int(rec[2])
+            if fam not in (1, 2) or pid < 0:
+                raise FormatError("bad flat family or point id in %r" % " ".join(rec))
             vals = [parse_rational(t) for t in rec[3:]]
             flat = Flat2(
                 RVector4.of(vals[0:4]), RVector4.of(vals[4:8]), RVector4.of(vals[8:12])
@@ -204,6 +206,8 @@ def load_bundle(stream: TextIO) -> FlatBundle:
         else:
             raise FormatError("bad bundle record %r" % " ".join(rec))
     n = len(anchors)
+    if any(pid >= n for fam in (fam1, fam2) for pid in fam):
+        raise FormatError("flat point id outside the %d anchors" % n)
     return FlatBundle(
         anchors,
         [fam1.get(i, []) for i in range(n)],
@@ -257,6 +261,8 @@ def load_cover(stream: TextIO) -> CoverFile:
     cubes: List[FreeCube] = []
     for rec in _records(stream):
         if rec[0] == "dim":
+            if d is not None:
+                raise FormatError("repeated dim record")
             d = _int_record(rec)
         elif rec[0] == "kappa":
             kappa = _int_record(rec)
@@ -271,8 +277,12 @@ def load_cover(stream: TextIO) -> CoverFile:
                 raise FormatError("axismap is not a signed permutation")
             amap = SignedPermutation(perm, signs)
         elif rec[0] == "p":
+            if d is None or len(rec) != d + 1:
+                raise FormatError("point record before dim or wrong arity")
             pts.append(tuple(parse_rational(t) for t in rec[1:]))
         elif rec[0] == "cube":
+            if d is None or len(rec) != d + 2:
+                raise FormatError("cube record before dim or wrong arity")
             vals = [parse_rational(t) for t in rec[1:]]
             cubes.append(FreeCube(tuple(vals[:-1]), vals[-1]))
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exact import (
     ComplexLine,
@@ -177,21 +177,20 @@ def count_incidences(
     return IncidenceReport(count, n, e, bound, ratio, violated=count > bound)
 
 
-def rich_lines(points: Sequence[ComplexPoint], t: int) -> List[RichLine]:
-    """Every complex line incident to at least t input points, t >= 2.
+def _rich_pairs(points: Sequence[ComplexPoint], t: int) -> Iterator[Tuple[int, int, int]]:
+    """(i, j, count) for every line through at least t input points, t >= 2.
 
     Per-point slope bucketing over the scaled integers: for each point
     i, every other point is bucketed by the reduced slope of the line
     joining them, so a bucket of size c is a line with c + 1 points.
-    The line is emitted once, from its lowest-index point.  Output is
-    sorted by canonical form, so it is deterministic.
+    Each line is yielded once, from its lowest-index point i, with j
+    the next point on it.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     _check_unique(points, "point")
     pts, _ = _scaled(points, ())
     gcd = math.gcd
-    out: List[RichLine] = []
     for i, (x1r, x1i, x2r, x2i) in enumerate(pts):
         first: Dict[object, int] = {}
         size: Dict[object, int] = {}
@@ -215,7 +214,15 @@ def rich_lines(points: Sequence[ComplexPoint], t: int) -> List[RichLine]:
         for key, c in size.items():
             j = first[key]
             if j > i and c + 1 >= t:
-                out.append(RichLine(line_through(points[i], points[j]), c + 1))
+                yield i, j, c + 1
+
+
+def rich_lines(points: Sequence[ComplexPoint], t: int) -> List[RichLine]:
+    """Every complex line incident to at least t input points, t >= 2.
+
+    Output is sorted by canonical form, so it is deterministic.
+    """
+    out = [RichLine(line_through(points[i], points[j]), c) for i, j, c in _rich_pairs(points, t)]
     out.sort(key=lambda r: r.line.sort_key())
     return out
 
@@ -230,18 +237,18 @@ class RichBoundReport:
 
 
 def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float) -> RichBoundReport:
-    rich = rich_lines(points, t)
+    rich_count = sum(1 for _ in _rich_pairs(points, t))
     n = len(points)
     bound = c * (n * n / t**3 + n / t)
-    return RichBoundReport(t, n, len(rich), bound, violated=len(rich) > bound)
+    return RichBoundReport(t, n, rich_count, bound, violated=rich_count > bound)
 
 
 def beck_stats(points: Sequence[ComplexPoint]) -> Tuple[int, int]:
     """(number of connecting lines, max point count on one of them)."""
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    rich = rich_lines(points, 2)
-    return len(rich), max(r.count for r in rich)
+    counts = [c for _, _, c in _rich_pairs(points, 2)]
+    return len(counts), max(counts)
 
 
 def sum_product(

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -24,21 +23,9 @@ from stlab.covering import (
     verify_cover,
 )
 
+from _oracles import oracle_shift_graph, random_disjoint_cubes, random_rational_points
+
 F = Fraction
-
-
-def rational_points(n, d, span, seed, denom=2**20):
-    rng = random.Random(seed)
-    pts, seen, t = [], set(), 0
-    while len(pts) < n:
-        p = tuple(
-            F(rng.randint(0, span)) + F(2 * (t + i) + 1, denom) for i in range(d)
-        )
-        t += d
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    return pts
 
 
 # -- cube primitives ----------------------------------------------------------
@@ -130,7 +117,7 @@ def test_two_point_cluster_d1():
 
 @pytest.mark.parametrize("seed,n,d,r", [(1, 300, 1, 1), (2, 400, 2, 1), (3, 500, 2, 2)])
 def test_covering_guarantees_small(seed, n, d, r):
-    pts = rational_points(n, d, 4 * n if d == 1 else int(4 * n**0.5), seed)
+    pts = random_rational_points(n, d, 4 * n if d == 1 else int(4 * n**0.5), seed)
     norm, _ = normalize_points(pts)
     res = run_covering(norm, d, 1, r, debug=True)
     rep = verify_cover(norm, res, 1, r)
@@ -141,7 +128,7 @@ def test_covering_guarantees_small(seed, n, d, r):
 
 
 def test_covering_r_exceeding_n():
-    pts = rational_points(10, 2, 40, 9)
+    pts = random_rational_points(10, 2, 40, 9)
     norm, _ = normalize_points(pts)
     res = run_covering(norm, 2, 1, 100)
     rep = verify_cover(norm, res, 1, 100)
@@ -151,7 +138,7 @@ def test_covering_r_exceeding_n():
 
 
 def test_covering_deterministic():
-    pts = rational_points(200, 2, 60, 4)
+    pts = random_rational_points(200, 2, 60, 4)
     norm, _ = normalize_points(pts)
     r1 = run_covering(norm, 2, 1, 2)
     r2 = run_covering(norm, 2, 1, 2)
@@ -204,123 +191,13 @@ def test_shift_graph_rejects_overlap():
         build_shift_graph([fc((0, 0), 2), fc((1, 1), 2)], kappa=1)
 
 
-# brute-force oracle for the shift graph: recursive closed-box subtraction
-def _subtract_intervals(segments, lo, hi):
-    out = []
-    for a, b in segments:
-        if hi <= a or b <= lo:
-            out.append((a, b))
-            continue
-        if a < lo:
-            out.append((a, lo))
-        if hi < b:
-            out.append((hi, b))
-    return out
-
-
-def _oracle_corridor_open(base, blockers):
-    if not base:
-        return not blockers
-    # subtract blocker shadows axis-by-axis over a recursive split on the
-    # first axis; a cell survives iff some point avoids every blocker
-    def rec(cell, blocks):
-        if not blocks:
-            return True
-        bl = blocks[0]
-        rest = blocks[1:]
-        # split cell by bl: the part covered on axis 0..k-1 must be checked
-        # against bl's remaining axes too; brute force: pick midpoints of a
-        # refinement induced by all blocker bounds (exhaustive subtraction)
-        cuts = [set([c[0], c[1]]) for c in cell]
-        for b in blocks:
-            for ax in range(len(cell)):
-                for v in b[ax]:
-                    if cell[ax][0] < v < cell[ax][1]:
-                        cuts[ax].add(v)
-        axes_vals = []
-        for ax in range(len(cell)):
-            vals = sorted(cuts[ax])
-            cands = list(vals)
-            cands += [(u + w) / 2 for u, w in zip(vals, vals[1:])]
-            axes_vals.append(cands)
-        for p in itertools.product(*axes_vals):
-            if not any(
-                all(b[ax][0] <= x <= b[ax][1] for ax, x in enumerate(p))
-                for b in blocks
-            ):
-                return True
-        return False
-
-    return rec(base, blockers)
-
-
-def _oracle_shift_graph(cubes, kappa):
-    edges = []
-    for i, q1 in enumerate(cubes):
-        for j, q2 in enumerate(cubes):
-            if i == j:
-                continue
-            a = shift_cube(bott(q1, kappa)).box()
-            bb = bott(q1, kappa).box()
-            s2 = shift_cube(q2).box()
-            inter = tuple(
-                (max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, s2)
-            )
-            if any(lo >= hi for lo, hi in inter):
-                continue
-            if all(bl <= lo and hi <= bh for (lo, hi), (bl, bh) in zip(inter, bb)):
-                continue
-            base = []
-            ok = True
-            for ax in range(1, len(a)):
-                lo = max(bb[ax][0], q2.box()[ax][0])
-                hi = min(bb[ax][1], q2.box()[ax][1])
-                if lo > hi:
-                    ok = False
-                    break
-                base.append((lo, hi))
-            if not ok:
-                continue
-            seg_lo = min(bb[0][0], q2.box()[0][1])
-            seg_hi = max(bb[0][0], q2.box()[0][1])
-            blockers = []
-            for t, c in enumerate(cubes):
-                if t in (i, j):
-                    continue
-                cb = c.box()
-                if cb[0][1] < seg_lo or cb[0][0] > seg_hi:
-                    continue
-                lat = [cb[ax] for ax in range(1, len(cb))]
-                if any(l[0] > b[1] or l[1] < b[0] for l, b in zip(lat, base)):
-                    continue
-                blockers.append(lat)
-            if _oracle_corridor_open(base, blockers):
-                edges.append((i, j))
-    return sorted(edges)
-
-
-def _random_disjoint_cubes(rng, d, count):
-    cubes = []
-    tries = 0
-    while len(cubes) < count and tries < 400:
-        tries += 1
-        side = F(rng.randint(1, 6), rng.randint(1, 3))
-        corner = tuple(F(rng.randint(-12, 12), 2) for _ in range(d))
-        cand = FreeCube(corner, side)
-        if all(
-            not boxes_overlap_interior(cand.box(), c.box()) for c in cubes
-        ):
-            cubes.append(cand)
-    return cubes
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_shift_graph_matches_oracle(d):
     for seed in range(16):
         rng = random.Random(1000 * d + seed)
-        cubes = _random_disjoint_cubes(rng, d, rng.randint(2, 8 if d < 4 else 6))
+        cubes = random_disjoint_cubes(rng, d, rng.randint(2, 8 if d < 4 else 6))
         got = build_shift_graph(cubes, kappa=1)
-        assert sorted(got.edges) == _oracle_shift_graph(cubes, 1)
+        assert sorted(got.edges) == oracle_shift_graph(cubes, 1)
         assert len(got.edges) <= len(cubes)
 
 
@@ -355,5 +232,5 @@ def test_shift_graph_perched_family_oracle():
         cubes.append(fc((0, y), 3))
         cubes.append(FreeCube((F(-1, 2), y + F(5, 4)), F(1, 2)))
     graph = build_shift_graph(cubes, kappa=1)
-    assert graph.edges == _oracle_shift_graph(cubes, 1)
+    assert graph.edges == oracle_shift_graph(cubes, 1)
     assert len(graph.edges) == 20

@@ -6,7 +6,10 @@ import pytest
 from stlab.diagnostics import (
     ARC_A1,
     ARC_A2,
+    ARC_A3,
+    ARC_B3,
     ARCS_A,
+    ARCS_B,
     ArcSpec,
     DiagnosticParams,
     EmptySelection,
@@ -28,9 +31,11 @@ from stlab.diagnostics import (
 from stlab.directions import (
     ComplexLinearMap,
     Direction,
+    PoleDirection,
     apply_mobius,
     direction_of,
     dist_deg,
+    gamma_arg,
 )
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational, incident
 
@@ -214,10 +219,56 @@ def test_is_gamma_point():
 
 def test_arc_spec_wrapping():
     arc = ArcSpec(135.0, -135.0)
-    assert arc.contains(180.0) and arc.contains(-150.0)
-    assert not arc.contains(0.0)
+    assert arc.contains(GR(-1)) and arc.contains(GR(-2, -1))  # 180 and about -153
+    assert arc.contains(GR(-1, 1)) and arc.contains(GR(-1, -1))  # both endpoints
+    assert not arc.contains(GR(1)) and not arc.contains(GR(-1, 2))
     assert arc.length() == 90.0
     assert arc.midpoint_deg() == 180.0
+    with pytest.raises(PoleDirection):
+        arc.contains(GR(0))
+
+
+def test_arc_spec_rejects_off_grid_endpoints():
+    with pytest.raises(ValueError):
+        ArcSpec(10, 50)
+    with pytest.raises(ValueError):
+        ArcSpec(0, 100)
+    assert ArcSpec(-45, 45).length() == 90.0
+
+
+# slopes whose arguments sit within 1e-20 of an arc endpoint, on the
+# side the float atan2 route rounds across: just above -180, outside
+# ARC_A3 = [90, 180]; just above 135, outside ARC_B3 = [0, 135]
+NEAR_ENDPOINTS = [
+    (GR(-1, -F(1, 10**20)), ARC_A3),
+    (GR(-1, 1 - F(1, 10**20)), ARC_B3),
+]
+
+
+@pytest.mark.parametrize("slope, arc", NEAR_ENDPOINTS, ids=["below-180", "above-135"])
+def test_arc_membership_is_exact_near_endpoints(slope, arc):
+    assert not arc.contains(slope)
+    pts, lns = [], []
+    point_with_slopes(pts, lns, 0, 0, [slope])
+    assert not is_gamma_point(0, SystemView.build(pts, lns), arc)
+
+
+def float_contains(arc, a):
+    """Float reference: the atan2 angle of gamma_arg, reduced modulo 360."""
+    return (gamma_arg(Direction(a)) - arc.lo) % 360.0 <= arc.length()
+
+
+def test_arc_membership_matches_float_route_on_small_slopes():
+    rng = random.Random(45)
+    small = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5000)]
+    slopes = [GR(x, y) for x, y in zip(small, small[1:])]
+    slopes += [GR(x, s * x) for x in small[:2500] for s in (1, -1)]  # on 45-degree rays
+    slopes += [GR(x, 0) for x in small[:200]] + [GR(0, x) for x in small[:200]]
+    slopes = [a for a in slopes if not a.is_zero()]
+    assert len(slopes) > 10**4
+    for arc in ARCS_A + ARCS_B:
+        for a in slopes:
+            assert arc.contains(a) == float_contains(arc, a), (arc, a)
 
 
 # -- balancing ----------------------------------------------------------------------
@@ -299,7 +350,7 @@ def refine_fixture():
 def test_refine_step_case_one():
     sys, u, v = refine_fixture()
     params = DiagnosticParams(d_a=sys.average_point_degree())
-    inv = SparseInvariant.initial(sys.n, sys.e, params.d_a, params.m_const)
+    inv = SparseInvariant.initial(sys.n, sys.e, params.d_a)
     res = refine_step(set(range(sys.n)), u, v, sys, params, inv)
     assert res.case == "plane-avoids-arc" and res.arc_index == 0
     assert res.o_new == {0, 1}  # exactly the concentrated minority
@@ -324,7 +375,7 @@ def test_refine_step_empty_selection():
     u = {i for i, l in enumerate(sys.lines) if l.a.abs2() < 1}
     v = set(range(sys.e)) - u
     params = DiagnosticParams(d_a=sys.average_point_degree())
-    inv = SparseInvariant.initial(sys.n, sys.e, params.d_a, params.m_const)
+    inv = SparseInvariant.initial(sys.n, sys.e, params.d_a)
     with pytest.raises(EmptySelection):
         refine_step(set(range(sys.n)), u, v, sys, params, inv)
 

@@ -109,12 +109,16 @@ def test_rich_lines_grid():
         assert by_line[r.line] == r.count
 
 
-def test_rich_lines_similarity_image_of_grid():
+def similarity_image_of_grid():
     # (z1, z2) -> (u z1 + v, w z2 + s) maps lines to lines, so the 3x3 grid's
     # rich lines carry over to Gaussian-rational coordinates and slopes
     u, v = GR(Fraction(1, 2), Fraction(1, 3)), GR(Fraction(-3), Fraction(5, 7))
     w, s = GR(Fraction(-2, 5), 1), GR(Fraction(1, 4), Fraction(-1, 2))
-    pts = [ComplexPoint(u * p.z1 + v, w * p.z2 + s) for p in grid_points(3, 3)]
+    return [ComplexPoint(u * p.z1 + v, w * p.z2 + s) for p in grid_points(3, 3)]
+
+
+def test_rich_lines_similarity_image_of_grid():
+    pts = similarity_image_of_grid()
     counts = oracle_pair_lines(pts)
     for t, size in ((2, 20), (3, 8)):
         got = rich_lines(pts, t)
@@ -146,6 +150,17 @@ def test_beck_stats():
     collinear = [ComplexPoint(GR(k), GR(k)) for k in range(5)]
     assert beck_stats(collinear) == (1, 5)
     assert beck_stats(collinear[:2]) == (1, 2)
+
+
+@pytest.mark.parametrize("which", ["erdos4", "similarity-image"])
+def test_beck_and_rich_bound_count_like_rich_lines(which):
+    pts = gen_erdos(4)[0] if which == "erdos4" else similarity_image_of_grid()
+    rich = rich_lines(pts, 2)
+    assert beck_stats(pts) == (len(rich), max(r.count for r in rich))
+    for t in range(2, 7):
+        rep = check_rich_bound(pts, t, 8.0)
+        assert rep.rich_count == len(rich_lines(pts, t))
+        assert rep.violated == (rep.rich_count > rep.bound)
 
 
 def test_check_bounds_erdos():

@@ -170,6 +170,12 @@ def test_cli_beck_and_bounds(tmp_path, capsys):
     assert main(["bounds", "--C", "1e70", "--in", str(erd)]) == 0
 
 
+COVER_HEAD = "dim 2\nkappa 1\nr 1\naxismap 0 1 1 1\n"
+# a valid 27-anchor bundle without its header, so combine --r 1 runs
+BUNDLE_27 = fileio.dump_bundle(gen_bundle_fixture(27, 1, 0.0, seed=2)[1]).split("\n", 1)[1]
+UNIT_FLAT = " 0 0 0 0 0 0 1 0 0 0 0 1\n"  # the (x3, x4)-plane
+
+
 @pytest.mark.parametrize(
     "kind, body",
     [
@@ -181,10 +187,17 @@ def test_cli_beck_and_bounds(tmp_path, capsys):
         ("system", None),  # missing file
         ("cover", "dim 2\nkappa 1\nr 1\naxismap 5 0 1 1\n"),  # not a permutation
         ("bundle", "flat 1 x" + " 0" * 12 + "\n"),  # non-integer point id
+        ("cover", COVER_HEAD + "cube\n"),  # bare cube record
+        ("cover", COVER_HEAD + "cube 0 1\n"),  # cube short of a coordinate
+        ("cover", COVER_HEAD + "p 1/2\ncube 0 0 1\n"),  # point arity differs from dim
+        ("cover", "dim 1\nkappa 1\nr 1\naxismap 0 1\np 1/2\ndim 2\ncube 0 0 1\n"),  # dim changes
+        ("bundle", BUNDLE_27 + "flat 7 0" + UNIT_FLAT),  # no family 7
+        ("bundle", BUNDLE_27 + "flat 1 27" + UNIT_FLAT),  # point id past the anchors
     ],
     ids=[
         "bad-rational", "bare-l", "bare-dim", "word-dim", "duplicate-point",
-        "missing-file", "bad-axismap", "word-point-id",
+        "missing-file", "bad-axismap", "word-point-id", "bare-cube", "short-cube",
+        "point-arity", "repeated-dim", "flat-family-7", "flat-id-past-anchors",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
