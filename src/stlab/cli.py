@@ -39,12 +39,7 @@ from .regions import CombineDetail, combine, verify_regions
 def _parse_direction(tok: str) -> Direction:
     if tok in ("inf", "infinity", "oo"):
         return DIR_INF
-    if "," in tok:
-        re, im = tok.split(",")
-        return Direction.finite(
-            GaussianRational(fileio.parse_rational(re), fileio.parse_rational(im))
-        )
-    return Direction.finite(GaussianRational(fileio.parse_rational(tok), Fraction(0)))
+    return Direction.finite(_parse_gaussian(tok))
 
 
 def _open_in(path):
@@ -121,10 +116,11 @@ def cmd_beck(args) -> int:
 
 
 def _parse_gaussian(tok: str) -> GaussianRational:
-    if "," in tok:
-        re, im = tok.split(",")
-        return GaussianRational(fileio.parse_rational(re), fileio.parse_rational(im))
-    return GaussianRational(fileio.parse_rational(tok), Fraction(0))
+    parts = tok.split(",")
+    if len(parts) > 2:
+        raise fileio.FormatError("bad Gaussian rational %r" % tok)
+    im = fileio.parse_rational(parts[1]) if len(parts) == 2 else Fraction(0)
+    return GaussianRational(fileio.parse_rational(parts[0]), im)
 
 
 def cmd_sumprod(args) -> int:

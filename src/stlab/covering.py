@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,6 +67,12 @@ def box_from_corner(corner: Sequence[Rational], side: Rational) -> Box:
 
 def boxes_overlap_interior(a: Box, b: Box) -> bool:
     return all(max(la, lb) < min(ha, hb) for (la, ha), (lb, hb) in zip(a, b))
+
+
+def box_intersection(a: Box, b: Box) -> Box:
+    """Per-axis overlap of a and b; some axis has lo >= hi when the
+    interiors are disjoint."""
+    return tuple((max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, b))
 
 
 def box_inside(inner: Box, outer: Box) -> bool:
@@ -358,8 +364,7 @@ _CARRIER_STATES = (CubeState.A4, CubeState.A5, CubeState.A6)
 @dataclass
 class _CellInfo:
     state: str
-    green: Optional[Box] = None  # A2/A3: the green cube inside
-    maxblue: Optional[Box] = None  # A3/A4/A5/A6: maximal blue within
+    green: Optional[Box] = None  # A3: the green cube inside
     avoid: Optional[Box] = None  # A3: the carrier subcell it was built around
 
 
@@ -415,37 +420,27 @@ class CoverResult:
 
 
 class _CoverRun:
-    def __init__(self, points: List[Point], d: int, kappa: int, r: int, debug: bool):
+    def __init__(self, points: List[Point], d: int, kappa: int, r: int):
         self.d = d
         self.kappa = kappa
         self.r = r
-        self.debug = debug
         self.rho = 4 * kappa + 1
         self.m = self.rho**d
-        self.points_by_id: Dict[int, Point] = dict(enumerate(points))
-        self.active: Dict[int, Point] = dict(self.points_by_id)
-        self.base_cell = {
-            i: tuple(int(math.floor(x)) for x in p) for i, p in self.points_by_id.items()
-        }
+        self.active: Dict[int, Point] = dict(enumerate(points))
+        # the current level's cell of every input point, deleted or not;
+        # level 0 refines the unit cells by rho
+        self.cells: List[Tuple[int, ...]] = [
+            tuple(math.floor(x * self.rho) for x in p) for p in points
+        ]
         self.offsets: Dict[int, Tuple[int, ...]] = {1: (0,) * d}
+        # shifts[L]: offset of the level-(L+1) blocks in level-L cell units
+        self.shifts: Dict[int, Tuple[int, ...]] = {0: (0,) * d}
         self.states: Dict[int, Dict[Tuple[int, ...], _CellInfo]] = {0: {}}
         self.selected: List[_Selected] = []
         self.stats = CoverStats()
         self.level = 0
 
     # cell geometry ---------------------------------------------------------
-
-    def cell_index(self, pid: int, level: int) -> Tuple[int, ...]:
-        k1 = self.base_cell[pid]
-        if level == 1:
-            return k1
-        off = self.offsets[level]
-        side = self.rho ** (level - 1)
-        return tuple((k - o) // side for k, o in zip(k1, off))
-
-    def _all_cells(self, level: int) -> Set[Tuple[int, ...]]:
-        """Level cells of every input point, deleted or not."""
-        return {self.cell_index(pid, level) for pid in self.base_cell}
 
     def cell_box(self, idx: Tuple[int, ...], level: int) -> Box:
         off = self.offsets[level]
@@ -454,17 +449,9 @@ class _CoverRun:
             (o + k * side, o + (k + 1) * side) for k, o in zip(idx, off)
         )
 
-    def child_shift(self, level: int) -> Tuple[int, ...]:
-        """Offset of level-(level-1) cell indices under level-level cells."""
-        if level == 1:
-            return (0,) * self.d
-        o_hi = self.offsets[level]
-        o_lo = self.offsets[level - 1]
-        side = self.rho ** (level - 2)
-        return tuple((a - b) // side for a, b in zip(o_hi, o_lo))
-
     def parent_index(self, child: Tuple[int, ...], level: int) -> Tuple[int, ...]:
-        t = self.child_shift(level)
+        # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
+        t = self.shifts[level - 1]
         return tuple((c - ti) // self.rho for c, ti in zip(child, t))
 
     # phase machinery ---------------------------------------------------------
@@ -472,15 +459,7 @@ class _CoverRun:
     def all_in_single_cell(self) -> bool:
         # termination watches the input points, not the surviving ones:
         # deletions silence counting but pending labels must still ripen
-        if len(self.base_cell) <= 1:
-            return True
-        if self.level == 0:
-            cells = {
-                tuple(math.floor(x * self.rho) for x in p)
-                for p in self.points_by_id.values()
-            }
-            return len(cells) <= 1
-        return len(self._all_cells(self.level)) <= 1
+        return len(set(self.cells)) <= 1
 
     def run(self) -> None:
         # keep going past the single-cube point while a yellow is still
@@ -499,9 +478,11 @@ class _CoverRun:
 
     def run_phase(self, level: int) -> None:
         ps = PhaseStats(level=level)
+        up = {c: self.parent_index(c, level) for c in set(self.cells)}
+        self.cells = [up[c] for c in self.cells]
         cell_pts: Dict[Tuple[int, ...], List[int]] = {}
         for pid in self.active:
-            cell_pts.setdefault(self.cell_index(pid, level), []).append(pid)
+            cell_pts.setdefault(self.cells[pid], []).append(pid)
         parent_specials: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], _CellInfo]]] = {}
         for child, info in self.states[level - 1].items():
             parent_specials.setdefault(self.parent_index(child, level), []).append(
@@ -522,11 +503,11 @@ class _CoverRun:
                 yellows.append(cell)
             if info.state in (CubeState.A5, CubeState.A6):
                 new_blues.add(cell)
-            if self.debug:
-                self._assert_state(info, len(pts))
+            self._assert_state(info, len(pts))
         ps.yellows = len(yellows)
         # step 3: next-level offset by the central-position pigeonhole
-        t = self.choose_offset(yellows, level)
+        t = self.choose_offset(yellows)
+        self.shifts[level] = t
         self.offsets[level + 1] = tuple(
             o + ti * self.rho ** (level - 1) for o, ti in zip(self.offsets[level], t)
         )
@@ -550,7 +531,7 @@ class _CoverRun:
         self.states[level] = new_states
         self.stats.phases.append(ps)
 
-    def choose_offset(self, yellows: List[Tuple[int, ...]], level: int) -> Tuple[int, ...]:
+    def choose_offset(self, yellows: List[Tuple[int, ...]]) -> Tuple[int, ...]:
         if yellows:
             # each yellow is central for exactly one offset; some offset
             # therefore meets the 1/rho^d quota, pick the smallest such
@@ -563,9 +544,7 @@ class _CoverRun:
         # unconstrained phase: align the blocks to the occupied range so
         # the levels keep coalescing (any fixed offset could leave a grid
         # plane between two point clusters forever)
-        cells = self._all_cells(level)
-        mins = [min(c[ax] for c in cells) for ax in range(self.d)]
-        return tuple(mn % self.rho for mn in mins)
+        return tuple(min(col) % self.rho for col in zip(*self.cells))
 
     def process_cell(
         self,
@@ -585,53 +564,47 @@ class _CoverRun:
             if n < r:
                 return _CellInfo(CubeState.A1)
             self.stats.g += 1
-            return _CellInfo(CubeState.A2, green=self.cell_box(cell, level))
+            return _CellInfo(CubeState.A2)
         if yellow and yellow[0][1].state == CubeState.A2:
-            gcell, ginfo = yellow[0]
-            gbox = self.cell_box(gcell, level - 1)
+            gbox = self.cell_box(yellow[0][0], level - 1)
             if not carriers:
                 self._place_selected(cell, level, gbox, avoid=None)
                 self.stats.b += 1
                 self.stats.s += 1
-                return _CellInfo(CubeState.A5, maxblue=self.cell_box(cell, level))
+                return _CellInfo(CubeState.A5)
             if len(carriers) == 1:
                 dbox = self.cell_box(carriers[0][0], level - 1)
                 self._place_selected(cell, level, gbox, avoid=dbox)
                 self.stats.b += 2
                 self.stats.s += 1
-                return _CellInfo(CubeState.A6, maxblue=self.cell_box(cell, level))
+                return _CellInfo(CubeState.A6)
             self.stats.b += 1
-            return _CellInfo(CubeState.A6, maxblue=self.cell_box(cell, level))
+            return _CellInfo(CubeState.A6)
         if yellow:  # the A3 case
-            ycell, yinfo = yellow[0]
+            yinfo = yellow[0][1]
             if not carriers:
                 self._place_selected(cell, level, yinfo.green, avoid=yinfo.avoid)
                 self.stats.b += 2
                 self.stats.s += 1
-                return _CellInfo(CubeState.A6, maxblue=self.cell_box(cell, level))
+                return _CellInfo(CubeState.A6)
             self.stats.b += 1
-            return _CellInfo(CubeState.A6, maxblue=self.cell_box(cell, level))
+            return _CellInfo(CubeState.A6)
         if len(carriers) >= 2:
             self.stats.b += 1
-            return _CellInfo(CubeState.A6, maxblue=self.cell_box(cell, level))
+            return _CellInfo(CubeState.A6)
         # exactly one carrier subcell, no yellow
-        dcell, dinfo = carriers[0]
-        dbox = self.cell_box(dcell, level - 1)
-        maxblue = dinfo.maxblue if dinfo.state == CubeState.A4 else dbox
-        threshold = (3**self.d - 1) * r
-        if n >= threshold:
+        if n >= (3**self.d - 1) * r:
+            dbox = self.cell_box(carriers[0][0], level - 1)
             qbox = self.cell_box(cell, level)
             coords = [self.active[pid] for pid in pts]
             for cand in _complement_cubes(qbox, dbox):
                 cnt = sum(1 for p in coords if point_in_box_halfopen(p, cand))
                 if cnt >= r:
                     self.stats.g += 1
-                    return _CellInfo(
-                        CubeState.A3, green=cand, maxblue=maxblue, avoid=dbox
-                    )
+                    return _CellInfo(CubeState.A3, green=cand, avoid=dbox)
             # no complement cube is r-heavy (points hide in the carrier):
             # fall back to the unlabeled state
-        return _CellInfo(CubeState.A4, maxblue=maxblue)
+        return _CellInfo(CubeState.A4)
 
     def _place_selected(
         self,
@@ -684,9 +657,9 @@ class _CoverRun:
         if st == CubeState.A1:
             assert n < r
         elif st == CubeState.A2:
-            assert r <= n < m * r and info.green is not None
+            assert r <= n < m * r
         elif st == CubeState.A3:
-            assert n < 2 * m * r and info.green is not None and info.maxblue is not None
+            assert n < 2 * m * r and info.green is not None
         elif st == CubeState.A4:
             assert n < 2 * m * r
         elif st == CubeState.A5:
@@ -699,8 +672,7 @@ class _CoverRun:
         for sel in self.selected:
             counts[sel.orientation] = counts.get(sel.orientation, 0) + 1
         self.stats.orientation_counts = counts
-        if self.debug:
-            assert self.stats.b <= 2 * max(self.stats.s, 1)
+        assert self.stats.b <= 2 * max(self.stats.s, 1)
         if not self.selected:
             return CoverResult([], SignedPermutation.identity(self.d), self.stats)
         best = max(sorted(counts), key=lambda o: counts[o])
@@ -718,7 +690,6 @@ def run_covering(
     d: int,
     kappa: int,
     r: int,
-    debug: bool = False,
 ) -> CoverResult:
     """Run the covering algorithm on normalized points.
 
@@ -735,7 +706,7 @@ def run_covering(
         raise DuplicatePoints("points must be distinct")
     if any(x.denominator == 1 for p in pts for x in p):
         raise InvalidParams("integer coordinate: input is not normalized")
-    run = _CoverRun(pts, d, kappa, r, debug)
+    run = _CoverRun(pts, d, kappa, r)
     run.run()
     return run.result()
 
@@ -827,12 +798,12 @@ def _corridor_open(
 
 
 def _edge_condition2(
-    k: Sequence[FreeCube], i: int, j: int, kappa: int
+    boxes: Sequence[Box], bott_boxes: Sequence[Box], i: int, j: int
 ) -> bool:
     """A vertical segment from the bottom of bott(K[i]) to the top of K[j]
     avoiding every other cube of K."""
-    bi = bott(k[i], kappa).box()
-    bj = k[j].box()
+    bi = bott_boxes[i]
+    bj = boxes[j]
     base = []
     for ax in range(1, len(bi)):
         lo = max(bi[ax][0], bj[ax][0])
@@ -843,10 +814,9 @@ def _edge_condition2(
     seg_lo = min(bi[0][0], bj[0][1])
     seg_hi = max(bi[0][0], bj[0][1])
     blockers = []
-    for t, cube in enumerate(k):
+    for t, cb in enumerate(boxes):
         if t in (i, j):
             continue
-        cb = cube.box()
         if cb[0][1] < seg_lo or cb[0][0] > seg_hi:
             continue
         lat = [cb[ax] for ax in range(1, len(cb))]
@@ -880,10 +850,7 @@ def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
         i, j = int(i), int(j)
         if i == j:
             continue
-        inter = tuple(
-            (max(la, lb), min(ha, hb))
-            for (la, ha), (lb, hb) in zip(shift_bott[i], shifts[j])
-        )
+        inter = box_intersection(shift_bott[i], shifts[j])
         if any(lo >= hi for lo, hi in inter):
             continue
         # spill outside bott(Q1): the open intersection must not sit inside it
@@ -893,7 +860,7 @@ def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
         ):
             continue
         survivors.append((i, j))
-    edges = [(i, j) for i, j in survivors if _edge_condition2(cubes, i, j, kappa)]
+    edges = [(i, j) for i, j in survivors if _edge_condition2(boxes, bott_boxes, i, j)]
     return ShiftGraph(len(cubes), sorted(edges))
 
 

@@ -32,6 +32,7 @@ from .covering import (
     InvalidParams,
     SignedPermutation,
     bott,
+    box_intersection,
     boxes_overlap_interior,
     build_shift_graph,
     normalize_points,
@@ -145,9 +146,7 @@ class Region:
             for b2, h2 in other._pieces():
                 if not boxes_overlap_interior(b1, b2):
                     continue
-                inter = tuple(
-                    (max(l1, l2), min(u1, u2)) for (l1, u1), (l2, u2) in zip(b1, b2)
-                )
+                inter = box_intersection(b1, b2)
                 if h1 is not None and h1.box_side(inter) < 0:
                     continue
                 if h2 is not None and h2.box_side(inter) < 0:
@@ -193,10 +192,6 @@ class CombineDetail:
     out_degree0: int = 0
     out_degree1: int = 0
     waived_precondition: bool = False
-
-
-def _intersect_boxes(a: Box, b: Box) -> Box:
-    return tuple((max(l1, l2), min(u1, u2)) for (l1, u1), (l2, u2) in zip(a, b))
 
 
 def _lateral_cells(lat_q1: Box, lat_q2: Box) -> List[Box]:
@@ -296,7 +291,7 @@ def combine(
                     best_cell, best_ids = cell, ids
             if best_cell is None:
                 raise CoveringError("pigeonhole failed: no lateral cell holds r points")
-            core = _intersect_boxes(qbox, shifted)
+            core = box_intersection(qbox, shifted)
             if best_cell == tuple(lat_q2):
                 # case (a): prism below Q1 over the chosen cell, one tenth
                 # of the successor side deep

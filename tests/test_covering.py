@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -103,7 +104,7 @@ def test_run_covering_rejects_bad_params():
 
 def test_two_point_cluster_d1():
     norm, _ = normalize_points([(F(0),), (F(3),)])
-    res = run_covering(norm, 1, 1, 1, debug=True)
+    res = run_covering(norm, 1, 1, 1)
     assert res.K, "selection must not be empty"
     rep = verify_cover(norm, res, 1, 1)
     assert rep.non_overlap_ok and rep.bott_ok and rep.edges_ok and rep.in_degree_ok
@@ -119,7 +120,7 @@ def test_two_point_cluster_d1():
 def test_covering_guarantees_small(seed, n, d, r):
     pts = random_rational_points(n, d, 4 * n if d == 1 else int(4 * n**0.5), seed)
     norm, _ = normalize_points(pts)
-    res = run_covering(norm, d, 1, r, debug=True)
+    res = run_covering(norm, d, 1, r)
     rep = verify_cover(norm, res, 1, r)
     assert rep.non_overlap_ok
     assert rep.bott_ok
@@ -135,6 +136,42 @@ def test_covering_r_exceeding_n():
     assert not rep.precondition_met
     assert rep.count_ok  # vacuous, reported as precondition unmet
     assert res.K == []
+
+
+def _cover_digest(res):
+    text = repr((
+        res.axis_map.perm,
+        res.axis_map.signs,
+        [(c.corner, c.side) for c in res.K],
+        [
+            (p.level, p.processed, sorted(p.assigned.items()), p.yellows, p.central, p.deleted)
+            for p in res.stats.phases
+        ],
+        res.stats.s,
+        res.stats.b,
+        res.stats.g,
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# digests of covers that are known to satisfy every guarantee; any change
+# to the covering's cell bookkeeping must reproduce them exactly
+@pytest.mark.parametrize(
+    "seed,n,d,r,digest",
+    [
+        (21, 2000, 1, 1, "116281126c0a1f5a"),
+        (22, 1500, 2, 2, "7f4d95984945e0c4"),
+        (23, 1000, 2, 4, "7f5fd2b4a8ebfec2"),
+        (24, 2000, 3, 1, "d4aa4ce30ab5a495"),
+        (25, 600, 3, 2, "8848af46cd470d66"),
+        (26, 2000, 4, 1, "e1eb7ac573b54708"),
+    ],
+)
+def test_cover_output_pinned(seed, n, d, r, digest):
+    pts = random_rational_points(n, d, int(3 * n ** (1 / d)), seed)
+    norm, _ = normalize_points(pts)
+    res = run_covering(norm, d, 1, r)
+    assert _cover_digest(res) == digest
 
 
 def test_covering_deterministic():

@@ -153,6 +153,17 @@ def test_cli_sumprod_similar_mobius(capsys):
     assert capsys.readouterr().out.strip() == "1/2,0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["dirs", "dist", "1,2,3", "1"], ["sumprod", "--ints", "1;2,3,4"]],
+    ids=["direction", "gaussian"],
+)
+def test_cli_bad_gaussian_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stlab: error: ") and err.count("\n") == 1
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "nonsense"])
