@@ -36,6 +36,13 @@ from .incidence import (
 from .regions import CombineDetail, combine, verify_regions
 
 
+def _number(tok: str, flag: str, kind=float):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise fileio.FormatError("bad %s value %r" % (flag, tok)) from None
+
+
 def _parse_direction(tok: str) -> Direction:
     if tok in ("inf", "infinity", "oo"):
         return DIR_INF
@@ -93,14 +100,16 @@ def cmd_rich(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    C = _number(args.C, "--C")
+    c_rich = _number(args.c_rich, "--c-rich")
     pts, lines = _load_system(args.infile)
-    rep = count_incidences(pts, lines, C=float(args.C))
+    rep = count_incidences(pts, lines, C=C)
     print(
         "I=%d bound=%.6g ratio=%.6g violated=%s"
         % (rep.I, rep.st_bound, rep.ratio, rep.violated)
     )
     if args.t is not None:
-        rb = check_rich_bound(pts, args.t, float(args.c_rich))
+        rb = check_rich_bound(pts, args.t, c_rich)
         print(
             "rich=%d t=%d bound=%.6g violated=%s"
             % (rb.rich_count, rb.t, rb.bound, rb.violated)
@@ -207,6 +216,9 @@ def cmd_dirs(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.regions and not args.bundle:
+        raise fileio.FormatError("--regions needs --bundle")
+    margin = _number(args.margin, "--margin", Fraction).limit_denominator(10**12)
     failures = 0
     if args.cover:
         with open(args.cover) as fh:
@@ -232,7 +244,6 @@ def cmd_verify(args) -> int:
             assignments, r = fileio.load_regions(fh)
         with open(args.bundle) as fh:
             bundle = fileio.load_bundle(fh)
-        margin = Fraction(args.margin).limit_denominator(10**12)
         rep = verify_regions(assignments, bundle, r, margin)
         print(
             "regions: disjoint=%s all_ok=%s checked=%d"

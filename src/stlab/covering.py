@@ -15,10 +15,13 @@ points inside blue or yellow cubes are deleted permanently at the end
 of each phase.  Only occupied or label-carrying cells are ever
 materialized, so dimension 4 stays affordable.
 
-Everything geometric is exact rational arithmetic; floats appear only
-as conservative prefilters in the pair loops of the verifier and the
-shift-graph builder, and every float-positive pair is re-checked
-exactly.
+Everything geometric is exact.  The run itself works on one integer
+grid in units of the level-0 cell side 1/rho, so every cell, green and
+selected box is a tuple of Python ints; Fractions appear only at its
+boundary, where a point is scaled onto the grid and where a selected
+cube is emitted as a FreeCube.  Floats appear only as conservative
+prefilters in the verifier, the point-in-box sweep and the shift-graph
+builder, and every float-positive candidate is re-checked exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .exact import Rational, _frac
 
 Point = Tuple[Fraction, ...]
 Box = Tuple[Tuple[Fraction, Fraction], ...]  # per-axis closed [lo, hi]
+IntBox = Tuple[Tuple[int, int], ...]  # a box on the covering's integer grid
 
 
 class CoveringError(ValueError):
@@ -332,6 +336,10 @@ class SignedPermutation:
             out.append((lo, hi) if self.signs[i] > 0 else (-hi, -lo))
         return tuple(out)
 
+    def inverse(self) -> "SignedPermutation":
+        where = [self.perm.index(j) for j in range(len(self.perm))]
+        return SignedPermutation(tuple(where), tuple(self.signs[i] for i in where))
+
     def apply_cube(self, c: FreeCube) -> FreeCube:
         b = self.apply_box(c.box())
         return FreeCube(tuple(lo for lo, _ in b), c.side)
@@ -364,15 +372,8 @@ _CARRIER_STATES = (CubeState.A4, CubeState.A5, CubeState.A6)
 @dataclass
 class _CellInfo:
     state: str
-    green: Optional[Box] = None  # A3: the green cube inside
-    avoid: Optional[Box] = None  # A3: the carrier subcell it was built around
-
-
-@dataclass
-class _Selected:
-    cube: FreeCube
-    green: Box
-    orientation: Tuple[int, int]
+    green: Optional[IntBox] = None  # A3: the green cube inside
+    avoid: Optional[IntBox] = None  # A3: the carrier subcell it was built around
 
 
 @dataclass
@@ -420,6 +421,10 @@ class CoverResult:
 
 
 class _CoverRun:
+    """One covering run.  Lengths are ints in units of 1/rho, so a
+    level-L cell has side rho^L; points keep their input units and are
+    scaled by rho only where they are compared with a box."""
+
     def __init__(self, points: List[Point], d: int, kappa: int, r: int):
         self.d = d
         self.kappa = kappa
@@ -427,32 +432,27 @@ class _CoverRun:
         self.rho = 4 * kappa + 1
         self.m = self.rho**d
         self.active: Dict[int, Point] = dict(enumerate(points))
-        # the current level's cell of every input point, deleted or not;
-        # level 0 refines the unit cells by rho
+        # the current level's cell of every input point, deleted or not
         self.cells: List[Tuple[int, ...]] = [
             tuple(math.floor(x * self.rho) for x in p) for p in points
         ]
-        self.offsets: Dict[int, Tuple[int, ...]] = {1: (0,) * d}
-        # shifts[L]: offset of the level-(L+1) blocks in level-L cell units
-        self.shifts: Dict[int, Tuple[int, ...]] = {0: (0,) * d}
-        self.states: Dict[int, Dict[Tuple[int, ...], _CellInfo]] = {0: {}}
-        self.selected: List[_Selected] = []
+        self.origin: Tuple[int, ...] = (0,) * d  # corner of the current grid
+        # offset of the next level's blocks in current-level cell units
+        self.shift: Tuple[int, ...] = (0,) * d
+        self.states: Dict[Tuple[int, ...], _CellInfo] = {}  # non-A1 cells, last phase
+        self.selected: List[Tuple[FreeCube, Tuple[int, int]]] = []
         self.stats = CoverStats()
         self.level = 0
 
     # cell geometry ---------------------------------------------------------
 
-    def cell_box(self, idx: Tuple[int, ...], level: int) -> Box:
-        off = self.offsets[level]
-        side = Fraction(self.rho) ** (level - 1)
-        return tuple(
-            (o + k * side, o + (k + 1) * side) for k, o in zip(idx, off)
-        )
+    def cell_box(self, idx: Tuple[int, ...], level: int, origin: Tuple[int, ...]) -> IntBox:
+        side = self.rho**level
+        return tuple((o + k * side, o + (k + 1) * side) for k, o in zip(idx, origin))
 
-    def parent_index(self, child: Tuple[int, ...], level: int) -> Tuple[int, ...]:
+    def parent_index(self, child: Tuple[int, ...]) -> Tuple[int, ...]:
         # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
-        t = self.shifts[level - 1]
-        return tuple((c - ti) // self.rho for c, ti in zip(child, t))
+        return tuple((c - t) // self.rho for c, t in zip(child, self.shift))
 
     # phase machinery ---------------------------------------------------------
 
@@ -467,10 +467,7 @@ class _CoverRun:
         # a larger input (a yellow phase deletes points, so this ends)
         while True:
             done = self.all_in_single_cell()
-            pending = any(
-                info.state in _YELLOW_STATES
-                for info in self.states.get(self.level, {}).values()
-            )
+            pending = any(info.state in _YELLOW_STATES for info in self.states.values())
             if done and not pending:
                 break
             self.level += 1
@@ -478,15 +475,19 @@ class _CoverRun:
 
     def run_phase(self, level: int) -> None:
         ps = PhaseStats(level=level)
-        up = {c: self.parent_index(c, level) for c in set(self.cells)}
+        child_origin = self.origin
+        self.origin = tuple(
+            o + t * self.rho ** (level - 1) for o, t in zip(child_origin, self.shift)
+        )
+        up = {c: self.parent_index(c) for c in set(self.cells)}
         self.cells = [up[c] for c in self.cells]
         cell_pts: Dict[Tuple[int, ...], List[int]] = {}
         for pid in self.active:
             cell_pts.setdefault(self.cells[pid], []).append(pid)
-        parent_specials: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], _CellInfo]]] = {}
-        for child, info in self.states[level - 1].items():
-            parent_specials.setdefault(self.parent_index(child, level), []).append(
-                (child, info)
+        parent_specials: Dict[Tuple[int, ...], List[Tuple[IntBox, _CellInfo]]] = {}
+        for child, info in self.states.items():
+            parent_specials.setdefault(self.parent_index(child), []).append(
+                (self.cell_box(child, level - 1, child_origin), info)
             )
         new_states: Dict[Tuple[int, ...], _CellInfo] = {}
         yellows: List[Tuple[int, ...]] = []
@@ -494,7 +495,7 @@ class _CoverRun:
         for cell in sorted(set(cell_pts) | set(parent_specials)):
             pts = cell_pts.get(cell, [])
             specials = parent_specials.get(cell, [])
-            info = self.process_cell(cell, level, pts, specials, ps)
+            info = self.process_cell(cell, level, pts, specials)
             ps.processed += 1
             ps.assigned[info.state] = ps.assigned.get(info.state, 0) + 1
             if info.state != CubeState.A1:
@@ -507,10 +508,7 @@ class _CoverRun:
         ps.yellows = len(yellows)
         # step 3: next-level offset by the central-position pigeonhole
         t = self.choose_offset(yellows)
-        self.shifts[level] = t
-        self.offsets[level + 1] = tuple(
-            o + ti * self.rho ** (level - 1) for o, ti in zip(self.offsets[level], t)
-        )
+        self.shift = t
         # step 4: permanent deletion inside yellow and newly blue cells
         for cell in set(yellows) | new_blues:
             for pid in cell_pts.get(cell, ()):
@@ -528,7 +526,7 @@ class _CoverRun:
             else:  # A3 -> A4, the enclosed blue stays
                 info.state = CubeState.A4
                 info.green = None
-        self.states[level] = new_states
+        self.states = new_states
         self.stats.phases.append(ps)
 
     def choose_offset(self, yellows: List[Tuple[int, ...]]) -> Tuple[int, ...]:
@@ -539,8 +537,7 @@ class _CoverRun:
             for cell in yellows:
                 t = tuple((c - 2 * self.kappa) % self.rho for c in cell)
                 votes[t] = votes.get(t, 0) + 1
-            quota = Fraction(len(yellows), self.m)
-            return sorted(t for t, v in votes.items() if v >= quota)[0]
+            return min(t for t, v in votes.items() if v * self.m >= len(yellows))
         # unconstrained phase: align the blocks to the occupied range so
         # the levels keep coalescing (any fixed offset could leave a grid
         # plane between two point clusters forever)
@@ -551,11 +548,11 @@ class _CoverRun:
         cell: Tuple[int, ...],
         level: int,
         pts: List[int],
-        specials: List[Tuple[Tuple[int, ...], _CellInfo]],
-        ps: PhaseStats,
+        specials: List[Tuple[IntBox, _CellInfo]],
     ) -> _CellInfo:
-        yellow = [(c, i) for c, i in specials if i.state in _YELLOW_STATES]
-        carriers = [(c, i) for c, i in specials if i.state in _CARRIER_STATES]
+        """Label one cell; specials pairs each labelled subcell's box with its info."""
+        yellow = [(b, i) for b, i in specials if i.state in _YELLOW_STATES]
+        carriers = [b for b, i in specials if i.state in _CARRIER_STATES]
         if len(yellow) > 1:
             raise CoveringError("two yellow subcells in one cell; offsets broken")
         n = len(pts)
@@ -565,16 +562,16 @@ class _CoverRun:
                 return _CellInfo(CubeState.A1)
             self.stats.g += 1
             return _CellInfo(CubeState.A2)
+        qbox = self.cell_box(cell, level, self.origin)
         if yellow and yellow[0][1].state == CubeState.A2:
-            gbox = self.cell_box(yellow[0][0], level - 1)
+            gbox = yellow[0][0]
             if not carriers:
-                self._place_selected(cell, level, gbox, avoid=None)
+                self._place_selected(qbox, gbox, avoid=None)
                 self.stats.b += 1
                 self.stats.s += 1
                 return _CellInfo(CubeState.A5)
             if len(carriers) == 1:
-                dbox = self.cell_box(carriers[0][0], level - 1)
-                self._place_selected(cell, level, gbox, avoid=dbox)
+                self._place_selected(qbox, gbox, avoid=carriers[0])
                 self.stats.b += 2
                 self.stats.s += 1
                 return _CellInfo(CubeState.A6)
@@ -583,7 +580,7 @@ class _CoverRun:
         if yellow:  # the A3 case
             yinfo = yellow[0][1]
             if not carriers:
-                self._place_selected(cell, level, yinfo.green, avoid=yinfo.avoid)
+                self._place_selected(qbox, yinfo.green, avoid=yinfo.avoid)
                 self.stats.b += 2
                 self.stats.s += 1
                 return _CellInfo(CubeState.A6)
@@ -594,9 +591,8 @@ class _CoverRun:
             return _CellInfo(CubeState.A6)
         # exactly one carrier subcell, no yellow
         if n >= (3**self.d - 1) * r:
-            dbox = self.cell_box(carriers[0][0], level - 1)
-            qbox = self.cell_box(cell, level)
-            coords = [self.active[pid] for pid in pts]
+            dbox = carriers[0]
+            coords = [tuple(x * self.rho for x in self.active[pid]) for pid in pts]
             for cand in _complement_cubes(qbox, dbox):
                 cnt = sum(1 for p in coords if point_in_box_halfopen(p, cand))
                 if cnt >= r:
@@ -606,15 +602,8 @@ class _CoverRun:
             # fall back to the unlabeled state
         return _CellInfo(CubeState.A4)
 
-    def _place_selected(
-        self,
-        cell: Tuple[int, ...],
-        level: int,
-        gbox: Box,
-        avoid: Optional[Box],
-    ) -> FreeCube:
-        """Build the selected cube whose kappa-side-cube is the green gbox."""
-        qbox = self.cell_box(cell, level)
+    def _place_selected(self, qbox: IntBox, gbox: IntBox, avoid: Optional[IntBox]) -> None:
+        """Select the cube inside qbox whose kappa-side-cube is the green gbox."""
         gside = gbox[0][1] - gbox[0][0]
         big = (2 * self.kappa + 1) * gside
         best = None
@@ -627,7 +616,7 @@ class _CoverRun:
                     if i == axis:
                         c = lo if sign < 0 else hi - big
                     else:
-                        c = lo - (big - gside) / 2
+                        c = lo - self.kappa * gside
                     if c < qbox[i][0] or c + big > qbox[i][1]:
                         ok = False
                         break
@@ -647,9 +636,8 @@ class _CoverRun:
         if best is None:
             raise CoveringError("no room for a selected cube; geometry broken")
         _, corner, orientation = best
-        cube = FreeCube(tuple(corner), big)
-        self.selected.append(_Selected(cube, gbox, orientation))
-        return cube
+        cube = FreeCube(tuple(Fraction(c, self.rho) for c in corner), Fraction(big, self.rho))
+        self.selected.append((cube, orientation))
 
     def _assert_state(self, info: _CellInfo, n: int) -> None:
         m, r = self.m, self.r
@@ -669,8 +657,8 @@ class _CoverRun:
 
     def result(self) -> CoverResult:
         counts: Dict[Tuple[int, int], int] = {}
-        for sel in self.selected:
-            counts[sel.orientation] = counts.get(sel.orientation, 0) + 1
+        for _, orientation in self.selected:
+            counts[orientation] = counts.get(orientation, 0) + 1
         self.stats.orientation_counts = counts
         assert self.stats.b <= 2 * max(self.stats.s, 1)
         if not self.selected:
@@ -681,7 +669,7 @@ class _CoverRun:
             if best == (0, -1)
             else SignedPermutation.sending_to_bottom(best, self.d)
         )
-        K = [amap.apply_cube(s.cube) for s in self.selected if s.orientation == best]
+        K = [amap.apply_cube(cube) for cube, o in self.selected if o == best]
         return CoverResult(K, amap, self.stats)
 
 
@@ -760,6 +748,26 @@ def _check_non_overlapping(boxes: List[Box]) -> Optional[Tuple[int, int]]:
         if i < j and boxes_overlap_interior(boxes[i], boxes[j]):
             return (int(i), int(j))
     return None
+
+
+def points_in_boxes(points: Sequence[Point], boxes: Sequence[Box]) -> List[List[int]]:
+    """For each box, the ascending ids of the points in it (closed).
+
+    A padded float sweep shortlists the candidates; each one is then
+    re-checked exactly.
+    """
+    inside: List[List[int]] = [[] for _ in boxes]
+    if not points or not boxes:
+        return inside
+    # points need no pad of their own: the boxes' pad covers the rounding
+    # of both, and a point is a zero-width box
+    xs = np.array([[float(x) for x in p] for p in points], dtype=float)
+    for i, j in _overlap_candidates(_float_bounds(boxes, 1e-9), np.stack((xs, xs), axis=-1)):
+        if point_in_box_closed(points[j], boxes[i]):
+            inside[i].append(j)
+    for ids in inside:
+        ids.sort()
+    return inside
 
 
 def _corridor_open(
@@ -901,12 +909,13 @@ def verify_cover(
 ) -> VerificationReport:
     """Check the three cover guarantees plus the shift-graph degree bound.
 
-    Points are the ones handed to run_covering; the verifier applies
-    the result's axis map itself.  The cube-count bound is only
-    asserted when its precondition r <= n / (4 rho^(2d)) holds; the
-    report records whether it did.
+    Points are the ones handed to run_covering; the verifier maps the
+    bottom side-cubes back through the inverse of the result's axis map
+    and counts the points there.  The cube-count bound is only asserted
+    when its precondition r <= n / (4 rho^(2d)) holds; the report
+    records whether it did.
     """
-    pts = [result.axis_map.apply_point(tuple(_frac(x) for x in p)) for p in points]
+    pts = [tuple(_frac(x) for x in p) for p in points]
     n = len(pts)
     K = result.K
     d = len(pts[0]) if pts else (K[0].d if K else 1)
@@ -915,31 +924,9 @@ def verify_cover(
     boxes = [c.box() for c in K]
     non_overlap_ok = _check_non_overlapping(boxes) is None if K else True
 
-    bott_failures: List[int] = []
-    if K:
-        bott_boxes = [bott(c, kappa).box() for c in K]
-        arr = np.array([[float(x) for x in p] for p in pts]) if pts else np.empty((0, d))
-        order = np.argsort(arr[:, 0], kind="stable") if n else np.empty(0, dtype=int)
-        xs = arr[order, 0] if n else np.empty(0)
-        for i, bb in enumerate(bott_boxes):
-            cnt = 0
-            if n:
-                lo = np.array([float(l) - 1e-9 * (1 + abs(float(l))) for l, _ in bb])
-                hi = np.array([float(h) + 1e-9 * (1 + abs(float(h))) for _, h in bb])
-                j0 = np.searchsorted(xs, lo[0], side="left")
-                j1 = np.searchsorted(xs, hi[0], side="right")
-                window = order[j0:j1]
-                sub = arr[window]
-                ok = np.ones(len(window), dtype=bool)
-                for ax in range(1, d):
-                    ok &= (sub[:, ax] >= lo[ax]) & (sub[:, ax] <= hi[ax])
-                for idx in window[ok]:
-                    if point_in_box_closed(pts[int(idx)], bb):
-                        cnt += 1
-                        if cnt >= r:
-                            break
-            if cnt < r:
-                bott_failures.append(i)
+    back = result.axis_map.inverse()
+    inside = points_in_boxes(pts, [back.apply_box(bott(c, kappa).box()) for c in K])
+    bott_failures = [i for i, ids in enumerate(inside) if len(ids) < r]
     bott_ok = not bott_failures
 
     precondition_met = Fraction(r) <= Fraction(n, 4 * rho ** (2 * d)) if n else False

@@ -367,7 +367,7 @@ def sphere_disk_cover(delta_deg: float) -> List[SpherePoint]:
     of the spiral.  Only an existence count is needed downstream, not
     optimality.
     """
-    if delta_deg < 0.01:
+    if not delta_deg >= 0.01:  # also rejects nan
         raise GeometryError("delta below the supported resolution 0.01 degrees")
     r = math.radians(delta_deg / 2.0)
     n = max(2, math.ceil(12.0 / (r * r)))

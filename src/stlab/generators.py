@@ -39,7 +39,7 @@ def gen_erdos(k: int) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
     re-checked on every call before the system is returned.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise GeometryError("k must be at least 1")
     points = [
         ComplexPoint(GaussianRational(i), GaussianRational(j))
         for i in range(1, k + 1)
@@ -129,7 +129,7 @@ def gen_bundle_fixture(
     if not (0 <= spread_deg < 10):
         raise SpreadTooLarge("spread must lie in [0, 10), got %s" % spread_deg)
     if m < 1 or per_point < 1:
-        raise ValueError("m and per_point must be positive")
+        raise GeometryError("m and per_point must be positive")
     rng = random.Random(seed)
     span = max(4, round(2.2 * m**0.25) + 1)
     counter = 0

@@ -187,7 +187,7 @@ def _rich_pairs(points: Sequence[ComplexPoint], t: int) -> Iterator[Tuple[int, i
     the next point on it.
     """
     if t < 2:
-        raise ValueError("t must be at least 2")
+        raise GeometryError("t must be at least 2")
     _check_unique(points, "point")
     pts, _ = _scaled(points, ())
     gcd = math.gcd
@@ -246,7 +246,7 @@ def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float) -> RichBo
 def beck_stats(points: Sequence[ComplexPoint]) -> Tuple[int, int]:
     """(number of connecting lines, max point count on one of them)."""
     if len(points) < 2:
-        raise ValueError("need at least 2 points")
+        raise GeometryError("need at least 2 points")
     counts = [c for _, _, c in _rich_pairs(points, 2)]
     return len(counts), max(counts)
 

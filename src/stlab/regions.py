@@ -36,8 +36,8 @@ from .covering import (
     boxes_overlap_interior,
     build_shift_graph,
     normalize_points,
-    point_in_box_closed,
     point_in_box_open,
+    points_in_boxes,
     run_covering,
     shift_cube,
 )
@@ -262,11 +262,11 @@ def combine(
 
     assignments: List[RegionAssignment] = []
     n0 = n1 = 0
+    bott_pts = points_in_boxes(work_pts, [bott(c, 1).box() for c in cover.K])
     for qi, cube in enumerate(cover.K):
         if out_deg[qi] > 1:
             continue
-        bq = bott(cube, 1).box()
-        inside = [i for i, p in enumerate(work_pts) if point_in_box_closed(p, bq)]
+        inside = bott_pts[qi]
         qbox = cube.box()
         shifted = shift_cube(cube).box()
         if out_deg[qi] == 0:
@@ -325,11 +325,7 @@ def _map_back(
     asg: RegionAssignment, amap: SignedPermutation, tr
 ) -> RegionAssignment:
     """Pull a work-frame region back into the anchor frame."""
-    d = len(amap.perm)
-    inv = SignedPermutation(
-        tuple(amap.perm.index(i) for i in range(d)),
-        tuple(amap.signs[amap.perm.index(i)] for i in range(d)),
-    )
+    inv = amap.inverse()
     boxes = []
     for b in asg.region.boxes:
         back = inv.apply_box(b)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from stlab.covering import (
     complement_cover,
     normalize_points,
     point_in_box_closed,
+    points_in_boxes,
     run_covering,
     shift_cube,
     side_cube,
@@ -155,23 +157,33 @@ def _cover_digest(res):
 
 
 # digests of covers that are known to satisfy every guarantee; any change
-# to the covering's cell bookkeeping must reproduce them exactly
+# to the covering's cell bookkeeping must reproduce them exactly.  The
+# rows marked True reach A3 (the first of them every branch of
+# _place_selected); ids leave kappa out so the first six keep their names.
+PINNED_COVERS = [
+    (21, 2000, 1, 1, 1, "116281126c0a1f5a", False),
+    (22, 1500, 2, 2, 1, "7f4d95984945e0c4", False),
+    (23, 1000, 2, 4, 1, "7f5fd2b4a8ebfec2", False),
+    (24, 2000, 3, 1, 1, "d4aa4ce30ab5a495", False),
+    (25, 600, 3, 2, 1, "8848af46cd470d66", False),
+    (26, 2000, 4, 1, 1, "e1eb7ac573b54708", False),
+    (0, 800, 1, 2, 1, "e5aa3876e9b98ce0", True),
+    (1, 800, 2, 2, 2, "57d6a5623faa2120", True),
+    (2, 800, 3, 2, 2, "6c5ffb0f826dcab3", True),
+]
+
+
 @pytest.mark.parametrize(
-    "seed,n,d,r,digest",
-    [
-        (21, 2000, 1, 1, "116281126c0a1f5a"),
-        (22, 1500, 2, 2, "7f4d95984945e0c4"),
-        (23, 1000, 2, 4, "7f5fd2b4a8ebfec2"),
-        (24, 2000, 3, 1, "d4aa4ce30ab5a495"),
-        (25, 600, 3, 2, "8848af46cd470d66"),
-        (26, 2000, 4, 1, "e1eb7ac573b54708"),
-    ],
+    "seed,n,d,r,kappa,digest,reaches_a3",
+    PINNED_COVERS,
+    ids=["%d-%d-%d-%d-%s" % (s, n, d, r, g) for s, n, d, r, _, g, _ in PINNED_COVERS],
 )
-def test_cover_output_pinned(seed, n, d, r, digest):
+def test_cover_output_pinned(seed, n, d, r, kappa, digest, reaches_a3):
     pts = random_rational_points(n, d, int(3 * n ** (1 / d)), seed)
     norm, _ = normalize_points(pts)
-    res = run_covering(norm, d, 1, r)
+    res = run_covering(norm, d, kappa, r)
     assert _cover_digest(res) == digest
+    assert any("A3" in p.assigned for p in res.stats.phases) == reaches_a3
 
 
 def test_covering_deterministic():
@@ -251,6 +263,46 @@ def test_verify_cover_flags_bad_inputs():
     res = CoverResult(k_sparse, SignedPermutation.identity(2), CoverStats())
     rep = verify_cover([(F(1, 2), F(5, 2))], res, 1, 1)
     assert not rep.bott_ok and rep.bott_failures == [0]
+    # a non-identity axis map: y = (-x1, x0), so bott(K[0]) = [0,1]x[1,2]
+    # in the work frame; the first point maps to (1, 3/2) on its face,
+    # the second to (1 + 1/1000, 3/2) just outside
+    amap = SignedPermutation.sending_to_bottom((1, 1), 2)
+    assert amap == SignedPermutation((1, 0), (-1, 1))
+    on_face, outside = (F(3, 2), F(-1)), (F(3, 2), F(-1001, 1000))
+    assert amap.apply_point(on_face) == (F(1), F(3, 2))
+    res = CoverResult([fc((0, 0), 3)], amap, CoverStats())
+    rep = verify_cover([outside, on_face], res, 1, 1)
+    assert rep.bott_ok
+    rep = verify_cover([outside, on_face], res, 1, 2)
+    assert rep.bott_failures == [0]
+
+
+def test_points_in_boxes_matches_brute_force():
+    # coordinates on a grid of quarters, so many points sit on box faces
+    rng = random.Random(5)
+    for d in (1, 2, 3):
+        pts = [tuple(F(rng.randint(-8, 8), 4) for _ in range(d)) for _ in range(60)]
+        boxes = []
+        for _ in range(12):
+            lo = [F(rng.randint(-8, 6), 4) for _ in range(d)]
+            boxes.append(tuple((a, a + F(rng.randint(0, 4), 4)) for a in lo))
+        want = [[i for i, p in enumerate(pts) if point_in_box_closed(p, b)] for b in boxes]
+        assert points_in_boxes(pts, boxes) == want
+    assert points_in_boxes([], boxes) == [[]] * len(boxes)
+
+
+def test_signed_permutation_inverse_round_trip():
+    for d in (1, 2, 3):
+        p = tuple(F(k + 1, k + 2) for k in range(d))
+        box = tuple((F(-k - 1), F(k, 3)) for k in range(d))
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((-1, 1), repeat=d):
+                sp = SignedPermutation(perm, signs)
+                inv = sp.inverse()
+                assert inv.apply_point(sp.apply_point(p)) == p
+                assert sp.apply_point(inv.apply_point(p)) == p
+                assert inv.apply_box(sp.apply_box(box)) == box
+                assert inv.inverse() == sp
 
 
 def test_grid_cube_geometry():

@@ -224,3 +224,37 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("stlab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["bounds", "--C", "abc", "--in", "SYS"], "--C"),
+        (["bounds", "--t", "2", "--c-rich", "zz", "--in", "SYS"], "--c-rich"),
+        (["verify", "--regions", "REG"], "--bundle"),
+        (["verify", "--regions", "REG", "--bundle", "BUN", "--margin", "abc"], "--margin"),
+        (["dirs", "cover-sphere", "--delta", "nan"], "delta"),
+        (["gen", "erdos", "--k", "0"], "k must"),
+        (["rich", "--t", "1", "--in", "SYS"], "t must"),
+        (["gen", "bundle", "--m", "0"], "m and per_point"),
+        (["beck", "--in", "ONE"], "at least 2 points"),
+    ],
+    ids=[
+        "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
+        "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point",
+    ],
+)
+def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
+    files = {
+        "SYS": fileio.dump_system(*gen_erdos(2)),
+        "ONE": fileio.dump_system([ComplexPoint(GR(0), GR(1))], []),
+        "REG": fileio.dump_regions([], 1),
+        "BUN": "stlab bundle 1\n" + BUNDLE_27,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stlab: error: ") and err.count("\n") == 1
+    assert needle in err
