@@ -104,12 +104,12 @@ def cmd_bounds(args) -> int:
     c_rich = _number(args.c_rich, "--c-rich")
     pts, lines = _load_system(args.infile)
     rep = count_incidences(pts, lines, C=C)
+    rb = check_rich_bound(pts, args.t, c_rich) if args.t is not None else None
     print(
         "I=%d bound=%.6g ratio=%.6g violated=%s"
         % (rep.I, rep.st_bound, rep.ratio, rep.violated)
     )
-    if args.t is not None:
-        rb = check_rich_bound(pts, args.t, c_rich)
+    if rb is not None:
         print(
             "rich=%d t=%d bound=%.6g violated=%s"
             % (rb.rich_count, rb.t, rb.bound, rb.violated)
@@ -207,9 +207,9 @@ def cmd_dirs(args) -> int:
             )
     else:  # cover-sphere
         centers = sphere_disk_cover(args.delta)
+        gap = max_cover_gap_deg(centers, args.check_samples, seed=0) if args.check_samples else None
         print("centers=%d" % len(centers))
-        if args.check_samples:
-            gap = max_cover_gap_deg(centers, args.check_samples, seed=0)
+        if gap is not None:
             print("max_gap=%.6f radius=%.6f" % (gap, args.delta / 2))
             return 0 if gap <= args.delta / 2 else 1
     return 0

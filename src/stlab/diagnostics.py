@@ -31,9 +31,11 @@ from .exact import (
     line_through,
 )
 from .directions import (
+    DIR_ONE,
     ComplexLinearMap,
     Direction,
     PoleDirection,
+    _angle_deg,
     apply_mobius,
     direction_of,
     dist_deg,
@@ -126,6 +128,7 @@ def apply_map_system(sys: SystemView, m: ComplexLinearMap) -> SystemView:
 _BIG_M = 10**10
 _NA_DENOM = 200
 _NEIGHBORHOOD_DEG = 10.0  # radius of the concentration disks
+_NA_STEP_DEG = 2.0  # angle grid of the concentration-center search
 _P0_DENOM = 100  # P0 points meet at least d_a / 100 lines on each side
 
 
@@ -533,15 +536,14 @@ def _na_arc_point(
     e2: Set[int],
     arc: ArcSpec,
     params: DiagnosticParams,
-    step_deg: float = 2.0,
 ) -> bool:
     """Concentration near some boundary direction within 10 degrees of
     the arc, decided over a deterministic angle grid."""
     lo = arc.lo - _NEIGHBORHOOD_DEG
     span = arc.length() + 2 * _NEIGHBORHOOD_DEG
-    steps = int(span / step_deg) + 1
+    steps = int(span / _NA_STEP_DEG) + 1
     for k in range(steps + 1):
-        theta = lo + min(k * step_deg, span)
+        theta = lo + min(k * _NA_STEP_DEG, span)
         center = unit_direction_from_angle(theta)
         if is_na_point(p, sys, e1, e2, center, params):
             return True
@@ -596,10 +598,12 @@ def refine_step(
         [to_sphere(direction_of(sys.lines[li])).v for li in line_ids]
     )
 
+    row = {li: k for k, li in enumerate(line_ids)}
+
     def side_filter(ids: Iterable[int], nrm: np.ndarray, cval: float, want_positive: bool) -> Set[int]:
         out = set()
         for li in ids:
-            x = float(np.dot(to_sphere(direction_of(sys.lines[li])).v, nrm))
+            x = float(np.dot(dirs_xyz[row[li]], nrm))
             if (x > cval) == want_positive and x != cval:
                 out.add(li)
         return out
@@ -643,50 +647,41 @@ def refine_step(
 # -- squeeze to orthogonal ----------------------------------------------------------
 
 
-def _rotation_taking_one_to(target: np.ndarray, max_den: int = 10**6) -> ComplexLinearMap:
+def _rotation_taking_one_to(target: np.ndarray) -> ComplexLinearMap:
     """A rational sphere rotation taking the direction 1 to the target
     vector (approximately; rotations here are exact maps, the target
     is matched to float accuracy)."""
     tx, ty, tz = (float(x) for x in target)
-    beta = math.atan2(ty, tx)
-    gamma = math.atan2(tz, math.hypot(tx, ty))
+    beta = math.degrees(math.atan2(ty, tx))
+    gamma = math.degrees(math.atan2(tz, math.hypot(tx, ty)))
     # the Moebius matrix (cos a, sin a) turns the sphere by 2a about the
-    # +-i axis, so a quarter-angle tangent realizes the tilt gamma
-    t = Fraction(math.tan(gamma / 4)).limit_denominator(max_den)
-    c, s = 1 - t * t, 2 * t
-    tilt = ComplexLinearMap(c, -s, s, c)
-    w = Fraction(math.tan(beta / 2)).limit_denominator(max_den)
-    den = 1 + w * w
-    u = GaussianRational((1 - w * w) / den, 2 * w / den)
-    spin = ComplexLinearMap(1, 0, 0, u)  # rotation about the 0-infinity axis
+    # +-i axis, so the unit direction at angle gamma/2 realizes the tilt
+    t = unit_direction_from_angle(gamma / 2).a
+    tilt = ComplexLinearMap(t.re, -t.im, t.im, t.re)
+    spin = ComplexLinearMap(1, 0, 0, unit_direction_from_angle(beta).a)  # about 0-infinity
     return spin.compose(tilt)
 
 
-def _cluster_stats(dirs: Sequence[Direction], m: Optional[ComplexLinearMap]) -> Tuple[np.ndarray, float]:
-    vecs = []
-    for d in dirs:
-        img = d if m is None else apply_mobius(m, d)
-        vecs.append(to_sphere(img).v)
-    arr = np.array(vecs)
-    center = arr.mean(axis=0)
-    nrm = np.linalg.norm(center)
-    if nrm < 1e-12:
-        center = arr[0]
-        nrm = 1.0
-    center = center / nrm
-    worst = 0.0
-    for a in range(len(arr)):
-        for b in range(a + 1, len(arr)):
-            dd = float(np.linalg.norm(arr[a] - arr[b]))
-            ss = float(np.linalg.norm(arr[a] + arr[b]))
-            worst = max(worst, math.degrees(2 * math.atan2(dd, ss)))
-    return center, worst
+def _sphere_vectors(m: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
+    """Unit sphere vectors of the images of ``dirs`` under the complex
+    2x2 matrix ``m``, in floats.
+
+    A direction is the line through (p, q) of slope q/p, infinity is
+    (0, 1); ``m`` acts on (p, q) linearly, and q/p lands on the sphere
+    at (2 q conj(p), |q|^2 - |p|^2) / (|p|^2 + |q|^2), which divides by
+    no slope, so infinity needs no branch.
+    """
+    pq = np.array([(0, 1) if d.is_infinite else (1, d.a) for d in dirs], dtype=complex)
+    p, q = m @ pq.T
+    w = 2 * q * np.conj(p)
+    p2, q2 = np.abs(p) ** 2, np.abs(q) ** 2
+    return np.column_stack([w.real, w.imag, q2 - p2]) / (p2 + q2)[:, None]
 
 
-def _center_angle(c1: np.ndarray, c2: np.ndarray) -> float:
-    dd = float(np.linalg.norm(c1 - c2))
-    ss = float(np.linalg.norm(c1 + c2))
-    return math.degrees(2 * math.atan2(dd, ss))
+def _center(vecs: np.ndarray) -> np.ndarray:
+    c = vecs.mean(axis=0)
+    n = np.linalg.norm(c)
+    return c / n if n >= 1e-12 else vecs[0]
 
 
 def separate_to_orthogonal(
@@ -699,32 +694,33 @@ def separate_to_orthogonal(
     apart along meridians; the parameter is tuned until the image
     centers are antipodal.  Representatives closer than 5 degrees are
     rejected.
+
+    The search for lam runs in floats; only the returned map
+    rot . pi_lambda(1, lam) . rot^-1 is exact, with a rational rotation
+    and lam.  ``rot`` is unitary up to a scalar, so it moves the sphere
+    by an isometry that keeps the angle between the image centers: the
+    search maps by pi_lambda . rot^-1 alone.
     """
     if not d1 or not d2:
         raise ValueError("need nonempty direction samples")
-    c1, _ = _cluster_stats(d1, None)
-    c2, _ = _cluster_stats(d2, None)
-    sep = _center_angle(c1, c2)
+    c1, c2 = (_center(_sphere_vectors(np.eye(2), d)) for d in (d1, d2))
+    sep = _angle_deg(c1, c2)
     if sep < 5.0:
         raise TooClose("cluster centers only %.3f degrees apart" % sep)
     if sep >= 179.0:
         return ComplexLinearMap.identity()
     axis = -(c1 + c2)
-    axis = axis / np.linalg.norm(axis)
-    rot = _rotation_taking_one_to(axis)
+    rot = _rotation_taking_one_to(axis / np.linalg.norm(axis))
     rot_inv = rot.inverse()
+    rot_inv_f = np.array([[rot_inv.m11, rot_inv.m12], [rot_inv.m21, rot_inv.m22]], dtype=complex)
 
-    def quality(lam: Fraction) -> float:
-        m = rot.compose(pi_lambda(Direction.finite(1), lam)).compose(rot_inv)
-        a1, _ = _cluster_stats(d1, m)
-        a2, _ = _cluster_stats(d2, m)
-        return _center_angle(a1, a2)
+    def quality(lam: float) -> float:
+        m = np.array([[1, lam], [lam, 1]]) @ rot_inv_f
+        return _angle_deg(_center(_sphere_vectors(m, d1)), _center(_sphere_vectors(m, d2)))
 
-    # coarse scan, then dyadic refinement around the best parameter
-    grid = [Fraction(k, 256) for k in range(256)]
-    best = max(grid, key=quality)
-    lo = max(Fraction(0), best - Fraction(1, 256))
-    hi = min(Fraction(255, 256), best + Fraction(1, 256))
+    # coarse scan, then ternary refinement around the best parameter
+    best = max((k / 256 for k in range(256)), key=quality)
+    lo, hi = max(0.0, best - 1 / 256), min(255 / 256, best + 1 / 256)
     for _ in range(64):
         m1 = lo + (hi - lo) / 4
         m2 = hi - (hi - lo) / 4
@@ -732,5 +728,5 @@ def separate_to_orthogonal(
             lo = m1
         else:
             hi = m2
-    lam = (lo + hi) / 2
-    return rot.compose(pi_lambda(Direction.finite(1), lam)).compose(rot_inv)
+    lam = Fraction((lo + hi) / 2).limit_denominator(2**30)
+    return rot.compose(pi_lambda(DIR_ONE, lam)).compose(rot_inv)

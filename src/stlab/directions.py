@@ -73,6 +73,7 @@ DIR_ZERO = Direction.finite(0)
 DIR_ONE = Direction.finite(1)
 DIR_I = Direction.finite(GaussianRational(0, 1))
 DIR_INF = Direction.infinity()
+_UNIT_MAX_DEN = 10**6  # denominator bound of unit_direction_from_angle
 
 
 def direction_of(l: ComplexLine) -> Direction:
@@ -265,17 +266,17 @@ def gamma_arg(d: Direction) -> float:
     return math.degrees(math.atan2(float(im), float(re)))
 
 
-def unit_direction_from_angle(theta_deg: float, max_den: int = 10**6) -> Direction:
+def unit_direction_from_angle(theta_deg: float) -> Direction:
     """A Gaussian-rational direction of exactly unit modulus near theta.
 
     Uses the tangent half-angle parametrization, so |a| = 1 holds as an
     exact rational identity while the argument lands within roughly
-    1/max_den of the requested angle.
+    1/_UNIT_MAX_DEN of the requested angle.
     """
     theta = math.radians(theta_deg)
     if abs(math.cos(theta / 2)) < 1e-9:
         return Direction.finite(GaussianRational(-1, 0))
-    t = Fraction(math.tan(theta / 2)).limit_denominator(max_den)
+    t = Fraction(math.tan(theta / 2)).limit_denominator(_UNIT_MAX_DEN)
     den = 1 + t * t
     return Direction.finite(GaussianRational((1 - t * t) / den, 2 * t / den))
 
@@ -387,6 +388,8 @@ def max_cover_gap_deg(
     centers: List[SpherePoint], samples: int, seed: int = 0
 ) -> float:
     """Sampling oracle: worst angular distance from a sample to the cover."""
+    if samples < 1:
+        raise GeometryError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(samples, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -248,20 +248,18 @@ class RVector4:
         return self.dot(self)
 
 
-def _rank_of_rows(rows) -> int:
-    """Rank of a small rational matrix by fraction-exact elimination."""
+def _row_reduce(rows, ncols: int):
+    """Fraction-exact Gauss-Jordan elimination on the first ``ncols``
+    columns; returns the rows, each pivot row left unscaled, and the
+    pivot columns, whose count is the rank."""
     m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
+    pivots: List[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        for piv in range(rank, len(m)):
+            if m[piv][col] != 0:
                 break
-        if piv is None:
-            col += 1
+        else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pv = m[rank][col]
@@ -269,9 +267,12 @@ def _rank_of_rows(rows) -> int:
             if r != rank and m[r][col] != 0:
                 f = m[r][col] / pv
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def _rank_of_rows(rows) -> int:
+    return len(_row_reduce(rows, len(rows[0]))[1])
 
 
 @dataclass(frozen=True)
@@ -368,33 +369,15 @@ def flat_intersect(f1: Flat2, f2: Flat2) -> FlatMeet:
         [d1[i], d2[i], -e1[i], -e2[i], rhs[i]]
         for i in range(4)
     ]
-    m = [row[:] for row in aug]
-    pivots = []
-    rank = 0
-    for col in range(4):
-        piv = None
-        for r in range(rank, 4):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(4):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
+    m, pivots = _row_reduce(aug, 4)
+    rank = len(pivots)
     for r in range(rank, 4):
         if m[r][4] != 0:
             return FlatMeet(FlatMeet.EMPTY)
     if rank == 4:
         sol = [Fraction(0)] * 4
         for r, col in enumerate(pivots):
-            sol[col] = m[r][4]
+            sol[col] = m[r][4] / m[r][col]
         s, t = sol[0], sol[1]
         pt = f1.base + f1.dir1.scale(s) + f1.dir2.scale(t)
         return FlatMeet(FlatMeet.POINT, pt)

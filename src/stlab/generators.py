@@ -74,6 +74,8 @@ def gen_random_system(
     distinct odd dyadic offsets, so points and lines are duplicate-free
     by construction.
     """
+    if n < 0 or e < 0:
+        raise GeometryError("n and e must be non-negative")
     rng = random.Random(seed)
     span = 3 * max(n, e, 4)
     counter = 0

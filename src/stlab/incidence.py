@@ -163,6 +163,8 @@ def count_incidences(
     method: str = "indexed",
 ) -> IncidenceReport:
     """Exact incidence count of a duplicate-free system, plus the bound."""
+    if not 0 <= C < math.inf:  # also rejects nan
+        raise GeometryError("C must be finite and non-negative, got %r" % C)
     _check_unique(points, "point")
     _check_unique(lines, "line")
     if method == "indexed":
@@ -237,6 +239,8 @@ class RichBoundReport:
 
 
 def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float) -> RichBoundReport:
+    if not 0 <= c < math.inf:  # also rejects nan
+        raise GeometryError("c must be finite and non-negative, got %r" % c)
     rich_count = sum(1 for _ in _rich_pairs(points, t))
     n = len(points)
     bound = c * (n * n / t**3 + n / t)

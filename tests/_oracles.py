@@ -2,14 +2,19 @@
 
 These deliberately avoid the production code paths: the shift-graph
 oracle decides the corridor condition by exhaustive rational box
-subdivision, independently of the sweep in the library.
+subdivision, independently of the sweep in the library, and the
+cluster oracle maps directions exactly, independently of the float
+search in ``separate_to_orthogonal``.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from stlab.covering import FreeCube, bott, boxes_overlap_interior, shift_cube
+from stlab.directions import _angle_deg, apply_mobius, to_sphere
 
 F = Fraction
 
@@ -107,3 +112,15 @@ def random_rational_points(n, d, span, seed, denom=2**20):
             seen.add(p)
             pts.append(p)
     return pts
+
+
+def oracle_cluster_stats(dirs, m):
+    """Unit mean center and angular diameter (degrees) of the images of
+    ``dirs`` under ``m``, each image taken by the exact Moebius action
+    before it lands on the sphere."""
+    arr = np.array([to_sphere(apply_mobius(m, d)).v for d in dirs])
+    center = arr.mean(axis=0)
+    nrm = np.linalg.norm(center)
+    center = center / nrm if nrm >= 1e-12 else arr[0]
+    diam = max((_angle_deg(u, w) for u, w in itertools.combinations(arr, 2)), default=0.0)
+    return center, diam

@@ -8,13 +8,16 @@ import random
 import time
 from fractions import Fraction
 
-from _oracles import oracle_shift_graph, random_disjoint_cubes, random_rational_points
+from _oracles import (
+    oracle_cluster_stats,
+    oracle_shift_graph,
+    random_disjoint_cubes,
+    random_rational_points,
+)
 
 from stlab.covering import bott, build_shift_graph, normalize_points, run_covering, verify_cover
 from stlab.diagnostics import (
     ARC_A1,
-    _center_angle,
-    _cluster_stats,
     balance_lambda,
     gamma_count,
     separate_to_orthogonal,
@@ -26,6 +29,7 @@ from stlab.directions import (
     DIR_ZERO,
     ComplexLinearMap,
     Direction,
+    _angle_deg,
     apply_mobius,
     dist_deg,
     gr_dist_deg,
@@ -336,8 +340,8 @@ def test_criterion_10_separation_diagnostics():
         d1 = [Direction.finite(base1 + GR(jit * k, jit * (k % 2))) for k in range(-2, 3)]
         d2 = [Direction.finite(base2 + GR(jit * k, jit * (k % 2))) for k in range(-2, 3)]
         m = separate_to_orthogonal(d1, d2)
-        c1, diam1 = _cluster_stats(d1, m)
-        c2, diam2 = _cluster_stats(d2, m)
-        ok &= _center_angle(c1, c2) >= 179.0 and diam1 <= 1.0 and diam2 <= 1.0
+        c1, diam1 = oracle_cluster_stats(d1, m)
+        c2, diam2 = oracle_cluster_stats(d2, m)
+        ok &= _angle_deg(c1, c2) >= 179.0 and diam1 <= 1.0 and diam2 <= 1.0
     elapsed = time.time() - start
     report(10, ok and elapsed < 60, "20 bisection certificates, 20 squeezes, %.1fs" % elapsed)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracles import oracle_cluster_stats
 
 from stlab.diagnostics import (
     ARC_A1,
@@ -17,8 +18,6 @@ from stlab.diagnostics import (
     SystemView,
     TooClose,
     Unbalanceable,
-    _center_angle,
-    _cluster_stats,
     apply_map_system,
     balance_lambda,
     classify_points,
@@ -29,9 +28,11 @@ from stlab.diagnostics import (
     separate_to_orthogonal,
 )
 from stlab.directions import (
+    DIR_INF,
     ComplexLinearMap,
     Direction,
     PoleDirection,
+    _angle_deg,
     apply_mobius,
     direction_of,
     dist_deg,
@@ -401,14 +402,29 @@ def test_separate_examples():
         separate_to_orthogonal([Direction.finite(1)], [Direction.finite(1)])
 
 
-def test_separate_one_vs_i():
-    d1 = tight_cluster(0.0, F(1), 5)
-    d2 = tight_cluster(90.0, F(1), 5)
+def assert_squeezed(d1, d2):
+    """The returned map is rational and, judged on the exact route,
+    carries the clusters to antipodal centers with small diameters."""
     m = separate_to_orthogonal(d1, d2)
-    c1, diam1 = _cluster_stats(d1, m)
-    c2, diam2 = _cluster_stats(d2, m)
-    assert _center_angle(c1, c2) >= 179.0
+    assert isinstance(m, ComplexLinearMap)  # exact by construction: Fraction entries only
+    c1, diam1 = oracle_cluster_stats(d1, m)
+    c2, diam2 = oracle_cluster_stats(d2, m)
+    assert _angle_deg(c1, c2) >= 179.0
     assert diam1 <= 1.0 and diam2 <= 1.0
+
+
+def test_separate_one_vs_i():
+    assert_squeezed(tight_cluster(0.0, F(1), 5), tight_cluster(90.0, F(1), 5))
+
+
+def test_separate_cluster_at_infinity():
+    far = [Direction.finite(GR(2000 + k, k % 2)) for k in range(3)]
+    assert_squeezed([DIR_INF] + far, tight_cluster(10.0, F(1), 4))
+
+
+def test_separate_cluster_at_zero():
+    near = [Direction.finite(GR(F(k, 2000), F(k % 2, 2000))) for k in range(4)]
+    assert_squeezed(near, tight_cluster(60.0, F(1), 4))
 
 
 def test_separate_random_clusters():
@@ -418,8 +434,4 @@ def test_separate_random_clusters():
         a2 = a1 + rng.uniform(40, 140)
         d1 = tight_cluster(a1, F(rng.randint(2, 5), 3), 4)
         d2 = tight_cluster(a2, F(rng.randint(2, 5), 4), 4)
-        m = separate_to_orthogonal(d1, d2)
-        c1, diam1 = _cluster_stats(d1, m)
-        c2, diam2 = _cluster_stats(d2, m)
-        assert _center_angle(c1, c2) >= 179.0
-        assert diam1 <= 1.0 and diam2 <= 1.0
+        assert_squeezed(d1, d2)

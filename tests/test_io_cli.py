@@ -238,10 +238,19 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["rich", "--t", "1", "--in", "SYS"], "t must"),
         (["gen", "bundle", "--m", "0"], "m and per_point"),
         (["beck", "--in", "ONE"], "at least 2 points"),
+        (["dirs", "cover-sphere", "--check-samples", "-5"], "samples must"),
+        (["gen", "random", "--n", "-3"], "n and e must"),
+        (["gen", "random", "--e", "-2"], "n and e must"),
+        (["bounds", "--C", "nan", "--in", "SYS"], "C must"),
+        (["bounds", "--C", "-1", "--in", "SYS"], "C must"),
+        (["bounds", "--C", "inf", "--in", "SYS"], "C must"),
+        (["bounds", "--t", "2", "--c-rich", "nan", "--in", "SYS"], "c must"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
-        "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point",
+        "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point", "check-samples-negative",
+        "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
+        "c-rich-nan",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
