@@ -50,12 +50,10 @@ from .incidence import (
 from .covering import (
     CoverResult,
     FreeCube,
-    GridCube,
     ShiftGraph,
     SignedPermutation,
     bott,
     build_shift_graph,
-    complement_cover,
     normalize_points,
     run_covering,
     shift_cube,

@@ -39,7 +39,7 @@ from .regions import CombineDetail, combine, verify_regions
 def _number(tok: str, flag: str, kind=float):
     try:
         return kind(tok)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise fileio.FormatError("bad %s value %r" % (flag, tok)) from None
 
 

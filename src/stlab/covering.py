@@ -53,10 +53,6 @@ class DuplicatePoints(CoveringError):
     pass
 
 
-class NotNested(CoveringError):
-    pass
-
-
 class OverlappingInput(CoveringError):
     pass
 
@@ -77,10 +73,6 @@ def box_intersection(a: Box, b: Box) -> Box:
     """Per-axis overlap of a and b; some axis has lo >= hi when the
     interiors are disjoint."""
     return tuple((max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, b))
-
-
-def box_inside(inner: Box, outer: Box) -> bool:
-    return all(lo >= lb and hi <= hb for (lo, hi), (lb, hb) in zip(inner, outer))
 
 
 def point_in_box_halfopen(p: Point, b: Box) -> bool:
@@ -114,32 +106,6 @@ class FreeCube:
 
     def box(self) -> Box:
         return box_from_corner(self.corner, self.side)
-
-
-@dataclass(frozen=True)
-class GridCube:
-    """A lattice cube: level 1 cells are unit cubes, each level-(l+1)
-    cell is a ratio^d block of level-l cells, and level 0 refines the
-    unit cells by the same ratio."""
-
-    level: int
-    origin: Tuple[int, ...]
-    d: int
-    ratio: int = 5
-
-    def __post_init__(self) -> None:
-        if self.level < 0 or self.d < 1 or self.ratio < 5 or self.ratio % 2 == 0:
-            raise InvalidParams("bad grid cube parameters")
-        if len(self.origin) != self.d:
-            raise InvalidParams("origin dimension mismatch")
-
-    @property
-    def side(self) -> Fraction:
-        return Fraction(self.ratio) ** (self.level - 1)
-
-    def box(self) -> Box:
-        s = self.side
-        return tuple((o * s, (o + 1) * s) for o in self.origin)
 
 
 def side_cube(q: FreeCube, orientation: Tuple[int, int], kappa: int) -> FreeCube:
@@ -223,6 +189,8 @@ def _encapsulate(r: Box, qbox: Box, mid_axes: Set[int]) -> Box:
 
 
 def _complement_cubes(qbox: Box, bbox: Box) -> List[Box]:
+    """Cover qbox minus bbox, a finer grid cube inside it, by at most
+    3^d - 1 cubes inside qbox avoiding the interior of bbox."""
     out = []
     for r in _complement_boxes(qbox, bbox):
         mid = {
@@ -234,26 +202,6 @@ def _complement_cubes(qbox: Box, bbox: Box) -> List[Box]:
     return out
 
 
-def complement_cover(q: GridCube, b: GridCube) -> List[FreeCube]:
-    """Cover q minus b by at most 3^d - 1 cubes avoiding the interior of b.
-
-    b must be a grid cube of a finer subdivision lying inside q;
-    b == q yields the empty cover.
-    """
-    if q.d != b.d or q.ratio != b.ratio:
-        raise NotNested("incompatible grids")
-    qbox, bbox = q.box(), b.box()
-    if qbox == bbox:
-        return []
-    if b.level >= q.level or not box_inside(bbox, qbox):
-        raise NotNested("b must be a strictly finer grid cube inside q")
-    cubes = []
-    for cb in _complement_cubes(qbox, bbox):
-        side = cb[0][1] - cb[0][0]
-        cubes.append(FreeCube(tuple(lo for lo, _ in cb), side))
-    return cubes
-
-
 # -- normalization -----------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -263,9 +211,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class NormalizeTransform:
     scale: Fraction
     offset: Fraction  # same shift on every axis
-
-    def apply(self, p: Sequence[Rational]) -> Point:
-        return tuple(self.scale * _frac(x) + self.offset for x in p)
 
     def invert(self, p: Sequence[Rational]) -> Point:
         return tuple((_frac(x) - self.offset) / self.scale for x in p)
@@ -921,9 +866,6 @@ def verify_cover(
     d = len(pts[0]) if pts else (K[0].d if K else 1)
     rho = 4 * kappa + 1
 
-    boxes = [c.box() for c in K]
-    non_overlap_ok = _check_non_overlapping(boxes) is None if K else True
-
     back = result.axis_map.inverse()
     inside = points_in_boxes(pts, [back.apply_box(bott(c, kappa).box()) for c in K])
     bott_failures = [i for i, ids in enumerate(inside) if len(ids) < r]
@@ -933,10 +875,10 @@ def verify_cover(
     bound = Fraction(n, 32 * d * rho ** (2 * d) * r)
     count_ok = (len(K) > bound) if precondition_met else True
 
-    if K and non_overlap_ok:
-        graph = build_shift_graph(K, kappa)
-    else:
-        graph = ShiftGraph(len(K), [])
+    try:
+        graph, non_overlap_ok = build_shift_graph(K, kappa), True
+    except OverlappingInput:
+        graph, non_overlap_ok = ShiftGraph(len(K), []), False
     in_deg = graph.in_degrees()
     max_in = max(in_deg) if in_deg else 0
 

@@ -244,9 +244,6 @@ class RVector4:
     def dot(self, o: "RVector4") -> Fraction:
         return self.x1 * o.x1 + self.x2 * o.x2 + self.x3 * o.x3 + self.x4 * o.x4
 
-    def norm2(self) -> Fraction:
-        return self.dot(self)
-
 
 def _row_reduce(rows, ncols: int):
     """Fraction-exact Gauss-Jordan elimination on the first ``ncols``

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .covering import CoverResult, CoverStats, FreeCube, SignedPermutation
 from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4
-from .regions import FlatBundle, Halfspace, Region, RegionAssignment
+from .regions import FlatBundle, Region, RegionAssignment
 
 FORMAT_VERSION = 1
 
@@ -296,20 +296,16 @@ def load_cover(stream: TextIO) -> CoverFile:
 
 
 def dump_regions(assignments: Sequence[RegionAssignment], r: int) -> str:
+    """Records "r <int>", then per region a "region" line, one "box"
+    line per box (lo hi for each of the four axes) and a "points" line
+    of anchor ids.  A region is a union of boxes, so "box" is its only
+    geometry record."""
     out = [_header("regions"), "r %d" % r]
     for asg in assignments:
         out.append("region")
         for box in asg.region.boxes:
             flat = [v for lo_hi in box for v in lo_hi]
             out.append("box " + " ".join(format_rational(x) for x in flat))
-        hs = asg.region.halfspace
-        if hs is not None:
-            out.append(
-                "halfspace "
-                + " ".join(format_rational(x) for x in hs.normal)
-                + " "
-                + format_rational(hs.offset)
-            )
         out.append("points " + " ".join(str(i) for i in asg.point_ids))
     return "\n".join(out) + "\n"
 
@@ -319,16 +315,15 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
     r = None
     out: List[RegionAssignment] = []
     boxes: List = []
-    hs: Optional[Halfspace] = None
     ids: Optional[Tuple[int, ...]] = None
 
     def flush():
-        nonlocal boxes, hs, ids
+        nonlocal boxes, ids
         if boxes or ids is not None:
             if ids is None:
                 raise FormatError("region block missing points record")
-            out.append(RegionAssignment(Region(tuple(boxes), hs), ids))
-        boxes, hs, ids = [], None, None
+            out.append(RegionAssignment(Region(tuple(boxes)), ids))
+        boxes, ids = [], None
 
     for rec in _records(stream):
         if rec[0] == "r":
@@ -338,9 +333,6 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
         elif rec[0] == "box" and len(rec) == 9:
             vals = [parse_rational(t) for t in rec[1:]]
             boxes.append(tuple((vals[2 * i], vals[2 * i + 1]) for i in range(4)))
-        elif rec[0] == "halfspace" and len(rec) == 6:
-            vals = [parse_rational(t) for t in rec[1:]]
-            hs = Halfspace(tuple(vals[:4]), vals[4])
         elif rec[0] == "points":
             ids = tuple(_parse_int(t) for t in rec[1:])
         else:

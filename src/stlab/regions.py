@@ -10,8 +10,11 @@ swap) lands entirely in the region's interior.
 
 Construction: cover the anchors with cubes at parameter 27r and
 kappa = 1, keep the cubes of shift-graph out-degree at most one, and
-attach to each either its shifted copy (out-degree zero) or a box
-union, possibly clipped by a coordinate halfspace (out-degree one).
+attach to each a region that is a union of boxes: its shifted copy
+(out-degree zero), or the core it shares with that copy plus either a
+prism below the cube over the chosen lateral cell (case (a)) or the
+shifted copy cut at a coordinate plane between that cell and the
+successor's footprint (case (b)).
 The two crossings of a pair p, q with exactly orthogonal flats are
 antipodal on the sphere with diameter pq, which pins at least one of
 them deep inside the cube; small direction tilts displace a crossing
@@ -42,7 +45,7 @@ from .covering import (
     shift_cube,
 )
 from .directions import Subspace2, gr_dist_deg
-from .exact import Flat2, FlatMeet, RVector4, Rational, _frac, flat_intersect
+from .exact import Flat2, FlatMeet, GeometryError, RVector4, Rational, _frac, flat_intersect
 
 Point4 = Tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -74,85 +77,25 @@ def canonical_flat(anchor: Sequence[Rational], family: int) -> Flat2:
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """The closed set normal . x >= offset."""
-
-    normal: Tuple[Fraction, Fraction, Fraction, Fraction]
-    offset: Fraction
-
-    def contains_open(self, p: Point4, margin: Fraction = Fraction(0)) -> bool:
-        return sum(n * x for n, x in zip(self.normal, p)) > self.offset + margin
-
-    def box_side(self, box: Box) -> int:
-        """1 when the box is inside the open halfspace, -1 when outside
-        the closed one, 0 when the boundary cuts through."""
-        lo = sum(n * (b[0] if n > 0 else b[1]) for n, b in zip(self.normal, box))
-        hi = sum(n * (b[1] if n > 0 else b[0]) for n, b in zip(self.normal, box))
-        if lo > self.offset:
-            return 1
-        if hi < self.offset:
-            return -1
-        return 0
-
-    def clip_axis(self) -> Optional[Tuple[int, int, Fraction]]:
-        """(axis, sign, cut) when the normal is axis-aligned, else None."""
-        nz = [(i, n) for i, n in enumerate(self.normal) if n != 0]
-        if len(nz) != 1:
-            return None
-        ax, n = nz[0]
-        return ax, (1 if n > 0 else -1), self.offset / n
-
-
-@dataclass(frozen=True)
 class Region:
-    """A union of axis-aligned boxes; the optional halfspace clips the
-    last box only (the out-degree-one case (b))."""
+    """A union of axis-aligned boxes."""
 
     boxes: Tuple[Box, ...]
-    halfspace: Optional[Halfspace] = None
-
-    def _pieces(self) -> List[Tuple[Box, Optional[Halfspace]]]:
-        out: List[Tuple[Box, Optional[Halfspace]]] = []
-        for i, b in enumerate(self.boxes):
-            hs = self.halfspace if (self.halfspace and i == len(self.boxes) - 1) else None
-            if hs is not None:
-                cut = hs.clip_axis()
-                if cut is not None:
-                    # axis-aligned clip folds into the box, keeping the
-                    # pairwise overlap test exact
-                    ax, sign, c = cut
-                    lo, hi = b[ax]
-                    lo, hi = (max(lo, c), hi) if sign > 0 else (lo, min(hi, c))
-                    if lo >= hi:
-                        continue
-                    b = b[:ax] + ((lo, hi),) + b[ax + 1 :]
-                    hs = None
-            out.append((b, hs))
-        return out
 
     def contains_interior(
         self, p: Sequence[Rational], margin: Fraction = Fraction(0)
     ) -> bool:
         """Strict interior membership; margin is relative to box side."""
         q = tuple(_frac(x) for x in p)
-        for box, hs in self._pieces():
-            m = margin * (box[0][1] - box[0][0])
-            if point_in_box_open(q, box, m) and (hs is None or hs.contains_open(q, m)):
-                return True
-        return False
+        return any(
+            point_in_box_open(q, box, margin * (box[0][1] - box[0][0]))
+            for box in self.boxes
+        )
 
     def overlaps(self, other: "Region") -> bool:
-        for b1, h1 in self._pieces():
-            for b2, h2 in other._pieces():
-                if not boxes_overlap_interior(b1, b2):
-                    continue
-                inter = box_intersection(b1, b2)
-                if h1 is not None and h1.box_side(inter) < 0:
-                    continue
-                if h2 is not None and h2.box_side(inter) < 0:
-                    continue
-                return True
-        return False
+        return any(
+            boxes_overlap_interior(b1, b2) for b1 in self.boxes for b2 in other.boxes
+        )
 
 
 @dataclass(frozen=True)
@@ -204,29 +147,26 @@ def _lateral_cells(lat_q1: Box, lat_q2: Box) -> List[Box]:
     return [tuple(combo) for combo in itertools.product(*segs)]
 
 
-def _separating_halfspace(cell: Box, lat_q2: Box) -> Halfspace:
-    """Axis halfspace containing the cell, its boundary plane in the
-    middle of the gap to the successor footprint.  The axis with the
-    widest gap wins, ties by axis index."""
+def _clip_shift(shifted: Box, cell: Box, lat_q2: Box) -> Box:
+    """Cut shifted at the coordinate plane in the middle of the gap
+    between the lateral cell and the successor footprint, keeping the
+    cell's side.  The lateral axis with the widest gap wins, ties go to
+    the lower axis."""
     best = None
     for ax, ((clo, chi), (blo, bhi)) in enumerate(zip(cell, lat_q2)):
+        lo, hi = shifted[ax + 1]
         if clo >= bhi:  # cell above the footprint on this axis
-            gap = clo - bhi
-            normal = [Fraction(0)] * 4
-            normal[ax + 1] = Fraction(1)
-            cand = (gap, -ax, Halfspace(tuple(normal), (clo + bhi) / 2))
+            cand = (clo - bhi, ax, (max(lo, (clo + bhi) / 2), hi))
         elif chi <= blo:
-            gap = blo - chi
-            normal = [Fraction(0)] * 4
-            normal[ax + 1] = Fraction(-1)
-            cand = (gap, -ax, Halfspace(tuple(normal), -(chi + blo) / 2))
+            cand = (blo - chi, ax, (lo, min(hi, (chi + blo) / 2)))
         else:
             continue
-        if best is None or (cand[0], cand[1]) > (best[0], best[1]):
+        if best is None or cand[0] > best[0]:
             best = cand
     if best is None:
         raise CoveringError("no coordinate plane separates the cell")
-    return best[2]
+    _, ax, side = best
+    return shifted[: ax + 1] + (side,) + shifted[ax + 2 :]
 
 
 def combine(
@@ -299,10 +239,9 @@ def combine(
                 prism = ((qbox[0][0] - depth, qbox[0][0]),) + best_cell
                 region = Region((core, prism))
             else:
-                # case (b): clip shift(Q1) by the halfspace separating the
-                # chosen cell from the successor footprint
-                hs = _separating_halfspace(best_cell, lat_q2)
-                region = Region((core, shifted), hs)
+                # case (b): shift(Q1) cut at a coordinate plane between
+                # the chosen cell and the successor footprint
+                region = Region((core, _clip_shift(shifted, best_cell, lat_q2)))
             pool = best_ids
             n1 += 1
         interior = [
@@ -335,14 +274,7 @@ def _map_back(
                 for lo, hi in back
             )
         )
-    hs = asg.region.halfspace
-    if hs is not None:
-        # n . y >= c with y_i = scale * x_i + offset pulls back along the
-        # inverse axis map and the similarity
-        normal = inv.apply_point(hs.normal)
-        c = (hs.offset - tr.offset * sum(normal)) / tr.scale
-        hs = Halfspace(tuple(normal), c)
-    return RegionAssignment(Region(tuple(boxes), hs), asg.point_ids)
+    return RegionAssignment(Region(tuple(boxes)), asg.point_ids)
 
 
 # -- verification ------------------------------------------------------------
@@ -397,8 +329,11 @@ def verify_regions(
     Regions must be pairwise non-overlapping and carry exactly r
     anchors in their interiors, and for every anchor pair p, q of a
     region all crossings of at least one of the two mixed families
-    must lie in the open region (margin relative to box side).
+    must lie in the open region (margin relative to box side, and
+    non-negative).
     """
+    if margin < 0:
+        raise GeometryError("margin must be non-negative, got %s" % margin)
     overlap_witness = None
     for i in range(len(assignments)):
         for j in range(i + 1, len(assignments)):

@@ -8,15 +8,13 @@ import pytest
 from stlab.covering import (
     DuplicatePoints,
     FreeCube,
-    GridCube,
     InvalidParams,
-    NotNested,
     OverlappingInput,
     SignedPermutation,
+    _complement_cubes,
     bott,
     boxes_overlap_interior,
     build_shift_graph,
-    complement_cover,
     normalize_points,
     point_in_box_closed,
     points_in_boxes,
@@ -47,24 +45,18 @@ def test_side_cube_examples():
 
 
 def test_complement_cover_1d():
-    q = GridCube(2, (0,), 1)
-    b = GridCube(1, (2,), 1)
-    cubes = complement_cover(q, b)
-    boxes = sorted(c.box() for c in cubes)
-    assert boxes == [((F(0), F(2)),), ((F(3), F(5)),)]
-    assert complement_cover(q, q) == []
-    with pytest.raises(NotNested):
-        complement_cover(b, q)
+    qbox, bbox = ((F(0), F(5)),), ((F(2), F(3)),)
+    assert sorted(_complement_cubes(qbox, bbox)) == [((F(0), F(2)),), ((F(3), F(5)),)]
+    assert _complement_cubes(qbox, qbox) == []
 
 
 def test_complement_cover_2d_sampling_oracle():
-    q = GridCube(3, (0, 0), 2)  # [0,25]^2
-    b = GridCube(2, (2, 3), 2)  # [10,15] x [15,20]
-    cubes = complement_cover(q, b)
+    qbox = ((F(0), F(25)),) * 2
+    bbox = ((F(10), F(15)), (F(15), F(20)))
+    cubes = _complement_cubes(qbox, bbox)
     assert len(cubes) <= 3**2 - 1
-    qbox, bbox = q.box(), b.box()
-    for c in cubes:
-        cb = c.box()
+    for cb in cubes:
+        assert len({hi - lo for lo, hi in cb}) == 1
         assert all(lo >= ql and hi <= qh for (lo, hi), (ql, qh) in zip(cb, qbox))
         assert not boxes_overlap_interior(cb, bbox)
     rng = random.Random(0)
@@ -73,7 +65,7 @@ def test_complement_cover_2d_sampling_oracle():
         inside_q = point_in_box_closed(p, qbox)
         inside_b = all(lo < x < hi for x, (lo, hi) in zip(p, bbox))
         if inside_q and not inside_b:
-            assert any(point_in_box_closed(p, c.box()) for c in cubes)
+            assert any(point_in_box_closed(p, cb) for cb in cubes)
 
 
 def test_normalize_points():
@@ -303,13 +295,6 @@ def test_signed_permutation_inverse_round_trip():
                 assert sp.apply_point(inv.apply_point(p)) == p
                 assert inv.apply_box(sp.apply_box(box)) == box
                 assert inv.inverse() == sp
-
-
-def test_grid_cube_geometry():
-    g = GridCube(1, (2, -1), 2)
-    assert g.box() == ((F(2), F(3)), (F(-1), F(0)))
-    g0 = GridCube(0, (3, 0), 2)
-    assert g0.box() == ((F(3, 5), F(4, 5)), (F(0), F(1, 5)))
 
 
 def test_shift_graph_perched_family_oracle():

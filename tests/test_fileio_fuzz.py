@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from stlab import fileio
 from stlab.covering import CoverResult, CoveringError, CoverStats, FreeCube, SignedPermutation
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational, GeometryError, embed_flat
-from stlab.regions import FlatBundle, Halfspace, Region, RegionAssignment
+from stlab.regions import FlatBundle, Region, RegionAssignment
 
 GR = GaussianRational
 F = Fraction
@@ -85,10 +85,9 @@ def test_bundle_roundtrip_exact(bundle):
 
 
 boxes = st.tuples(*[st.tuples(rationals, rationals)] * 4)
-halfspaces = st.builds(Halfspace, st.tuples(*[rationals] * 4), rationals)
 assignments = st.builds(
     RegionAssignment,
-    st.builds(Region, st.lists(boxes, max_size=3).map(tuple), st.none() | halfspaces),
+    st.builds(Region, st.lists(boxes, max_size=3).map(tuple)),
     st.lists(st.integers(0, 10**6), max_size=5).map(tuple),
 )
 
@@ -128,7 +127,7 @@ SEEDS = {
         )
     ),
     "regions": fileio.dump_regions(
-        [RegionAssignment(Region((((F(0), F(1)),) * 4,), Halfspace((F(1), F(0), F(0), F(0)), F(1, 2))), (0,))],
+        [RegionAssignment(Region((((F(0), F(1)),) * 4, ((F(1), F(3, 2)),) * 4)), (0,))],
         1,
     ),
 }

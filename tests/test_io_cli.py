@@ -245,12 +245,16 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["bounds", "--C", "-1", "--in", "SYS"], "C must"),
         (["bounds", "--C", "inf", "--in", "SYS"], "C must"),
         (["bounds", "--t", "2", "--c-rich", "nan", "--in", "SYS"], "c must"),
+        (["verify", "--margin", "1/0"], "--margin"),
+        (["verify", "--regions", "REG", "--bundle", "BUN", "--margin", "-1"], "margin must"),
+        (["verify", "--regions", "HALF", "--bundle", "BUN"], "halfspace"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
         "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point", "check-samples-negative",
         "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
-        "c-rich-nan",
+        "c-rich-nan", "margin-zero-denominator", "margin-negative",
+        "halfspace-record",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
@@ -258,6 +262,8 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
         "SYS": fileio.dump_system(*gen_erdos(2)),
         "ONE": fileio.dump_system([ComplexPoint(GR(0), GR(1))], []),
         "REG": fileio.dump_regions([], 1),
+        # regions are unions of boxes, so a halfspace record is bad input
+        "HALF": fileio.dump_regions([], 1) + "region\nhalfspace 1 0 0 0 1/2\npoints 0\n",
         "BUN": "stlab bundle 1\n" + BUNDLE_27,
     }
     for name, text in files.items():

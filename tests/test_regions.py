@@ -5,16 +5,18 @@ from fractions import Fraction
 import pytest
 
 from stlab.directions import gr_dist_deg
-from stlab.exact import Flat2, FlatMeet, RVector4, flat_intersect
+from stlab.covering import CoveringError, FreeCube, boxes_overlap_interior, shift_cube
+from stlab.exact import Flat2, FlatMeet, GeometryError, RVector4, flat_intersect
 from stlab.generators import gen_bundle_fixture
 from stlab.regions import (
     CANONICAL_SPANS,
     CombineDetail,
     FlatBundle,
-    Halfspace,
     Region,
     RegionAssignment,
     TooFewPoints,
+    _clip_shift,
+    _lateral_cells,
     canonical_flat,
     canonical_frame,
     combine,
@@ -110,7 +112,7 @@ def test_combine_single_cluster():
     assert rep.all_ok
     assert detail.waived_precondition  # desk scale: r > 1e-8 n
     # spread-out single cluster gives pure shifted-box regions
-    assert all(a.region.halfspace is None and len(a.region.boxes) == 1 for a in asg)
+    assert all(len(a.region.boxes) == 1 for a in asg)
 
 
 def test_combine_rejects_bad_r():
@@ -199,19 +201,86 @@ def test_region_membership_and_margin():
     assert not region.contains_interior((F(0), F(1, 2), F(1, 2), F(1, 2)))
     m = F(1, 10)
     assert not region.contains_interior((F(1, 20),) * 4, m)
-    hs = Halfspace((F(1), F(0), F(0), F(0)), F(1, 2))
-    clipped = Region((box,), hs)
-    assert clipped.contains_interior((F(3, 4), F(1, 2), F(1, 2), F(1, 2)))
-    assert not clipped.contains_interior((F(1, 4), F(1, 2), F(1, 2), F(1, 2)))
 
 
-def test_region_overlap_respects_halfspace():
+def test_region_overlap_of_touching_boxes():
     box = tuple((F(0), F(2)) for _ in range(4))
-    upper = Region((box,), Halfspace((F(1), F(0), F(0), F(0)), F(1)))
-    lower = Region((box,), Halfspace((F(-1), F(0), F(0), F(0)), F(-1)))
+    upper = Region((((F(1), F(2)),) + box[1:],))
+    lower = Region((((F(0), F(1)),) + box[1:],))
     assert not upper.overlaps(lower)
-    both = Region((box,))
-    assert upper.overlaps(both)
+    assert upper.overlaps(Region((box,)))
+    # a second box that meets the other region's interior makes them overlap
+    assert Region(lower.boxes + (((F(3, 2), F(3)),) * 4,)).overlaps(upper)
+
+
+def test_verify_regions_rejects_negative_margin():
+    p, q = (F(0),) * 4, (F(20),) * 4
+    far = RegionAssignment(Region((((F(9), F(11)),) * 4,)), (0,))
+    with pytest.raises(GeometryError):
+        verify_regions([far], exact_bundle([p, q]), 1, F(-20))
+
+
+# -- case (b): shift(Q1) cut at a coordinate plane ------------------------------
+
+SHIFTED = ((F(-1, 10), F(9, 10)),) + ((F(0), F(1)),) * 3  # shift of [0,1]^4
+UNIT = (F(0), F(1))
+
+
+@pytest.mark.parametrize(
+    "cell, lat_q2, want",
+    [
+        # gap above the footprint on the first lateral axis, cut at 5/8
+        (((F(3, 4), F(1)), UNIT, UNIT), ((F(-1), F(1, 2)), UNIT, UNIT), (1, (F(5, 8), F(1)))),
+        # gap below the footprint on the last lateral axis, cut at 3/8
+        ((UNIT, UNIT, (F(0), F(1, 4))), (UNIT, UNIT, (F(1, 2), F(2))), (3, (F(0), F(3, 8)))),
+        # faces touching: the cut is the shared face
+        (((F(1, 2), F(1)), UNIT, UNIT), ((F(0), F(1, 2)), UNIT, UNIT), (1, (F(1, 2), F(1)))),
+        # gap 1/4 above on axis 0 loses to gap 1/2 below on axis 1
+        (
+            ((F(3, 4), F(1)), (F(0), F(1, 4)), UNIT),
+            ((F(-1), F(1, 2)), (F(3, 4), F(2)), UNIT),
+            (2, (F(0), F(1, 2))),
+        ),
+        # equal gaps of 1/4 on axes 1 and 2: the lower axis wins
+        (
+            (UNIT, (F(3, 4), F(1)), (F(0), F(1, 4))),
+            (UNIT, (F(-1), F(1, 2)), (F(1, 2), F(2))),
+            (2, (F(5, 8), F(1))),
+        ),
+    ],
+    ids=["above", "below", "touching", "widest-gap", "tie-lower-axis"],
+)
+def test_clip_shift_cuts_at_gap_midpoint(cell, lat_q2, want):
+    axis, side = want
+    expect = SHIFTED[:axis] + (side,) + SHIFTED[axis + 1 :]
+    assert _clip_shift(SHIFTED, cell, lat_q2) == expect
+
+
+def test_clip_shift_needs_a_separating_plane():
+    inner = ((F(1, 4), F(3, 4)),) * 3
+    with pytest.raises(CoveringError):
+        _clip_shift(SHIFTED, inner, ((F(0), F(2)),) * 3)
+
+
+def test_clip_shift_property_on_lateral_cells():
+    rng = random.Random(11)
+    clipped = 0
+    for _ in range(200):
+        q1 = FreeCube(tuple(F(rng.randint(-8, 8), 4) for _ in range(4)), F(rng.randint(4, 12), 4))
+        q2 = FreeCube(tuple(F(rng.randint(-8, 12), 4) for _ in range(4)), F(rng.randint(1, 12), 4))
+        shifted = shift_cube(q1).box()
+        lat_q1, lat_q2 = q1.box()[1:], q2.box()[1:]
+        for cell in _lateral_cells(lat_q1, lat_q2):
+            if boxes_overlap_interior(cell, lat_q2):
+                continue
+            got = _clip_shift(shifted, cell, lat_q2)
+            assert got[0] == shifted[0]
+            # the clipped box keeps the prism over the cell ...
+            assert all(lo <= cl and ch <= hi for (lo, hi), (cl, ch) in zip(got[1:], cell))
+            # ... and its interior misses the successor's footprint
+            assert not boxes_overlap_interior(got[1:], lat_q2)
+            clipped += 1
+    assert clipped >= 500
 
 
 def test_bundle_alignment_measure():
