@@ -13,7 +13,10 @@ rho^d child cells).  Cubes are processed bottom-up through six states;
 the labels green, yellow, blue and selected drive the bookkeeping, and
 points inside blue or yellow cubes are deleted permanently at the end
 of each phase.  Only occupied or label-carrying cells are ever
-materialized, so dimension 4 stays affordable.
+materialized, so dimension 4 stays affordable.  A phase visits only the
+busy cells, those with at least r surviving points or a labelled
+subcell; any other cell would come out A1 and change nothing, so it is
+counted as A1 without a visit.
 
 Everything geometric is exact.  The run itself works on one integer
 grid in units of the level-0 cell side 1/rho, so every cell, green and
@@ -251,9 +254,9 @@ def normalize_points(
     scaled = [tuple(s * x for x in p) for p in pts]
     for prime in _PRIMES:
         off = Fraction(1, prime)
-        if all((x + off).denominator != 1 for p in scaled for x in p):
-            tr = NormalizeTransform(s, off)
-            return [tuple(x + off for x in p) for p in scaled], tr
+        shifted = [tuple(x + off for x in p) for p in scaled]
+        if all(x.denominator != 1 for p in shifted for x in p):
+            return shifted, NormalizeTransform(s, off)
     raise CoveringError("no shift candidate avoided the integer lattice")
 
 
@@ -368,7 +371,12 @@ class CoverResult:
 class _CoverRun:
     """One covering run.  Lengths are ints in units of 1/rho, so a
     level-L cell has side rho^L; points keep their input units and are
-    scaled by rho only where they are compared with a box."""
+    scaled by rho only where they are compared with a box.
+
+    The run keeps every point's current cell and the set of distinct
+    cells; each phase lifts that set to the next level, and visits only
+    the cells with at least r surviving points or a labelled subcell,
+    counting the rest as A1."""
 
     def __init__(self, points: List[Point], d: int, kappa: int, r: int):
         self.d = d
@@ -377,10 +385,12 @@ class _CoverRun:
         self.rho = 4 * kappa + 1
         self.m = self.rho**d
         self.active: Dict[int, Point] = dict(enumerate(points))
-        # the current level's cell of every input point, deleted or not
+        # the current level's cell of every input point, deleted or not,
+        # and the distinct ones among them
         self.cells: List[Tuple[int, ...]] = [
-            tuple(math.floor(x * self.rho) for x in p) for p in points
+            tuple((x.numerator * self.rho) // x.denominator for x in p) for p in points
         ]
+        self.distinct: Set[Tuple[int, ...]] = set(self.cells)
         self.origin: Tuple[int, ...] = (0,) * d  # corner of the current grid
         # offset of the next level's blocks in current-level cell units
         self.shift: Tuple[int, ...] = (0,) * d
@@ -395,16 +405,12 @@ class _CoverRun:
         side = self.rho**level
         return tuple((o + k * side, o + (k + 1) * side) for k, o in zip(idx, origin))
 
-    def parent_index(self, child: Tuple[int, ...]) -> Tuple[int, ...]:
-        # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
-        return tuple((c - t) // self.rho for c, t in zip(child, self.shift))
-
     # phase machinery ---------------------------------------------------------
 
     def all_in_single_cell(self) -> bool:
         # termination watches the input points, not the surviving ones:
         # deletions silence counting but pending labels must still ripen
-        return len(set(self.cells)) <= 1
+        return len(self.distinct) <= 1
 
     def run(self) -> None:
         # keep going past the single-cube point while a yellow is still
@@ -420,31 +426,36 @@ class _CoverRun:
 
     def run_phase(self, level: int) -> None:
         ps = PhaseStats(level=level)
+        rho, shift = self.rho, self.shift
         child_origin = self.origin
-        self.origin = tuple(
-            o + t * self.rho ** (level - 1) for o, t in zip(child_origin, self.shift)
-        )
-        up = {c: self.parent_index(c) for c in set(self.cells)}
-        self.cells = [up[c] for c in self.cells]
+        self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(child_origin, shift))
+        # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
+        up = {c: tuple([(ci - t) // rho for ci, t in zip(c, shift)]) for c in self.distinct}
+        self.cells = cells = [up[c] for c in self.cells]
+        self.distinct = set(up.values())
         cell_pts: Dict[Tuple[int, ...], List[int]] = {}
         for pid in self.active:
-            cell_pts.setdefault(self.cells[pid], []).append(pid)
+            cell_pts.setdefault(cells[pid], []).append(pid)
         parent_specials: Dict[Tuple[int, ...], List[Tuple[IntBox, _CellInfo]]] = {}
         for child, info in self.states.items():
-            parent_specials.setdefault(self.parent_index(child), []).append(
-                (self.cell_box(child, level - 1, child_origin), info)
-            )
+            parent_specials.setdefault(
+                tuple([(ci - t) // rho for ci, t in zip(child, shift)]), []
+            ).append((self.cell_box(child, level - 1, child_origin), info))
+        # a cell with fewer than r points and no labelled subcell is A1 and
+        # changes nothing, so only the busy cells are visited
+        busy = {c for c, pts in cell_pts.items() if len(pts) >= self.r}
+        busy.update(parent_specials)
+        ps.processed = len(cell_pts.keys() | parent_specials.keys())
+        if ps.processed > len(busy):
+            ps.assigned[CubeState.A1] = ps.processed - len(busy)
         new_states: Dict[Tuple[int, ...], _CellInfo] = {}
         yellows: List[Tuple[int, ...]] = []
         new_blues: Set[Tuple[int, ...]] = set()
-        for cell in sorted(set(cell_pts) | set(parent_specials)):
+        for cell in sorted(busy):
             pts = cell_pts.get(cell, [])
-            specials = parent_specials.get(cell, [])
-            info = self.process_cell(cell, level, pts, specials)
-            ps.processed += 1
+            info = self.process_cell(cell, level, pts, parent_specials.get(cell, []))
             ps.assigned[info.state] = ps.assigned.get(info.state, 0) + 1
-            if info.state != CubeState.A1:
-                new_states[cell] = info
+            new_states[cell] = info
             if info.state in _YELLOW_STATES:
                 yellows.append(cell)
             if info.state in (CubeState.A5, CubeState.A6):
@@ -486,7 +497,7 @@ class _CoverRun:
         # unconstrained phase: align the blocks to the occupied range so
         # the levels keep coalescing (any fixed offset could leave a grid
         # plane between two point clusters forever)
-        return tuple(min(col) % self.rho for col in zip(*self.cells))
+        return tuple(min(col) % self.rho for col in zip(*self.distinct))
 
     def process_cell(
         self,
@@ -495,16 +506,14 @@ class _CoverRun:
         pts: List[int],
         specials: List[Tuple[IntBox, _CellInfo]],
     ) -> _CellInfo:
-        """Label one cell; specials pairs each labelled subcell's box with its info."""
+        """Label one busy cell; specials pairs each labelled subcell's box with its info."""
         yellow = [(b, i) for b, i in specials if i.state in _YELLOW_STATES]
         carriers = [b for b, i in specials if i.state in _CARRIER_STATES]
         if len(yellow) > 1:
             raise CoveringError("two yellow subcells in one cell; offsets broken")
         n = len(pts)
         r = self.r
-        if not specials:
-            if n < r:
-                return _CellInfo(CubeState.A1)
+        if not specials:  # busy, so n >= r
             self.stats.g += 1
             return _CellInfo(CubeState.A2)
         qbox = self.cell_box(cell, level, self.origin)
@@ -587,9 +596,7 @@ class _CoverRun:
     def _assert_state(self, info: _CellInfo, n: int) -> None:
         m, r = self.m, self.r
         st = info.state
-        if st == CubeState.A1:
-            assert n < r
-        elif st == CubeState.A2:
+        if st == CubeState.A2:
             assert r <= n < m * r
         elif st == CubeState.A3:
             assert n < 2 * m * r and info.green is not None

@@ -74,6 +74,7 @@ DIR_ONE = Direction.finite(1)
 DIR_I = Direction.finite(GaussianRational(0, 1))
 DIR_INF = Direction.infinity()
 _UNIT_MAX_DEN = 10**6  # denominator bound of unit_direction_from_angle
+_MAX_COVER_CENTERS = 10**6  # sphere_disk_cover's limit, about 0.4 GB of centers
 
 
 def direction_of(l: ComplexLine) -> Direction:
@@ -366,12 +367,18 @@ def sphere_disk_cover(delta_deg: float) -> List[SpherePoint]:
     radians) has covering radius comfortably below r; the constant 12
     leaves about a 20 percent margin over the measured covering radius
     of the spiral.  Only an existence count is needed downstream, not
-    optimality.
+    optimality.  A delta needing more than _MAX_COVER_CENTERS centers
+    (below about 0.4 degrees) is rejected before any is built.
     """
     if not delta_deg >= 0.01:  # also rejects nan
         raise GeometryError("delta below the supported resolution 0.01 degrees")
     r = math.radians(delta_deg / 2.0)
     n = max(2, math.ceil(12.0 / (r * r)))
+    if n > _MAX_COVER_CENTERS:
+        raise GeometryError(
+            "delta %g degrees needs %d cover centers, above the limit %d"
+            % (delta_deg, n, _MAX_COVER_CENTERS)
+        )
     pts = []
     golden = math.pi * (3.0 - math.sqrt(5.0))
     for i in range(n):

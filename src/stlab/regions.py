@@ -85,11 +85,23 @@ class Region:
     def contains_interior(
         self, p: Sequence[Rational], margin: Fraction = Fraction(0)
     ) -> bool:
-        """Strict interior membership; margin is relative to box side."""
+        """Strict interior membership in the union of the boxes, each
+        shrunk by margin times its side."""
         q = tuple(_frac(x) for x in p)
-        return any(
-            point_in_box_open(q, box, margin * (box[0][1] - box[0][0]))
-            for box in self.boxes
+        reach = []
+        for box in self.boxes:
+            m = margin * (box[0][1] - box[0][0])
+            if point_in_box_open(q, box, m):
+                return True
+            if all(lo + m <= x <= hi - m for x, (lo, hi) in zip(q, box)):
+                reach.append([(lo + m < x, x < hi - m) for x, (lo, hi) in zip(q, box)])
+        # q may sit on a face shared by two boxes: it is interior to the
+        # union iff every closed orthant at q lies in one box holding q,
+        # a box holding q reaching into an orthant when it extends past q
+        # on each axis in that orthant's direction
+        return all(
+            any(all(s[o] for s, o in zip(sides, orthant)) for sides in reach)
+            for orthant in itertools.product((0, 1), repeat=len(q))
         )
 
     def overlaps(self, other: "Region") -> bool:

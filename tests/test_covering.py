@@ -162,6 +162,11 @@ PINNED_COVERS = [
     (0, 800, 1, 2, 1, "e5aa3876e9b98ce0", True),
     (1, 800, 2, 2, 2, "57d6a5623faa2120", True),
     (2, 800, 3, 2, 2, "6c5ffb0f826dcab3", True),
+    # most cells hold fewer than r points and no label, so these pin the
+    # A1 count of cells a phase never visits
+    (27, 3000, 1, 4, 1, "520aa2903ff41239", True),
+    (28, 4000, 2, 4, 1, "f53be949626cef2b", False),
+    (30, 3000, 1, 8, 2, "582c3bb1bf28dcc0", False),
 ]
 
 

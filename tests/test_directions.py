@@ -29,7 +29,7 @@ from stlab.directions import (
     to_sphere,
     unit_direction_from_angle,
 )
-from stlab.exact import GaussianRational
+from stlab.exact import GaussianRational, GeometryError
 
 GR = GaussianRational
 
@@ -206,6 +206,14 @@ def test_sphere_disk_cover_sizes():
     assert max_cover_gap_deg(c90, 100000, seed=0) <= 45.0
     c1 = sphere_disk_cover(1.0)
     assert len(c1) < 2 * 10**5
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.3])
+def test_sphere_disk_cover_rejects_delta_above_center_limit(delta):
+    # the count is checked before any center is built: 0.01 degrees
+    # would ask for about 1.6e9 of them
+    with pytest.raises(GeometryError, match="cover centers"):
+        sphere_disk_cover(delta)
 
 
 def test_singular_map_rejected():

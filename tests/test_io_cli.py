@@ -248,13 +248,14 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["verify", "--margin", "1/0"], "--margin"),
         (["verify", "--regions", "REG", "--bundle", "BUN", "--margin", "-1"], "margin must"),
         (["verify", "--regions", "HALF", "--bundle", "BUN"], "halfspace"),
+        (["dirs", "cover-sphere", "--delta", "0.01"], "cover centers"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
         "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point", "check-samples-negative",
         "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
         "c-rich-nan", "margin-zero-denominator", "margin-negative",
-        "halfspace-record",
+        "halfspace-record", "delta-too-many-centers",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):

@@ -203,6 +203,27 @@ def test_region_membership_and_margin():
     assert not region.contains_interior((F(1, 20),) * 4, m)
 
 
+def test_region_interior_of_a_union_across_a_shared_face():
+    unit = tuple((F(0), F(1)) for _ in range(4))
+    right = ((F(1), F(2)),) + unit[1:]
+    region = Region((unit, right))
+    face = (F(1), F(1, 2), F(1, 2), F(1, 2))
+    assert region.contains_interior(face)
+    # on the outer boundary of the union, or past a face no box continues
+    assert not region.contains_interior((F(1), F(0), F(1, 2), F(1, 2)))
+    assert not region.contains_interior((F(2), F(1, 2), F(1, 2), F(1, 2)))
+    assert not Region((unit,)).contains_interior(face)
+    # an L-shaped union misses one orthant at its inner corner
+    corner = (F(1), F(1), F(1, 2), F(1, 2))
+    up = (unit[0], (F(1), F(2))) + unit[2:]
+    assert not Region((unit, right, up)).contains_interior(corner)
+    diag = ((F(1), F(2)), (F(1), F(2))) + unit[2:]
+    assert Region((unit, right, up, diag)).contains_interior(corner)
+    # the margin shrinks each box by its own side before the union is taken
+    assert not region.contains_interior(face, F(1, 10))
+    assert region.contains_interior((F(1, 2),) * 4, F(1, 10))
+
+
 def test_region_overlap_of_touching_boxes():
     box = tuple((F(0), F(2)) for _ in range(4))
     upper = Region((((F(1), F(2)),) + box[1:],))
