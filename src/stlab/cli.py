@@ -215,6 +215,21 @@ def cmd_dirs(args) -> int:
     return 0
 
 
+def _cover_witness(rep) -> str:
+    """One line naming the first failed cover guarantee and its witness."""
+    if rep.overlap_pair is not None:
+        return "cubes %d and %d overlap" % rep.overlap_pair
+    if not rep.in_degree_ok:  # more edges than cubes forces this too
+        return "cube %d has in-degree %d from cubes %s" % (
+            rep.max_in_target,
+            rep.max_in_degree,
+            " ".join(map(str, rep.max_in_sources)),
+        )
+    if rep.bott_failures:
+        return "bottom side-cube of cube %d holds fewer than r points" % rep.bott_failures[0]
+    return "K=%d does not exceed the count bound %.6g" % (rep.k_count, rep.count_bound)
+
+
 def cmd_verify(args) -> int:
     if args.regions and not args.bundle:
         raise fileio.FormatError("--regions needs --bundle")
@@ -238,6 +253,7 @@ def cmd_verify(args) -> int:
             )
         )
         if not rep.all_ok:
+            print("cover witness: %s" % _cover_witness(rep))
             failures += 1
     if args.regions:
         with open(args.regions) as fh:

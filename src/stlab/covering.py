@@ -16,7 +16,10 @@ of each phase.  Only occupied or label-carrying cells are ever
 materialized, so dimension 4 stays affordable.  A phase visits only the
 busy cells, those with at least r surviving points or a labelled
 subcell; any other cell would come out A1 and change nothing, so it is
-counted as A1 without a visit.
+counted as A1 without a visit.  The run holds the surviving point ids
+grouped by cell and the per-axis hull of all input points' cells; a
+phase lifts both once, so it costs O(occupied cells) and touches no
+point unless a busy cell needs its coordinates.
 
 Everything geometric is exact.  The run itself works on one integer
 grid in units of the level-0 cell side 1/rho, so every cell, green and
@@ -57,7 +60,9 @@ class DuplicatePoints(CoveringError):
 
 
 class OverlappingInput(CoveringError):
-    pass
+    def __init__(self, pair: Tuple[int, int]):
+        super().__init__("cubes %d and %d overlap" % pair)
+        self.pair = pair
 
 
 # -- basic box algebra -------------------------------------------------------
@@ -248,15 +253,17 @@ def normalize_points(
         if dlow2 <= 0:
             raise DuplicatePoints("nearest pair too close to separate")
         need = Fraction(d) / dlow2  # scale^2 must exceed d / dmin^2
-        s = Fraction(math.isqrt(int(need)) + 1)
+        k = math.isqrt(int(need)) + 1
     else:
-        s = Fraction(1)
-    scaled = [tuple(s * x for x in p) for p in pts]
+        k = 1
     for prime in _PRIMES:
-        off = Fraction(1, prime)
-        shifted = [tuple(x + off for x in p) for p in scaled]
+        # k * a/b + 1/p in one integer step
+        shifted = [
+            tuple(Fraction(k * prime * x.numerator + x.denominator, prime * x.denominator) for x in p)
+            for p in pts
+        ]
         if all(x.denominator != 1 for p in shifted for x in p):
-            return shifted, NormalizeTransform(s, off)
+            return shifted, NormalizeTransform(Fraction(k), Fraction(1, prime))
     raise CoveringError("no shift candidate avoided the integer lattice")
 
 
@@ -373,10 +380,12 @@ class _CoverRun:
     level-L cell has side rho^L; points keep their input units and are
     scaled by rho only where they are compared with a box.
 
-    The run keeps every point's current cell and the set of distinct
-    cells; each phase lifts that set to the next level, and visits only
-    the cells with at least r surviving points or a labelled subcell,
-    counting the rest as A1."""
+    The run keeps two things per level: the ids of the surviving points
+    grouped by their cell, and the per-axis hull (lo, hi) of the cells
+    of all input points, deleted or not.  Each phase lifts the groups
+    and the hull to the next level and visits only the cells with at
+    least r surviving points or a labelled subcell, counting the rest as
+    A1, so a phase costs O(occupied cells) and no per-point work."""
 
     def __init__(self, points: List[Point], d: int, kappa: int, r: int):
         self.d = d
@@ -384,13 +393,17 @@ class _CoverRun:
         self.r = r
         self.rho = 4 * kappa + 1
         self.m = self.rho**d
-        self.active: Dict[int, Point] = dict(enumerate(points))
-        # the current level's cell of every input point, deleted or not,
-        # and the distinct ones among them
-        self.cells: List[Tuple[int, ...]] = [
-            tuple((x.numerator * self.rho) // x.denominator for x in p) for p in points
-        ]
-        self.distinct: Set[Tuple[int, ...]] = set(self.cells)
+        self.points = points
+        # surviving point ids by current cell; a cell leaves when it empties
+        self.groups: Dict[Tuple[int, ...], List[int]] = {}
+        for pid, p in enumerate(points):
+            cell = tuple((x.numerator * self.rho) // x.denominator for x in p)
+            self.groups.setdefault(cell, []).append(pid)
+        # per-axis least and greatest cell of all input points; lifting is
+        # monotone per axis, so the hull lifts by the same formula as a cell
+        axes = list(zip(*self.groups)) or [(0,)] * d
+        self.lo: Tuple[int, ...] = tuple(map(min, axes))
+        self.hi: Tuple[int, ...] = tuple(map(max, axes))
         self.origin: Tuple[int, ...] = (0,) * d  # corner of the current grid
         # offset of the next level's blocks in current-level cell units
         self.shift: Tuple[int, ...] = (0,) * d
@@ -410,7 +423,7 @@ class _CoverRun:
     def all_in_single_cell(self) -> bool:
         # termination watches the input points, not the surviving ones:
         # deletions silence counting but pending labels must still ripen
-        return len(self.distinct) <= 1
+        return self.lo == self.hi
 
     def run(self) -> None:
         # keep going past the single-cube point while a yellow is still
@@ -429,30 +442,38 @@ class _CoverRun:
         rho, shift = self.rho, self.shift
         child_origin = self.origin
         self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(child_origin, shift))
+
         # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
-        up = {c: tuple([(ci - t) // rho for ci, t in zip(c, shift)]) for c in self.distinct}
-        self.cells = cells = [up[c] for c in self.cells]
-        self.distinct = set(up.values())
-        cell_pts: Dict[Tuple[int, ...], List[int]] = {}
-        for pid in self.active:
-            cell_pts.setdefault(cells[pid], []).append(pid)
+        def up(c: Tuple[int, ...]) -> Tuple[int, ...]:
+            return tuple([(ci - t) // rho for ci, t in zip(c, shift)])
+
+        self.lo, self.hi = up(self.lo), up(self.hi)
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for child, ids in self.groups.items():
+            cell = up(child)
+            merged = groups.get(cell)
+            if merged is None:
+                groups[cell] = ids
+            else:
+                merged += ids
+        self.groups = groups
         parent_specials: Dict[Tuple[int, ...], List[Tuple[IntBox, _CellInfo]]] = {}
         for child, info in self.states.items():
-            parent_specials.setdefault(
-                tuple([(ci - t) // rho for ci, t in zip(child, shift)]), []
-            ).append((self.cell_box(child, level - 1, child_origin), info))
+            parent_specials.setdefault(up(child), []).append(
+                (self.cell_box(child, level - 1, child_origin), info)
+            )
         # a cell with fewer than r points and no labelled subcell is A1 and
         # changes nothing, so only the busy cells are visited
-        busy = {c for c, pts in cell_pts.items() if len(pts) >= self.r}
+        busy = {c for c, ids in groups.items() if len(ids) >= self.r}
         busy.update(parent_specials)
-        ps.processed = len(cell_pts.keys() | parent_specials.keys())
+        ps.processed = len(groups.keys() | parent_specials.keys())
         if ps.processed > len(busy):
             ps.assigned[CubeState.A1] = ps.processed - len(busy)
         new_states: Dict[Tuple[int, ...], _CellInfo] = {}
         yellows: List[Tuple[int, ...]] = []
         new_blues: Set[Tuple[int, ...]] = set()
         for cell in sorted(busy):
-            pts = cell_pts.get(cell, [])
+            pts = groups.get(cell, [])
             info = self.process_cell(cell, level, pts, parent_specials.get(cell, []))
             ps.assigned[info.state] = ps.assigned.get(info.state, 0) + 1
             new_states[cell] = info
@@ -467,10 +488,7 @@ class _CoverRun:
         self.shift = t
         # step 4: permanent deletion inside yellow and newly blue cells
         for cell in set(yellows) | new_blues:
-            for pid in cell_pts.get(cell, ()):
-                if pid in self.active:
-                    del self.active[pid]
-                    ps.deleted += 1
+            ps.deleted += len(groups.pop(cell, ()))
         # step 5: unlabel yellows that did not land in central position
         for cell in yellows:
             if all((c - ti - 2 * self.kappa) % self.rho == 0 for c, ti in zip(cell, t)):
@@ -497,7 +515,7 @@ class _CoverRun:
         # unconstrained phase: align the blocks to the occupied range so
         # the levels keep coalescing (any fixed offset could leave a grid
         # plane between two point clusters forever)
-        return tuple(min(col) % self.rho for col in zip(*self.distinct))
+        return tuple(c % self.rho for c in self.lo)
 
     def process_cell(
         self,
@@ -546,7 +564,7 @@ class _CoverRun:
         # exactly one carrier subcell, no yellow
         if n >= (3**self.d - 1) * r:
             dbox = carriers[0]
-            coords = [tuple(x * self.rho for x in self.active[pid]) for pid in pts]
+            coords = [tuple(x * self.rho for x in self.points[pid]) for pid in pts]
             for cand in _complement_cubes(qbox, dbox):
                 cnt = sum(1 for p in coords if point_in_box_halfopen(p, cand))
                 if cnt >= r:
@@ -797,11 +815,12 @@ def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
     boxes = [c.box() for c in cubes]
     bad = _check_non_overlapping(boxes)
     if bad is not None:
-        raise OverlappingInput("cubes %d and %d overlap" % bad)
+        raise OverlappingInput(bad)
     if len(cubes) < 2:
         return ShiftGraph(len(cubes), [])
-    shift_bott = [shift_cube(bott(c, kappa)).box() for c in cubes]
-    bott_boxes = [bott(c, kappa).box() for c in cubes]
+    botts = [bott(c, kappa) for c in cubes]
+    bott_boxes = [b.box() for b in botts]
+    shift_bott = [shift_cube(b).box() for b in botts]
     shifts = [shift_cube(c).box() for c in cubes]
     pad = 1e-9
     cand = _overlap_candidates(_float_bounds(shift_bott, pad), _float_bounds(shifts, pad))
@@ -841,6 +860,12 @@ class VerificationReport:
     edges_ok: bool
     max_in_degree: int
     in_degree_ok: bool
+    # witnesses: a cube of largest in-degree (the lowest index; None
+    # without edges) with its ascending sources, and the first
+    # overlapping pair found (None when the cubes are disjoint)
+    max_in_target: Optional[int] = None
+    max_in_sources: List[int] = field(default_factory=list)
+    overlap_pair: Optional[Tuple[int, int]] = None
 
     @property
     def all_ok(self) -> bool:
@@ -883,16 +908,17 @@ def verify_cover(
     count_ok = (len(K) > bound) if precondition_met else True
 
     try:
-        graph, non_overlap_ok = build_shift_graph(K, kappa), True
-    except OverlappingInput:
-        graph, non_overlap_ok = ShiftGraph(len(K), []), False
+        graph, overlap_pair = build_shift_graph(K, kappa), None
+    except OverlappingInput as exc:
+        graph, overlap_pair = ShiftGraph(len(K), []), exc.pair
     in_deg = graph.in_degrees()
     max_in = max(in_deg) if in_deg else 0
+    target = in_deg.index(max_in) if max_in else None
 
     return VerificationReport(
         n=n,
         k_count=len(K),
-        non_overlap_ok=non_overlap_ok,
+        non_overlap_ok=overlap_pair is None,
         bott_ok=bott_ok,
         bott_failures=bott_failures,
         precondition_met=precondition_met,
@@ -902,4 +928,7 @@ def verify_cover(
         edges_ok=len(graph.edges) <= len(K),
         max_in_degree=max_in,
         in_degree_ok=max_in <= 1,
+        max_in_target=target,
+        max_in_sources=[i for i, j in graph.edges if j == target],
+        overlap_pair=overlap_pair,
     )

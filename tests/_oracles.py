@@ -4,7 +4,8 @@ These deliberately avoid the production code paths: the shift-graph
 oracle decides the corridor condition by exhaustive rational box
 subdivision, independently of the sweep in the library, and the
 cluster oracle maps directions exactly, independently of the float
-search in ``separate_to_orthogonal``.
+search in ``separate_to_orthogonal``.  Hand-built fixtures that more
+than one module checks live here too.
 """
 
 import itertools
@@ -100,6 +101,18 @@ def random_disjoint_cubes(rng, d, count, tries=400):
         if all(not boxes_overlap_interior(cand.box(), c.box()) for c in cubes):
             cubes.append(cand)
     return cubes
+
+
+# two small cubes hang just below the bottom face of a big one, so the
+# big cube's shift swallows both below-spills: in-degree 2 at cube 0.
+# The points put one in each bottom side-cube, so at r = 1 only the
+# degree bound fails.
+IN_DEGREE_TWO = [
+    FreeCube((F(0), F(0)), F(3)),
+    FreeCube((F(-1, 20), F(1, 2)), F(1, 20)),
+    FreeCube((F(-1, 20), F(2)), F(1, 20)),
+]
+IN_DEGREE_TWO_POINTS = [(F(1, 2), F(3, 2)), (F(-1, 25), F(21, 40)), (F(-1, 25), F(81, 40))]
 
 
 def random_rational_points(n, d, span, seed, denom=2**20):

@@ -24,7 +24,13 @@ from stlab.covering import (
     verify_cover,
 )
 
-from _oracles import oracle_shift_graph, random_disjoint_cubes, random_rational_points
+from _oracles import (
+    IN_DEGREE_TWO,
+    IN_DEGREE_TWO_POINTS,
+    oracle_shift_graph,
+    random_disjoint_cubes,
+    random_rational_points,
+)
 
 F = Fraction
 
@@ -82,6 +88,43 @@ def test_normalize_points():
         normalize_points([(F(1),), (F(1),)])
     single, _ = normalize_points([(F(7), F(2))])
     assert all(x.denominator != 1 for x in single[0])
+
+
+# exact outputs, so a wrong reduction or prime choice cannot pass: 1/2 and
+# 1/3 both put a coordinate of "half_third" on the lattice, and 1/2, 1/3
+# and 1/5 one of "seven"; "mixed" has mixed denominators and scale 3
+PINNED_NORMALIZE = {
+    "half_third": (
+        [(F(1, 2), F(2, 3)), (F(21, 2), F(32, 3))],
+        [(F(7, 10), F(13, 15)), (F(107, 10), F(163, 15))],
+        (F(1), F(1, 5)),
+    ),
+    "seven": (
+        [(F(1, 2),), (F(32, 3),), (F(104, 5),)],
+        [(F(9, 14),), (F(227, 21),), (F(733, 35),)],
+        (F(1), F(1, 7)),
+    ),
+    "mixed": (
+        [(F(1, 7), F(2, 5), F(3)), (F(4, 9), F(-1, 6), F(11, 4)), (F(0), F(5, 3), F(-7, 2))],
+        [(F(16, 21), F(23, 15), F(28, 3)), (F(5, 3), F(-1, 6), F(103, 12)),
+         (F(1, 3), F(16, 3), F(-61, 6))],
+        (F(3), F(1, 3)),
+    ),
+    "close": (
+        [(F(1, 10), F(0)), (F(0), F(1, 10)), (F(-3, 4), F(5, 6))],
+        [(F(8, 5), F(1, 2)), (F(1, 2), F(8, 5)), (F(-31, 4), F(29, 3))],
+        (F(11), F(1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NORMALIZE))
+def test_normalize_points_pinned(name):
+    pts, want, (scale, offset) = PINNED_NORMALIZE[name]
+    got, tr = normalize_points(pts)
+    assert got == want
+    assert (tr.scale, tr.offset) == (scale, offset)
+    assert [tr.invert(p) for p in got] == pts
 
 
 # -- the covering algorithm ----------------------------------------------------
@@ -272,6 +315,31 @@ def test_verify_cover_flags_bad_inputs():
     assert rep.bott_ok
     rep = verify_cover([outside, on_face], res, 1, 2)
     assert rep.bott_failures == [0]
+
+
+
+def test_verify_cover_names_witnesses():
+    from stlab.covering import CoverResult, CoverStats
+
+    assert oracle_shift_graph(IN_DEGREE_TWO, 1) == [(1, 0), (2, 0)]
+    res = CoverResult(IN_DEGREE_TWO, SignedPermutation.identity(2), CoverStats())
+    rep = verify_cover(IN_DEGREE_TWO_POINTS, res, 1, 1)
+    assert rep.bott_ok and rep.non_overlap_ok and not rep.in_degree_ok
+    assert (rep.max_in_degree, rep.max_in_target, rep.max_in_sources) == (2, 0, [1, 2])
+    assert rep.overlap_pair is None
+    # cubes 0 and 2 overlap, 1 is apart from both
+    k_overlap = [fc((0, 0), 2), fc((5, 5), 1), fc((1, 1), 2)]
+    with pytest.raises(OverlappingInput) as err:
+        build_shift_graph(k_overlap, kappa=1)
+    assert err.value.pair == (0, 2)
+    res = CoverResult(k_overlap, SignedPermutation.identity(2), CoverStats())
+    rep = verify_cover([(F(1, 2), F(1, 2))], res, 1, 1)
+    assert not rep.non_overlap_ok and rep.overlap_pair == (0, 2)
+    assert rep.max_in_target is None and rep.max_in_sources == []
+    # a sound cover carries no overlap witness
+    norm, _ = normalize_points([(F(0),), (F(3),)])
+    rep = verify_cover(norm, run_covering(norm, 1, 1, 1), 1, 1)
+    assert rep.all_ok and rep.overlap_pair is None
 
 
 def test_points_in_boxes_matches_brute_force():

@@ -124,7 +124,31 @@ def test_cli_cover_verify_cycle(tmp_path, capsys):
     assert main(["verify", "--cover", str(coverfile)]) == 0
     out = capsys.readouterr().out
     assert "non_overlap=True" in out and "bott=True" in out
+    assert "witness" not in out and len(out.splitlines()) == 1
     assert main(["shiftgraph", "--in", str(coverfile)]) == 0
+
+
+def test_cli_verify_cover_prints_witness(tmp_path, capsys):
+    from stlab.covering import CoverResult, CoverStats, FreeCube, SignedPermutation
+    from _oracles import IN_DEGREE_TWO, IN_DEGREE_TWO_POINTS
+
+    def verify(cubes, points):
+        path = tmp_path / "cover.txt"
+        res = CoverResult(cubes, SignedPermutation.identity(2), CoverStats())
+        fileio.write_atomic(str(path), fileio.dump_cover(points, res, 2, 1, 1))
+        code = main(["verify", "--cover", str(path)])
+        return code, capsys.readouterr().out.splitlines()
+
+    code, lines = verify(IN_DEGREE_TWO, IN_DEGREE_TWO_POINTS)
+    assert code == 1
+    assert lines == [
+        "cover: non_overlap=True bott=True count=True (precondition_met=False) "
+        "edges=2<=K=3 in_degree<=1=False",
+        "cover witness: cube 0 has in-degree 2 from cubes 1 2",
+    ]
+    overlap = [FreeCube((F(0), F(0)), F(2)), FreeCube((F(1), F(1)), F(2))]
+    code, lines = verify(overlap, [(F(1, 2), F(1, 2))])
+    assert code == 1 and lines[1:] == ["cover witness: cubes 0 and 1 overlap"]
 
 
 def test_cli_combine_and_verify(tmp_path, capsys):
