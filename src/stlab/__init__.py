@@ -52,12 +52,10 @@ from .covering import (
     FreeCube,
     ShiftGraph,
     SignedPermutation,
-    bott,
     build_shift_graph,
     normalize_points,
     run_covering,
     shift_cube,
-    side_cube,
     verify_cover,
 )
 from .regions import (

@@ -21,22 +21,25 @@ grouped by cell and the per-axis hull of all input points' cells; a
 phase lifts both once, so it costs O(occupied cells) and touches no
 point unless a busy cell needs its coordinates.
 
-Everything geometric is exact.  The run itself works on one integer
-grid in units of the level-0 cell side 1/rho, so every cell, green and
-selected box is a tuple of Python ints; Fractions appear only at its
-boundary, where a point is scaled onto the grid and where a selected
-cube is emitted as a FreeCube.  Floats appear only as conservative
-prefilters in the verifier, the point-in-box sweep and the shift-graph
-builder, and every float-positive candidate is re-checked exactly.
+Everything geometric is exact and works in Python ints.  The run uses
+one grid in units of the level-0 cell side 1/rho; Fractions appear only
+where a point is scaled onto it and a selected cube is emitted as a
+FreeCube.  The shift graph and the verifier scale the cube list once
+onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm of its
+denominators, compare int boxes there, and test a point against a box
+by cross-multiplying.  Floats appear only in prefilter sweeps, padded
+outward and saturating beyond float range, and every float-positive
+candidate is re-checked exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,6 +48,8 @@ from .exact import Rational, _frac
 Point = Tuple[Fraction, ...]
 Box = Tuple[Tuple[Fraction, Fraction], ...]  # per-axis closed [lo, hi]
 IntBox = Tuple[Tuple[int, int], ...]  # a box on the covering's integer grid
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class CoveringError(ValueError):
@@ -66,11 +71,6 @@ class OverlappingInput(CoveringError):
 
 
 # -- basic box algebra -------------------------------------------------------
-
-
-def box_from_corner(corner: Sequence[Rational], side: Rational) -> Box:
-    side = _frac(side)
-    return tuple((_frac(c), _frac(c) + side) for c in corner)
 
 
 def boxes_overlap_interior(a: Box, b: Box) -> bool:
@@ -113,26 +113,7 @@ class FreeCube:
         return len(self.corner)
 
     def box(self) -> Box:
-        return box_from_corner(self.corner, self.side)
-
-
-def side_cube(q: FreeCube, orientation: Tuple[int, int], kappa: int) -> FreeCube:
-    """The kappa-side-cube of q along the face given by (axis, sign).
-
-    Central scaling toward the face center with ratio 1/(2*kappa + 1):
-    the result hugs that face, centered laterally.
-    """
-    axis, sign = orientation
-    if sign not in (-1, 1) or not (0 <= axis < q.d):
-        raise InvalidParams("bad orientation %r" % (orientation,))
-    h = q.side / (2 * kappa + 1)
-    corner = list(q.corner)
-    for i in range(q.d):
-        if i == axis:
-            corner[i] = q.corner[i] if sign < 0 else q.corner[i] + q.side - h
-        else:
-            corner[i] = q.corner[i] + (q.side - h) / 2
-    return FreeCube(tuple(corner), h)
+        return tuple((c, c + self.side) for c in self.corner)
 
 
 def shift_cube(q: FreeCube) -> FreeCube:
@@ -140,10 +121,6 @@ def shift_cube(q: FreeCube) -> FreeCube:
     corner = list(q.corner)
     corner[0] = corner[0] - q.side / 10
     return FreeCube(tuple(corner), q.side)
-
-
-def bott(q: FreeCube, kappa: int) -> FreeCube:
-    return side_cube(q, (0, -1), kappa)
 
 
 # -- complement covers (cube minus nested cube) ------------------------------
@@ -246,10 +223,14 @@ def normalize_points(
     if len(pts) >= 2:
         from scipy.spatial import cKDTree
 
-        arr = np.array([[float(x) for x in p] for p in pts])
+        try:
+            arr = np.array([[float(x) for x in p] for p in pts])
+        except OverflowError:
+            raise InvalidParams("a coordinate lies beyond float range") from None
         dist, _ = cKDTree(arr).query(arr, k=2)
         dmin = float(dist[:, 1].min())
-        dlow2 = Fraction(dmin * dmin) * Fraction(1 - Fraction(1, 10**6))
+        # a squared distance past float range is far above d: scale 1 will do
+        dlow2 = Fraction(min(dmin * dmin, _FLOAT_MAX)) * Fraction(1 - Fraction(1, 10**6))
         if dlow2 <= 0:
             raise DuplicatePoints("nearest pair too close to separate")
         need = Fraction(d) / dlow2  # scale^2 must exceed d / dmin^2
@@ -387,18 +368,33 @@ class _CoverRun:
     least r surviving points or a labelled subcell, counting the rest as
     A1, so a phase costs O(occupied cells) and no per-point work."""
 
-    def __init__(self, points: List[Point], d: int, kappa: int, r: int):
+    def __init__(self, points: Sequence[Sequence[Rational]], d: int, kappa: int, r: int):
         self.d = d
         self.kappa = kappa
         self.r = r
-        self.rho = 4 * kappa + 1
-        self.m = self.rho**d
+        self.rho = rho = 4 * kappa + 1
+        self.m = rho**d
         self.points = points
-        # surviving point ids by current cell; a cell leaves when it empties
+        # surviving point ids by current cell; a cell leaves when it empties.
+        # The same pass validates: a non-rational raises _frac's TypeError,
+        # then dimension, duplicate (same level-0 cell) and integer checks run
         self.groups: Dict[Tuple[int, ...], List[int]] = {}
-        for pid, p in enumerate(points):
-            cell = tuple((x.numerator * self.rho) // x.denominator for x in p)
-            self.groups.setdefault(cell, []).append(pid)
+        integral = False
+        try:
+            for pid, p in enumerate(points):
+                cell = tuple([(x.numerator * rho) // x.denominator for x in p])
+                integral = integral or 1 in [x.denominator for x in p]
+                self.groups.setdefault(cell, []).append(pid)
+        except AttributeError:
+            [_frac(x) for p in points for x in p]  # raises its TypeError
+            raise
+        if any(len(cell) != d for cell in self.groups):
+            raise InvalidParams("point dimension mismatch")
+        for ids in self.groups.values():
+            if len(ids) > 1 and len({tuple(points[i]) for i in ids}) < len(ids):
+                raise DuplicatePoints("points must be distinct")
+        if integral:
+            raise InvalidParams("integer coordinate: input is not normalized")
         # per-axis least and greatest cell of all input points; lifting is
         # monotone per axis, so the hull lifts by the same formula as a cell
         axes = list(zip(*self.groups)) or [(0,)] * d
@@ -657,14 +653,7 @@ def run_covering(
     """
     if r < 1 or kappa < 1 or d < 1:
         raise InvalidParams("need r >= 1, kappa >= 1, d >= 1")
-    pts = [tuple(_frac(x) for x in p) for p in points]
-    if any(len(p) != d for p in pts):
-        raise InvalidParams("point dimension mismatch")
-    if len(set(pts)) != len(pts):
-        raise DuplicatePoints("points must be distinct")
-    if any(x.denominator == 1 for p in pts for x in p):
-        raise InvalidParams("integer coordinate: input is not normalized")
-    run = _CoverRun(pts, d, kappa, r)
+    run = _CoverRun(points, d, kappa, r)
     run.run()
     return run.result()
 
@@ -672,87 +661,124 @@ def run_covering(
 # -- shift graph --------------------------------------------------------------
 
 
-def _float_bounds(boxes: Sequence[Box], pad: float) -> np.ndarray:
-    # pad is relative: each bound moves outward by pad * (1 + |value|),
-    # which dominates the Fraction-to-float rounding error
-    arr = np.empty((len(boxes), len(boxes[0]), 2), dtype=float)
-    for i, b in enumerate(boxes):
-        for j, (lo, hi) in enumerate(b):
-            flo, fhi = float(lo), float(hi)
-            arr[i, j, 0] = flo - pad * (1.0 + abs(flo))
-            arr[i, j, 1] = fhi + pad * (1.0 + abs(fhi))
-    return arr
+class _Grid(NamedTuple):
+    """Per cube its box, bott, shifted bott and shifted box on the grid of step 1/scale."""
+
+    scale: int
+    boxes: List[IntBox]
+    botts: List[IntBox]
+    shifted_botts: List[IntBox]
+    shifts: List[IntBox]
 
 
-def _overlap_candidates(a: np.ndarray, b: np.ndarray):
+def _on_grid(cubes: Sequence[FreeCube], kappa: int) -> _Grid:
+    """Scale the cubes onto the grid of step 1/scale, scale = 10 (2 kappa + 1)
+    times the lcm of all their denominators: side/10, the bott side h =
+    side/(2 kappa + 1), its lateral offset kappa*h and h/10 are whole steps,
+    and box and bott faces, all a corridor test sees, are multiples of 10."""
+    w = 2 * kappa + 1
+    scale = 10 * w * math.lcm(*(x.denominator for c in cubes for x in (c.side, *c.corner)))
+    grid = _Grid(scale, [], [], [], [])
+    for c in cubes:
+        s = c.side.numerator * (scale // c.side.denominator)
+        lo = [x.numerator * (scale // x.denominator) for x in c.corner]
+        h = s // w
+        box = tuple([(x, x + s) for x in lo])
+        lat = tuple([(x + kappa * h, x + (kappa + 1) * h) for x in lo[1:]])
+        grid.boxes.append(box)
+        grid.botts.append(((lo[0], lo[0] + h),) + lat)
+        grid.shifted_botts.append(((lo[0] - h // 10, lo[0] + h - h // 10),) + lat)
+        grid.shifts.append(((lo[0] - s // 10, lo[0] + s - s // 10),) + box[1:])
+    return grid
+
+
+def _ratio(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded; beyond float range it
+    saturates at the largest float of its sign."""
+    try:
+        return num / den
+    except OverflowError:
+        return _FLOAT_MAX if num > 0 else -_FLOAT_MAX
+
+
+def _float_bounds(boxes: Sequence[IntBox], scale: int, pad: float) -> np.ndarray:
+    """Float boxes enclosing the grid boxes, as an (n, d, 2) array.
+
+    pad is relative: each bound moves outward by pad * (1 + |value|),
+    which dominates the rounding of value/scale.  Padding takes a
+    saturated bound to infinity on its outward side and keeps it finite,
+    short of the exact value, on its inward side.
+    """
+    flat = [_ratio(v, scale) for b in boxes for ax in b for v in ax]
+    arr = np.array(flat, dtype=float).reshape(len(boxes), -1, 2)
+    lo, hi = arr[:, :, 0], arr[:, :, 1]
+    with np.errstate(over="ignore"):
+        return np.stack((lo - pad * (1.0 + np.abs(lo)), hi + pad * (1.0 + np.abs(hi))), axis=-1)
+
+
+def _overlap_candidates(a: np.ndarray, b: np.ndarray) -> List[Tuple[int, int]]:
     """Index pairs whose padded float boxes overlap; superset of the truth.
 
-    Sweeps sorted first-axis intervals so the quadratic mask never
-    materializes; remaining axes are checked vectorized per window.
+    Sweeps sorted first-axis intervals: one vectorised searchsorted pair
+    finds every row's window of b, and only rows with a non-empty window
+    check the remaining axes, vectorised over that window.
     """
     order = np.argsort(b[:, 0, 0], kind="stable")
     b_lo0 = b[order, 0, 0]
     wmax = float((b[:, 0, 1] - b[:, 0, 0]).max()) if len(b) else 0.0
-    pairs = []
-    for i in range(a.shape[0]):
-        lo, hi = a[i, 0, 0], a[i, 0, 1]
-        j0 = np.searchsorted(b_lo0, lo - wmax, side="left")
-        j1 = np.searchsorted(b_lo0, hi, side="right")
-        if j0 >= j1:
-            continue
-        window = order[j0:j1]
+    j0 = np.searchsorted(b_lo0, a[:, 0, 0] - wmax, side="left")
+    j1 = np.searchsorted(b_lo0, a[:, 0, 1], side="right")
+    pairs: List[Tuple[int, int]] = []
+    for i in np.flatnonzero(j0 < j1).tolist():
+        window = order[j0[i] : j1[i]]
         sub = b[window]
-        ok = sub[:, 0, 1] > lo
+        ok = sub[:, 0, 1] > a[i, 0, 0]
         for ax in range(1, a.shape[1]):
             ok &= (sub[:, ax, 0] < a[i, ax, 1]) & (sub[:, ax, 1] > a[i, ax, 0])
-        for j in window[ok]:
-            pairs.append((i, int(j)))
+        pairs.extend((i, j) for j in window[ok].tolist())
     return pairs
 
 
-def _check_non_overlapping(boxes: List[Box]) -> Optional[Tuple[int, int]]:
-    if len(boxes) < 2:
-        return None
-    arr = _float_bounds(boxes, 1e-12)
-    for i, j in _overlap_candidates(arr, arr):
-        if i < j and boxes_overlap_interior(boxes[i], boxes[j]):
-            return (int(i), int(j))
-    return None
-
-
-def points_in_boxes(points: Sequence[Point], boxes: Sequence[Box]) -> List[List[int]]:
-    """For each box, the ascending ids of the points in it (closed).
+def points_in_boxes(
+    points: Sequence[Sequence[Rational]], boxes: Sequence[IntBox], scale: int
+) -> List[List[int]]:
+    """For each box on the grid of step 1/scale, the ascending ids of the
+    points in it (closed).
 
     A padded float sweep shortlists the candidates; each one is then
-    re-checked exactly.
+    re-checked exactly, lo*den <= num*scale <= hi*den on every axis.
     """
     inside: List[List[int]] = [[] for _ in boxes]
     if not points or not boxes:
         return inside
     # points need no pad of their own: the boxes' pad covers the rounding
-    # of both, and a point is a zero-width box
-    xs = np.array([[float(x) for x in p] for p in points], dtype=float)
-    for i, j in _overlap_candidates(_float_bounds(boxes, 1e-9), np.stack((xs, xs), axis=-1)):
-        if point_in_box_closed(points[j], boxes[i]):
+    # of both, and a point is a zero-width box; one beyond float range
+    # saturates inside the padded bounds of every box that holds it
+    flat = [_ratio(x.numerator, x.denominator) for p in points for x in p]
+    xs = np.array(flat, dtype=float).reshape(len(points), -1)
+    for i, j in _overlap_candidates(_float_bounds(boxes, scale, 1e-9), np.stack((xs, xs), axis=-1)):
+        if all(
+            lo * x.denominator <= x.numerator * scale <= hi * x.denominator
+            for x, (lo, hi) in zip(points[j], boxes[i])
+        ):
             inside[i].append(j)
     for ids in inside:
         ids.sort()
     return inside
 
 
-def _corridor_open(
-    base: List[Tuple[Fraction, Fraction]],
-    blockers: List[List[Tuple[Fraction, Fraction]]],
-) -> bool:
+def _corridor_open(base: List[Tuple[int, int]], blockers: List[List[Tuple[int, int]]]) -> bool:
     """Is any lateral point of base outside every (closed) blocker box?
 
     Exact decision by coordinate compression: the uncovered set changes
     only at blocker boundaries, so testing the critical coordinates and
-    the midpoints between consecutive ones decides emptiness.
+    the midpoints between consecutive ones decides emptiness.  The
+    coordinates are grid ints, multiples of 10 steps, so the midpoints
+    are exact.
     """
     if not base:  # one-dimensional ambient space: the corridor is a point
         return not blockers
-    axes_cands: List[List[Fraction]] = []
+    axes_cands: List[List[int]] = []
     for ax, (lo, hi) in enumerate(base):
         crit = {lo, hi}
         for bl in blockers:
@@ -764,7 +790,7 @@ def _corridor_open(
         vals = sorted(crit)
         cands = list(vals)
         for a, b in zip(vals, vals[1:]):
-            cands.append((a + b) / 2)
+            cands.append((a + b) // 2)
         axes_cands.append(sorted(cands))
     for combo in itertools.product(*axes_cands):
         if not any(
@@ -775,13 +801,11 @@ def _corridor_open(
     return False
 
 
-def _edge_condition2(
-    boxes: Sequence[Box], bott_boxes: Sequence[Box], i: int, j: int
-) -> bool:
+def _edge_condition2(grid: _Grid, i: int, j: int) -> bool:
     """A vertical segment from the bottom of bott(K[i]) to the top of K[j]
     avoiding every other cube of K."""
-    bi = bott_boxes[i]
-    bj = boxes[j]
+    bi = grid.botts[i]
+    bj = grid.boxes[j]
     base = []
     for ax in range(1, len(bi)):
         lo = max(bi[ax][0], bj[ax][0])
@@ -792,7 +816,7 @@ def _edge_condition2(
     seg_lo = min(bi[0][0], bj[0][1])
     seg_hi = max(bi[0][0], bj[0][1])
     blockers = []
-    for t, cb in enumerate(boxes):
+    for t, cb in enumerate(grid.boxes):
         if t in (i, j):
             continue
         if cb[0][1] < seg_lo or cb[0][0] > seg_hi:
@@ -804,6 +828,38 @@ def _edge_condition2(
     return _corridor_open(base, blockers)
 
 
+def _shift_graph(grid: _Grid) -> ShiftGraph:
+    """The shift graph of the cubes behind grid; see build_shift_graph."""
+    k = len(grid.boxes)
+    if k < 2:
+        return ShiftGraph(k, [])
+    arr = _float_bounds(grid.boxes, grid.scale, 1e-12)
+    for i, j in _overlap_candidates(arr, arr):
+        if i < j and boxes_overlap_interior(grid.boxes[i], grid.boxes[j]):
+            raise OverlappingInput((i, j))
+    pad = 1e-9
+    cand = _overlap_candidates(
+        _float_bounds(grid.shifted_botts, grid.scale, pad),
+        _float_bounds(grid.shifts, grid.scale, pad),
+    )
+    survivors = []
+    for i, j in cand:
+        if i == j:
+            continue
+        inter = box_intersection(grid.shifted_botts[i], grid.shifts[j])
+        if any(lo >= hi for lo, hi in inter):
+            continue
+        # spill outside bott(Q1): the open intersection must not sit inside it
+        if all(
+            bl <= lo and hi <= bh
+            for (lo, hi), (bl, bh) in zip(inter, grid.botts[i])
+        ):
+            continue
+        survivors.append((i, j))
+    edges = [(i, j) for i, j in survivors if _edge_condition2(grid, i, j)]
+    return ShiftGraph(k, sorted(edges))
+
+
 def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
     """Exact shift graph of a family of non-overlapping cubes.
 
@@ -811,36 +867,7 @@ def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
     of Q1 meets shift(Q2) in a common interior point and an unblocked
     vertical segment joins bott(Q1) to the top of Q2.
     """
-    cubes = list(k)
-    boxes = [c.box() for c in cubes]
-    bad = _check_non_overlapping(boxes)
-    if bad is not None:
-        raise OverlappingInput(bad)
-    if len(cubes) < 2:
-        return ShiftGraph(len(cubes), [])
-    botts = [bott(c, kappa) for c in cubes]
-    bott_boxes = [b.box() for b in botts]
-    shift_bott = [shift_cube(b).box() for b in botts]
-    shifts = [shift_cube(c).box() for c in cubes]
-    pad = 1e-9
-    cand = _overlap_candidates(_float_bounds(shift_bott, pad), _float_bounds(shifts, pad))
-    survivors = []
-    for i, j in cand:
-        i, j = int(i), int(j)
-        if i == j:
-            continue
-        inter = box_intersection(shift_bott[i], shifts[j])
-        if any(lo >= hi for lo, hi in inter):
-            continue
-        # spill outside bott(Q1): the open intersection must not sit inside it
-        if all(
-            bl <= lo and hi <= bh
-            for (lo, hi), (bl, bh) in zip(inter, bott_boxes[i])
-        ):
-            continue
-        survivors.append((i, j))
-    edges = [(i, j) for i, j in survivors if _edge_condition2(boxes, bott_boxes, i, j)]
-    return ShiftGraph(len(cubes), sorted(edges))
+    return _shift_graph(_on_grid(list(k), kappa))
 
 
 # -- verification --------------------------------------------------------------
@@ -892,14 +919,14 @@ def verify_cover(
     when its precondition r <= n / (4 rho^(2d)) holds; the report
     records whether it did.
     """
-    pts = [tuple(_frac(x) for x in p) for p in points]
-    n = len(pts)
+    n = len(points)
     K = result.K
-    d = len(pts[0]) if pts else (K[0].d if K else 1)
+    d = len(points[0]) if points else (K[0].d if K else 1)
     rho = 4 * kappa + 1
 
+    grid = _on_grid(K, kappa)
     back = result.axis_map.inverse()
-    inside = points_in_boxes(pts, [back.apply_box(bott(c, kappa).box()) for c in K])
+    inside = points_in_boxes(points, [back.apply_box(b) for b in grid.botts], grid.scale)
     bott_failures = [i for i, ids in enumerate(inside) if len(ids) < r]
     bott_ok = not bott_failures
 
@@ -908,7 +935,7 @@ def verify_cover(
     count_ok = (len(K) > bound) if precondition_met else True
 
     try:
-        graph, overlap_pair = build_shift_graph(K, kappa), None
+        graph, overlap_pair = _shift_graph(grid), None
     except OverlappingInput as exc:
         graph, overlap_pair = ShiftGraph(len(K), []), exc.pair
     in_deg = graph.in_degrees()

@@ -34,11 +34,12 @@ from .covering import (
     FreeCube,
     InvalidParams,
     SignedPermutation,
-    bott,
+    _on_grid,
+    _shift_graph,
     box_intersection,
     boxes_overlap_interior,
-    build_shift_graph,
     normalize_points,
+    point_in_box_closed,
     point_in_box_open,
     points_in_boxes,
     run_covering,
@@ -208,13 +209,14 @@ def combine(
     amap = cover.axis_map
     work_pts = [amap.apply_point(p) for p in normalized]
 
-    graph = build_shift_graph(cover.K, kappa=1)
+    grid = _on_grid(cover.K, 1)
+    graph = _shift_graph(grid)
     out_deg = graph.out_degrees()
     succ: Dict[int, int] = {a: b for a, b in graph.edges}
 
     assignments: List[RegionAssignment] = []
     n0 = n1 = 0
-    bott_pts = points_in_boxes(work_pts, [bott(c, 1).box() for c in cover.K])
+    bott_pts = points_in_boxes(work_pts, grid.botts, grid.scale)
     for qi, cube in enumerate(cover.K):
         if out_deg[qi] > 1:
             continue
@@ -231,14 +233,7 @@ def combine(
             best_cell = None
             best_ids: List[int] = []
             for cell in _lateral_cells(lat_q1, lat_q2):
-                ids = [
-                    i
-                    for i in inside
-                    if all(
-                        lo <= work_pts[i][ax + 1] <= hi
-                        for ax, (lo, hi) in enumerate(cell)
-                    )
-                ]
+                ids = [i for i in inside if point_in_box_closed(work_pts[i][1:], cell)]
                 if len(ids) >= r and len(ids) > len(best_ids):
                     best_cell, best_ids = cell, ids
             if best_cell is None:

@@ -14,10 +14,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from stlab.covering import FreeCube, bott, boxes_overlap_interior, shift_cube
+from stlab.covering import FreeCube, boxes_overlap_interior, shift_cube
 from stlab.directions import _angle_deg, apply_mobius, to_sphere
 
 F = Fraction
+
+
+def oracle_bott(q, kappa):
+    """The bottom kappa-side-cube of q in Fractions: side/(2 kappa + 1),
+    on the face x0 = corner[0], centred laterally."""
+    h = q.side / (2 * kappa + 1)
+    return FreeCube((q.corner[0],) + tuple(c + (q.side - h) / 2 for c in q.corner[1:]), h)
 
 
 def oracle_corridor_open(base, blockers):
@@ -51,8 +58,8 @@ def oracle_shift_graph(cubes, kappa):
         for j, q2 in enumerate(cubes):
             if i == j:
                 continue
-            a = shift_cube(bott(q1, kappa)).box()
-            bb = bott(q1, kappa).box()
+            a = shift_cube(oracle_bott(q1, kappa)).box()
+            bb = oracle_bott(q1, kappa).box()
             s2 = shift_cube(q2).box()
             inter = tuple(
                 (max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, s2)
@@ -103,6 +110,36 @@ def random_disjoint_cubes(rng, d, count, tries=400):
     return cubes
 
 
+MIXED_DENOMINATORS = (3, 7, 9, 2, 4, 8, 16, 32)
+
+
+def random_mixed_cubes(rng, d, count, kappa, tries=400):
+    """Disjoint cubes whose corners and sides mix the denominators 3, 7,
+    9 and 2^k.  Every other cube tries to perch just below the bottom
+    side-cube of an earlier one, close enough for a shift-graph edge at
+    this kappa (some touch it, some sit past the reach of the shift)."""
+    cubes = []
+    attempt = 0
+    while len(cubes) < count and attempt < tries:
+        attempt += 1
+        if cubes and rng.random() < 0.5:
+            q = rng.choice(cubes)
+            h = q.side / (2 * kappa + 1)
+            side = h * F(rng.randint(1, 6), rng.choice(MIXED_DENOMINATORS[:3]))
+            gap = (h - side) / 10 * F(rng.randint(0, 12), 9)
+            lat = tuple(
+                c + kappa * h - side / 2 + h * F(rng.randint(0, 8), 8) for c in q.corner[1:]
+            )
+            cand = FreeCube((q.corner[0] - gap - side,) + lat, side)
+        else:
+            den = rng.choice(MIXED_DENOMINATORS)
+            side = F(rng.randint(1, 6 * den), rng.choice(MIXED_DENOMINATORS))
+            cand = FreeCube(tuple(F(rng.randint(-12 * den, 12 * den), den) for _ in range(d)), side)
+        if all(not boxes_overlap_interior(cand.box(), c.box()) for c in cubes):
+            cubes.append(cand)
+    return cubes
+
+
 # two small cubes hang just below the bottom face of a big one, so the
 # big cube's shift swallows both below-spills: in-degree 2 at cube 0.
 # The points put one in each bottom side-cube, so at r = 1 only the
@@ -137,3 +174,24 @@ def oracle_cluster_stats(dirs, m):
     center = center / nrm if nrm >= 1e-12 else arr[0]
     diam = max((_angle_deg(u, w) for u, w in itertools.combinations(arr, 2)), default=0.0)
     return center, diam
+
+
+# the cubes behind the two in-degree witnesses that perfbench/known_defect.py
+# rebuilds, in the covers' work frame (both axis maps are the identity):
+# the sources first, the target last.  No other cube of either cover
+# blocks a corridor between them, so these alone keep the defect.
+KNOWN_DEFECT_WITNESSES = [
+    # n = 1400, r = 4: cube 10 from cubes 7, 8 and 9 (K = 11)
+    [
+        FreeCube((F(8593861), F(781350)), F(1171875)),
+        FreeCube((F(8593861), F(2734475)), F(1171875)),
+        FreeCube((F(8593861), F(8593850)), F(1171875)),
+        FreeCube((F(9765736), F(-9374900)), F(29296875)),
+    ],
+    # n = 5000, r = 2: cube 40 from cubes 4 and 8 (K = 65)
+    [
+        FreeCube((F(6554410), F(1835072)), F(1875)),
+        FreeCube((F(6553160), F(2159447)), F(9375)),
+        FreeCube((F(6640660), F(1406322)), F(1171875)),
+    ],
+]

@@ -15,7 +15,7 @@ from _oracles import (
     random_rational_points,
 )
 
-from stlab.covering import bott, build_shift_graph, normalize_points, run_covering, verify_cover
+from stlab.covering import build_shift_graph, normalize_points, run_covering, verify_cover
 from stlab.diagnostics import (
     ARC_A1,
     balance_lambda,

@@ -1,18 +1,24 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stlab.covering import (
+    CoverResult,
+    CoverStats,
     DuplicatePoints,
     FreeCube,
     InvalidParams,
+    NormalizeTransform,
     OverlappingInput,
     SignedPermutation,
     _complement_cubes,
-    bott,
+    _float_bounds,
+    _on_grid,
     boxes_overlap_interior,
     build_shift_graph,
     normalize_points,
@@ -20,15 +26,17 @@ from stlab.covering import (
     points_in_boxes,
     run_covering,
     shift_cube,
-    side_cube,
     verify_cover,
 )
 
 from _oracles import (
     IN_DEGREE_TWO,
     IN_DEGREE_TWO_POINTS,
+    KNOWN_DEFECT_WITNESSES,
+    oracle_bott,
     oracle_shift_graph,
     random_disjoint_cubes,
+    random_mixed_cubes,
     random_rational_points,
 )
 
@@ -38,16 +46,29 @@ F = Fraction
 # -- cube primitives ----------------------------------------------------------
 
 
-def test_side_cube_examples():
+def test_grid_boxes_examples():
+    # the unit cube at kappa 1: bott is the middle third of the bottom
+    # face, shifted down by a tenth of its own side; the grid step is 1/30
     unit = FreeCube((F(0), F(0), F(0)), F(1))
-    b = side_cube(unit, (0, -1), 1)
-    assert b.side == F(1, 3)
-    assert b.corner == (F(0), F(1, 3), F(1, 3))
-    assert side_cube(b, (0, -1), 1).side == F(1, 9)
-    s = shift_cube(unit)
-    assert s.corner == (F(-1, 10), F(0), F(0))
-    top = side_cube(unit, (0, 1), 1)
-    assert top.corner[0] == F(2, 3)
+    grid = _on_grid([unit], 1)
+    assert grid.scale == 30
+    assert grid.boxes == [((0, 30),) * 3]
+    assert grid.botts == [((0, 10), (10, 20), (10, 20))]
+    assert grid.shifted_botts == [((-1, 9), (10, 20), (10, 20))]
+    assert grid.shifts == [((-3, 27), (0, 30), (0, 30))]
+    assert shift_cube(unit).corner == (F(-1, 10), F(0), F(0))
+    # mixed denominators and kappa 2: every box is the Fraction one,
+    # scaled, and the faces a corridor test sees are multiples of 10 steps
+    cubes = [FreeCube((F(1, 3), F(-2, 7)), F(5, 9)), FreeCube((F(3, 8), F(1)), F(1, 2))]
+    grid = _on_grid(cubes, 2)
+    assert grid.scale == 10 * 5 * 504
+    for k, c in enumerate(cubes):
+        b = oracle_bott(c, 2)
+        want = (c.box(), b.box(), shift_cube(b).box(), shift_cube(c).box())
+        got = (grid.boxes[k], grid.botts[k], grid.shifted_botts[k], grid.shifts[k])
+        for w, g in zip(want, got):
+            assert tuple((F(lo, grid.scale), F(hi, grid.scale)) for lo, hi in g) == w
+        assert all(v % 10 == 0 for g in got[:2] for ax in g for v in ax)
 
 
 def test_complement_cover_1d():
@@ -88,6 +109,13 @@ def test_normalize_points():
         normalize_points([(F(1),), (F(1),)])
     single, _ = normalize_points([(F(7), F(2))])
     assert all(x.denominator != 1 for x in single[0])
+    # the k-d tree needs floats: a coordinate beyond float range is refused
+    with pytest.raises(InvalidParams, match="float range"):
+        normalize_points([(F(10**400, 3),), (F(1, 7),)])
+    # far apart inside float range, the squared distance overflows, and
+    # scale 1 already separates the points
+    _, tr = normalize_points([(F(0),), (F(10**200),)])
+    assert tr == NormalizeTransform(F(1), F(1, 2))
 
 
 # exact outputs, so a wrong reduction or prime choice cannot pass: 1/2 and
@@ -137,6 +165,59 @@ def test_run_covering_rejects_bad_params():
         run_covering([(F(1, 2),)], 1, 0, 1)
     with pytest.raises(InvalidParams):
         run_covering([(F(1),)], 1, 1, 1)  # integer coordinate
+    half, third = F(1, 2), F(1, 3)
+    with pytest.raises(DuplicatePoints):
+        run_covering([(half, third), (F(7, 2), third), (half, third)], 2, 1, 1)
+    with pytest.raises(InvalidParams, match="dimension"):
+        run_covering([(half, third), (half,)], 2, 1, 1)
+    with pytest.raises(InvalidParams, match="dimension"):
+        run_covering([(half,), (half,)], 2, 1, 1)
+    # several faults: the type comes first, then the dimension, then a
+    # duplicate, then an integer coordinate
+    with pytest.raises(TypeError):
+        run_covering([(half, third, half), (0.5, third)], 2, 1, 1)
+    with pytest.raises(InvalidParams, match="dimension"):
+        run_covering([(F(1), third), (half,), (half,)], 2, 1, 1)
+    with pytest.raises(DuplicatePoints):
+        run_covering([(F(1), third), (half, third), (half, third)], 2, 1, 1)
+
+
+def test_verifier_beyond_float_range():
+    # one cube 10^400 up the first axis: its float bounds overflow, and the
+    # verifier must still answer exactly
+    big = 10**400
+    cubes = [fc((big, 0), 1), fc((0, 0), 1)]
+    pts = [(big + F(1, 6), F(1, 2)), (F(1, 6), F(1, 2)), (big + F(1, 3), F(2, 3)),
+           (big - F(1, 10**9), F(1, 2)), (-big, F(1, 2))]
+    res = CoverResult(cubes, SignedPermutation.identity(2), CoverStats())
+    assert build_shift_graph(cubes, 1).edges == []
+    rep = verify_cover(pts, res, 1, 1)
+    assert rep.all_ok and rep.bott_failures == []
+    assert verify_cover(pts, res, 1, 2).bott_failures == [1]
+    # a small cube just below the far one: the far cube's shift swallows its spill
+    perched = cubes + [fc((big - F(1, 20), F(1, 2)), F(1, 100))]
+    assert build_shift_graph(perched, 1).edges == oracle_shift_graph(perched, 1) == [(2, 0)]
+    with pytest.raises(OverlappingInput) as err:
+        build_shift_graph(cubes + [fc((big + F(1, 2), F(1, 2)), 1)], 1)
+    assert err.value.pair == (0, 2)
+    # the negative side, on a grid of step 1/10: boxes reaching past float
+    # range, and two that end a tenth before -10^400 or start on it
+    boxes = [((-20 * big, 10 * big), (0, 30 * big)), ((-10 * big - 10, -10 * big - 1), (0, 10)),
+             ((-10 * big, -10 * big + 1), (0, 10))]
+    assert points_in_boxes([(-big, F(1, 2)), (F(1, 2), F(1, 2))], boxes, 10) == [[0, 1], [], [0]]
+
+
+def test_float_bounds_enclose_values_beyond_float_range():
+    big = 10**400
+    boxes = [((-big, big),), ((big, big + 1),), ((-big - 1, -big),), ((1, 3),)]
+    arr = _float_bounds(boxes, 2, 1e-9)
+    assert not np.isnan(arr).any()
+    for (lo, hi), (flo, fhi) in zip((b[0] for b in boxes), arr[:, 0]):
+        assert flo == -math.inf or F(flo) <= F(lo, 2)
+        assert fhi == math.inf or F(fhi) >= F(hi, 2)
+    # the inward bounds of the far boxes stay finite, on the right side of 0
+    assert 0 < arr[1, 0, 0] < math.inf and -math.inf < arr[2, 0, 1] < 0
+    assert arr[0, 0].tolist() == [-math.inf, math.inf]
 
 
 def test_two_point_cluster_d1():
@@ -148,7 +229,7 @@ def test_two_point_cluster_d1():
     for cube in res.K:
         inside = sum(
             1 for p in norm if point_in_box_closed(
-                tuple(res.axis_map.apply_point(p)), bott(cube, 1).box())
+                tuple(res.axis_map.apply_point(p)), oracle_bott(cube, 1).box())
         )
         assert inside >= 1
 
@@ -280,20 +361,29 @@ def test_shift_graph_rejects_overlap():
         build_shift_graph([fc((0, 0), 2), fc((1, 1), 2)], kappa=1)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_shift_graph_matches_oracle(d):
+    # half-integer families, then families mixing the denominators 3, 7, 9
+    # and 2^k with cubes perched in reach of a shift, so the grid's lcm
+    # and its 2 kappa + 1 factor both matter
+    edges = 0
     for seed in range(16):
         rng = random.Random(1000 * d + seed)
         cubes = random_disjoint_cubes(rng, d, rng.randint(2, 8 if d < 4 else 6))
         got = build_shift_graph(cubes, kappa=1)
         assert sorted(got.edges) == oracle_shift_graph(cubes, 1)
         assert len(got.edges) <= len(cubes)
+        for kappa in (1, 2):
+            assert build_shift_graph(cubes, kappa).edges == oracle_shift_graph(cubes, kappa)
+            mixed = random_mixed_cubes(rng, d, rng.randint(2, 8 if d < 4 else 6), kappa)
+            got = build_shift_graph(mixed, kappa)
+            assert got.edges == oracle_shift_graph(mixed, kappa)
+            edges += len(got.edges)
+    assert edges >= 30
 
 
 def test_verify_cover_flags_bad_inputs():
     # hand-built overlap
-    from stlab.covering import CoverResult, CoverStats
-
     k_overlap = [fc((0, 0), 2), fc((1, 1), 2)]
     res = CoverResult(k_overlap, SignedPermutation.identity(2), CoverStats())
     rep = verify_cover([(F(1, 2), F(1, 2))], res, 1, 1)
@@ -319,8 +409,6 @@ def test_verify_cover_flags_bad_inputs():
 
 
 def test_verify_cover_names_witnesses():
-    from stlab.covering import CoverResult, CoverStats
-
     assert oracle_shift_graph(IN_DEGREE_TWO, 1) == [(1, 0), (2, 0)]
     res = CoverResult(IN_DEGREE_TWO, SignedPermutation.identity(2), CoverStats())
     rep = verify_cover(IN_DEGREE_TWO_POINTS, res, 1, 1)
@@ -342,6 +430,56 @@ def test_verify_cover_names_witnesses():
     assert rep.all_ok and rep.overlap_pair is None
 
 
+def test_verify_cover_bott_failures_match_brute_force():
+    # kappa 2 under every signed axis map but the identity; many points sit
+    # on a face of a bottom side-cube or a millionth past it
+    rng = random.Random(12)
+    tiny = F(1, 10**6)
+    for d in (2, 3):
+        maps = [
+            SignedPermutation(perm, signs)
+            for perm in itertools.permutations(range(d))
+            for signs in itertools.product((-1, 1), repeat=d)
+        ][1:]
+        for amap in maps:
+            cubes = random_mixed_cubes(rng, d, 6, 2)
+            botts = [oracle_bott(c, 2).box() for c in cubes]
+            back = amap.inverse()
+            pts = set()
+            for b in botts:
+                for _ in range(rng.randint(0, 4)):
+                    y = tuple(
+                        rng.choice((lo, hi, (lo + hi) / 2, lo - tiny, hi + tiny)) for lo, hi in b
+                    )
+                    pts.add(back.apply_point(y))
+            pts = sorted(pts)
+            res = CoverResult(cubes, amap, CoverStats())
+            counts = [
+                sum(point_in_box_closed(amap.apply_point(p), b) for p in pts) for b in botts
+            ]
+            for r in (1, 2, 3):
+                rep = verify_cover(pts, res, 2, r)
+                assert rep.bott_failures == [i for i, c in enumerate(counts) if c < r]
+
+
+def test_verify_cover_names_known_defect_witnesses():
+    # each fixture lists the sources first and the over-full target last
+    for cubes in KNOWN_DEFECT_WITNESSES:
+        target = len(cubes) - 1
+        sources = list(range(target))
+        pts = [
+            tuple(x + b.side / 2 for x in b.corner) for b in (oracle_bott(c, 1) for c in cubes)
+        ]
+        res = CoverResult(cubes, SignedPermutation.identity(2), CoverStats())
+        rep = verify_cover(pts, res, 1, 1)
+        assert rep.non_overlap_ok and rep.bott_ok and not rep.in_degree_ok
+        assert (rep.max_in_degree, rep.max_in_target, rep.max_in_sources) == (
+            target, target, sources)
+        edges = oracle_shift_graph(cubes, 1)
+        assert [i for i, j in edges if j == target] == sources
+        assert build_shift_graph(cubes, 1).edges == edges
+
+
 def test_points_in_boxes_matches_brute_force():
     # coordinates on a grid of quarters, so many points sit on box faces
     rng = random.Random(5)
@@ -349,11 +487,12 @@ def test_points_in_boxes_matches_brute_force():
         pts = [tuple(F(rng.randint(-8, 8), 4) for _ in range(d)) for _ in range(60)]
         boxes = []
         for _ in range(12):
-            lo = [F(rng.randint(-8, 6), 4) for _ in range(d)]
-            boxes.append(tuple((a, a + F(rng.randint(0, 4), 4)) for a in lo))
-        want = [[i for i, p in enumerate(pts) if point_in_box_closed(p, b)] for b in boxes]
-        assert points_in_boxes(pts, boxes) == want
-    assert points_in_boxes([], boxes) == [[]] * len(boxes)
+            lo = [rng.randint(-8, 6) for _ in range(d)]
+            boxes.append(tuple((a, a + rng.randint(0, 4)) for a in lo))
+        quarters = [[(F(lo, 4), F(hi, 4)) for lo, hi in b] for b in boxes]
+        want = [[i for i, p in enumerate(pts) if point_in_box_closed(p, q)] for q in quarters]
+        assert points_in_boxes(pts, boxes, 4) == want
+    assert points_in_boxes([], boxes, 4) == [[]] * len(boxes)
 
 
 def test_signed_permutation_inverse_round_trip():

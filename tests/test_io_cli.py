@@ -151,6 +151,24 @@ def test_cli_verify_cover_prints_witness(tmp_path, capsys):
     assert code == 1 and lines[1:] == ["cover witness: cubes 0 and 1 overlap"]
 
 
+def test_cli_cover_beyond_float_range(tmp_path, capsys):
+    # a cube 10^400 up the first axis, written out in full, next to a unit
+    # cube; one point in each bottom side-cube
+    big = 10**400
+    path = tmp_path / "cover.txt"
+    path.write_text(
+        "stlab cover 1\ndim 2\nkappa 1\nr 1\naxismap 0 1 1 1\n"
+        "p %d/6 1/2\np 1/6 1/2\ncube %d 0 1\ncube 0 0 1\n" % (6 * big + 1, big)
+    )
+    assert main(["shiftgraph", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "nodes=2 edges=0\n"
+    assert main(["verify", "--cover", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "cover: non_overlap=True bott=True count=True (precondition_met=False) "
+        "edges=0<=K=2 in_degree<=1=True\n"
+    )
+
+
 def test_cli_combine_and_verify(tmp_path, capsys):
     bundlefile = tmp_path / "bundle.txt"
     assert (
@@ -273,13 +291,14 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["verify", "--regions", "REG", "--bundle", "BUN", "--margin", "-1"], "margin must"),
         (["verify", "--regions", "HALF", "--bundle", "BUN"], "halfspace"),
         (["dirs", "cover-sphere", "--delta", "0.01"], "cover centers"),
+        (["cover", "--dim", "1", "--in", "BIG"], "float range"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
         "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point", "check-samples-negative",
         "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
         "c-rich-nan", "margin-zero-denominator", "margin-negative",
-        "halfspace-record", "delta-too-many-centers",
+        "halfspace-record", "delta-too-many-centers", "cover-beyond-float-range",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
@@ -290,6 +309,7 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
         # regions are unions of boxes, so a halfspace record is bad input
         "HALF": fileio.dump_regions([], 1) + "region\nhalfspace 1 0 0 0 1/2\npoints 0\n",
         "BUN": "stlab bundle 1\n" + BUNDLE_27,
+        "BIG": "stlab points 1\ndim 1\np %d/3\np 1/7\n" % 10**400,
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
