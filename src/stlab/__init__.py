@@ -55,7 +55,6 @@ from .covering import (
     build_shift_graph,
     normalize_points,
     run_covering,
-    shift_cube,
     verify_cover,
 )
 from .regions import (

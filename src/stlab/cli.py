@@ -230,6 +230,20 @@ def _cover_witness(rep) -> str:
     return "K=%d does not exceed the count bound %.6g" % (rep.k_count, rep.count_bound)
 
 
+def _regions_witness(rep) -> str:
+    """One line naming the first failed region guarantee and its witness."""
+    if rep.overlap_witness is not None:
+        return "regions %d and %d overlap" % rep.overlap_witness
+    chk = next(c for c in rep.checks if not (c.size_ok and c.interior_ok and not c.pair_failures))
+    if not chk.size_ok:
+        return "region %d does not hold exactly r=%d anchors" % (chk.region_index, rep.r)
+    if not chk.interior_ok:
+        return "region %d has an anchor outside its interior" % chk.region_index
+    return "region %d: no mixed crossing family of anchors %d and %d lies inside" % (
+        (chk.region_index,) + chk.pair_failures[0]
+    )
+
+
 def cmd_verify(args) -> int:
     if args.regions and not args.bundle:
         raise fileio.FormatError("--regions needs --bundle")
@@ -266,6 +280,7 @@ def cmd_verify(args) -> int:
             % (rep.disjoint_ok, rep.all_ok, len(rep.checks))
         )
         if not rep.all_ok:
+            print("regions witness: %s" % _regions_witness(rep))
             failures += 1
     if args.system:
         pts, lines = _load_system(args.system)

@@ -22,21 +22,23 @@ phase lifts both once, so it costs O(occupied cells) and touches no
 point unless a busy cell needs its coordinates.
 
 Everything geometric is exact and works in Python ints.  The run uses
-one grid in units of the level-0 cell side 1/rho; Fractions appear only
-where a point is scaled onto it and a selected cube is emitted as a
-FreeCube.  The shift graph and the verifier scale the cube list once
-onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm of its
-denominators, compare int boxes there, and test a point against a box
-by cross-multiplying.  Floats appear only in prefilter sweeps, padded
-outward and saturating beyond float range, and every float-positive
-candidate is re-checked exactly.
+one grid in units of the level-0 cell side 1/rho and places a point by
+its cell floor(x rho); Fractions appear only where a selected cube is
+emitted as a FreeCube.  The shift graph and the verifier scale the cube
+list once onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm
+of its denominators, and compare int boxes there.  One sweep over
+first-axis faces shortlists the box pairs that meet; a point enters it
+by its cell floor(x0 D) and is then tested against a box by
+cross-multiplying.  Floats appear only in normalize_points' k-d tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -46,10 +48,7 @@ import numpy as np
 from .exact import Rational, _frac
 
 Point = Tuple[Fraction, ...]
-Box = Tuple[Tuple[Fraction, Fraction], ...]  # per-axis closed [lo, hi]
-IntBox = Tuple[Tuple[int, int], ...]  # a box on the covering's integer grid
-
-_FLOAT_MAX = sys.float_info.max
+IntBox = Tuple[Tuple[int, int], ...]  # per-axis closed [lo, hi] on an integer grid
 
 
 class CoveringError(ValueError):
@@ -73,26 +72,15 @@ class OverlappingInput(CoveringError):
 # -- basic box algebra -------------------------------------------------------
 
 
-def boxes_overlap_interior(a: Box, b: Box) -> bool:
+def boxes_overlap_interior(a: IntBox, b: IntBox) -> bool:
+    """Do the open boxes meet?  Any ordered coordinates will do."""
     return all(max(la, lb) < min(ha, hb) for (la, ha), (lb, hb) in zip(a, b))
 
 
-def box_intersection(a: Box, b: Box) -> Box:
+def box_intersection(a: IntBox, b: IntBox) -> IntBox:
     """Per-axis overlap of a and b; some axis has lo >= hi when the
     interiors are disjoint."""
     return tuple((max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, b))
-
-
-def point_in_box_halfopen(p: Point, b: Box) -> bool:
-    return all(lo <= x < hi for x, (lo, hi) in zip(p, b))
-
-
-def point_in_box_closed(p: Point, b: Box) -> bool:
-    return all(lo <= x <= hi for x, (lo, hi) in zip(p, b))
-
-
-def point_in_box_open(p: Point, b: Box, margin: Rational = Fraction(0)) -> bool:
-    return all(lo + margin < x < hi - margin for x, (lo, hi) in zip(p, b))
 
 
 @dataclass(frozen=True)
@@ -112,27 +100,20 @@ class FreeCube:
     def d(self) -> int:
         return len(self.corner)
 
-    def box(self) -> Box:
+    def box(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         return tuple((c, c + self.side) for c in self.corner)
-
-
-def shift_cube(q: FreeCube) -> FreeCube:
-    """Translate by -(side/10) along the first axis."""
-    corner = list(q.corner)
-    corner[0] = corner[0] - q.side / 10
-    return FreeCube(tuple(corner), q.side)
 
 
 # -- complement covers (cube minus nested cube) ------------------------------
 
 
-def _complement_boxes(qbox: Box, bbox: Box) -> List[Box]:
+def _complement_boxes(qbox: IntBox, bbox: IntBox) -> List[IntBox]:
     """The <=3^d - 1 boxes cut from qbox minus bbox by the faces of bbox."""
     d = len(qbox)
-    segs: List[List[Tuple[Fraction, Fraction]]] = []
+    segs: List[List[Tuple[int, int]]] = []
     for (ql, qh), (bl, bh) in zip(qbox, bbox):
         segs.append([(ql, bl), (bl, bh), (bh, qh)])
-    out: List[Box] = []
+    out: List[IntBox] = []
     for combo in itertools.product(range(3), repeat=d):
         if all(c == 1 for c in combo):
             continue
@@ -143,7 +124,7 @@ def _complement_boxes(qbox: Box, bbox: Box) -> List[Box]:
     return out
 
 
-def _encapsulate(r: Box, qbox: Box, mid_axes: Set[int]) -> Box:
+def _encapsulate(r: IntBox, qbox: IntBox, mid_axes: Set[int]) -> IntBox:
     """Grow a dissection box to a cube inside qbox avoiding the middle.
 
     The longest edge of r is always achieved on a non-middle axis
@@ -173,7 +154,7 @@ def _encapsulate(r: Box, qbox: Box, mid_axes: Set[int]) -> Box:
     return tuple(cube)
 
 
-def _complement_cubes(qbox: Box, bbox: Box) -> List[Box]:
+def _complement_cubes(qbox: IntBox, bbox: IntBox) -> List[IntBox]:
     """Cover qbox minus bbox, a finer grid cube inside it, by at most
     3^d - 1 cubes inside qbox avoiding the interior of bbox."""
     out = []
@@ -230,7 +211,7 @@ def normalize_points(
         dist, _ = cKDTree(arr).query(arr, k=2)
         dmin = float(dist[:, 1].min())
         # a squared distance past float range is far above d: scale 1 will do
-        dlow2 = Fraction(min(dmin * dmin, _FLOAT_MAX)) * Fraction(1 - Fraction(1, 10**6))
+        dlow2 = Fraction(min(dmin * dmin, sys.float_info.max)) * Fraction(1 - Fraction(1, 10**6))
         if dlow2 <= 0:
             raise DuplicatePoints("nearest pair too close to separate")
         need = Fraction(d) / dlow2  # scale^2 must exceed d / dmin^2
@@ -265,7 +246,8 @@ class SignedPermutation:
     def apply_point(self, p: Sequence[Rational]) -> Point:
         return tuple(self.signs[i] * _frac(p[self.perm[i]]) for i in range(len(self.perm)))
 
-    def apply_box(self, b: Box) -> Box:
+    def apply_box(self, b: IntBox) -> IntBox:
+        """The image box; any ordered coordinates will do."""
         out = []
         for i in range(len(self.perm)):
             lo, hi = b[self.perm[i]]
@@ -275,10 +257,6 @@ class SignedPermutation:
     def inverse(self) -> "SignedPermutation":
         where = [self.perm.index(j) for j in range(len(self.perm))]
         return SignedPermutation(tuple(where), tuple(self.signs[i] for i in where))
-
-    def apply_cube(self, c: FreeCube) -> FreeCube:
-        b = self.apply_box(c.box())
-        return FreeCube(tuple(lo for lo, _ in b), c.side)
 
     @classmethod
     def sending_to_bottom(cls, orientation: Tuple[int, int], d: int) -> "SignedPermutation":
@@ -404,7 +382,7 @@ class _CoverRun:
         # offset of the next level's blocks in current-level cell units
         self.shift: Tuple[int, ...] = (0,) * d
         self.states: Dict[Tuple[int, ...], _CellInfo] = {}  # non-A1 cells, last phase
-        self.selected: List[Tuple[FreeCube, Tuple[int, int]]] = []
+        self.selected: List[Tuple[IntBox, Tuple[int, int]]] = []
         self.stats = CoverStats()
         self.level = 0
 
@@ -560,9 +538,10 @@ class _CoverRun:
         # exactly one carrier subcell, no yellow
         if n >= (3**self.d - 1) * r:
             dbox = carriers[0]
-            coords = [tuple(x * self.rho for x in self.points[pid]) for pid in pts]
+            # lo <= cell < hi iff lo <= x rho < hi, for int lo and hi
+            cells = [[x.numerator * self.rho // x.denominator for x in self.points[i]] for i in pts]
             for cand in _complement_cubes(qbox, dbox):
-                cnt = sum(1 for p in coords if point_in_box_halfopen(p, cand))
+                cnt = sum(1 for c in cells if all(lo <= x < hi for x, (lo, hi) in zip(c, cand)))
                 if cnt >= r:
                     self.stats.g += 1
                     return _CellInfo(CubeState.A3, green=cand, avoid=dbox)
@@ -604,8 +583,7 @@ class _CoverRun:
         if best is None:
             raise CoveringError("no room for a selected cube; geometry broken")
         _, corner, orientation = best
-        cube = FreeCube(tuple(Fraction(c, self.rho) for c in corner), Fraction(big, self.rho))
-        self.selected.append((cube, orientation))
+        self.selected.append((tuple((c, c + big) for c in corner), orientation))
 
     def _assert_state(self, info: _CellInfo, n: int) -> None:
         m, r = self.m, self.r
@@ -635,7 +613,12 @@ class _CoverRun:
             if best == (0, -1)
             else SignedPermutation.sending_to_bottom(best, self.d)
         )
-        K = [amap.apply_cube(cube) for cube, o in self.selected if o == best]
+        K = []
+        for box, o in self.selected:
+            if o == best:
+                box = amap.apply_box(box)
+                side = Fraction(box[0][1] - box[0][0], self.rho)
+                K.append(FreeCube(tuple(Fraction(lo, self.rho) for lo, _ in box), side))
         return CoverResult(K, amap, self.stats)
 
 
@@ -692,51 +675,30 @@ def _on_grid(cubes: Sequence[FreeCube], kappa: int) -> _Grid:
     return grid
 
 
-def _ratio(num: int, den: int) -> float:
-    """num/den (den > 0) correctly rounded; beyond float range it
-    saturates at the largest float of its sign."""
-    try:
-        return num / den
-    except OverflowError:
-        return _FLOAT_MAX if num > 0 else -_FLOAT_MAX
-
-
-def _float_bounds(boxes: Sequence[IntBox], scale: int, pad: float) -> np.ndarray:
-    """Float boxes enclosing the grid boxes, as an (n, d, 2) array.
-
-    pad is relative: each bound moves outward by pad * (1 + |value|),
-    which dominates the rounding of value/scale.  Padding takes a
-    saturated bound to infinity on its outward side and keeps it finite,
-    short of the exact value, on its inward side.
-    """
-    flat = [_ratio(v, scale) for b in boxes for ax in b for v in ax]
-    arr = np.array(flat, dtype=float).reshape(len(boxes), -1, 2)
-    lo, hi = arr[:, :, 0], arr[:, :, 1]
-    with np.errstate(over="ignore"):
-        return np.stack((lo - pad * (1.0 + np.abs(lo)), hi + pad * (1.0 + np.abs(hi))), axis=-1)
-
-
-def _overlap_candidates(a: np.ndarray, b: np.ndarray) -> List[Tuple[int, int]]:
-    """Index pairs whose padded float boxes overlap; superset of the truth.
-
-    Sweeps sorted first-axis intervals: one vectorised searchsorted pair
-    finds every row's window of b, and only rows with a non-empty window
-    check the remaining axes, vectorised over that window.
-    """
-    order = np.argsort(b[:, 0, 0], kind="stable")
-    b_lo0 = b[order, 0, 0]
-    wmax = float((b[:, 0, 1] - b[:, 0, 0]).max()) if len(b) else 0.0
-    j0 = np.searchsorted(b_lo0, a[:, 0, 0] - wmax, side="left")
-    j1 = np.searchsorted(b_lo0, a[:, 0, 1], side="right")
+def _sweep(a: Sequence[IntBox], lo0: List[int], hi0: List[int]) -> List[Tuple[int, int]]:
+    """Index pairs (i, j) whose closed first-axis intervals, a[i]'s and
+    [lo0[j], hi0[j]], meet: i ascending and, per i, j in the stable order
+    of lo0.  A row's window is the bisect range of the sorted lower faces
+    in [lo - widest, hi]."""
+    order = sorted(range(len(lo0)), key=lo0.__getitem__)
+    sorted_lo0 = [lo0[j] for j in order]
+    widest = max(map(operator.sub, hi0, lo0), default=0)
     pairs: List[Tuple[int, int]] = []
-    for i in np.flatnonzero(j0 < j1).tolist():
-        window = order[j0[i] : j1[i]]
-        sub = b[window]
-        ok = sub[:, 0, 1] > a[i, 0, 0]
-        for ax in range(1, a.shape[1]):
-            ok &= (sub[:, ax, 0] < a[i, ax, 1]) & (sub[:, ax, 1] > a[i, ax, 0])
-        pairs.extend((i, j) for j in window[ok].tolist())
+    for i, box in enumerate(a):
+        lo, hi = box[0]
+        window = order[bisect_left(sorted_lo0, lo - widest) : bisect_right(sorted_lo0, hi)]
+        pairs += [(i, j) for j in window if hi0[j] >= lo]
     return pairs
+
+
+def _overlap_candidates(a: Sequence[IntBox], b: Sequence[IntBox]) -> List[Tuple[int, int]]:
+    """Index pairs (i, j) whose closed boxes a[i] and b[j] meet, in the
+    order of _sweep on the first axis."""
+    return [
+        (i, j)
+        for i, j in _sweep(a, [box[0][0] for box in b], [box[0][1] for box in b])
+        if all(l <= h2 and l2 <= h for (l, h), (l2, h2) in zip(a[i][1:], b[j][1:]))
+    ]
 
 
 def points_in_boxes(
@@ -745,18 +707,14 @@ def points_in_boxes(
     """For each box on the grid of step 1/scale, the ascending ids of the
     points in it (closed).
 
-    A padded float sweep shortlists the candidates; each one is then
-    re-checked exactly, lo*den <= num*scale <= hi*den on every axis.
+    A point enters the sweep as the degenerate interval of its cell
+    k = floor(x0 scale), which lies in [lo, hi] whenever x0 scale does;
+    each candidate is then checked exactly, lo*den <= num*scale <= hi*den
+    on every axis.
     """
+    keys = [p[0].numerator * scale // p[0].denominator for p in points]
     inside: List[List[int]] = [[] for _ in boxes]
-    if not points or not boxes:
-        return inside
-    # points need no pad of their own: the boxes' pad covers the rounding
-    # of both, and a point is a zero-width box; one beyond float range
-    # saturates inside the padded bounds of every box that holds it
-    flat = [_ratio(x.numerator, x.denominator) for p in points for x in p]
-    xs = np.array(flat, dtype=float).reshape(len(points), -1)
-    for i, j in _overlap_candidates(_float_bounds(boxes, scale, 1e-9), np.stack((xs, xs), axis=-1)):
+    for i, j in _sweep(boxes, keys, keys):
         if all(
             lo * x.denominator <= x.numerator * scale <= hi * x.denominator
             for x, (lo, hi) in zip(points[j], boxes[i])
@@ -833,15 +791,10 @@ def _shift_graph(grid: _Grid) -> ShiftGraph:
     k = len(grid.boxes)
     if k < 2:
         return ShiftGraph(k, [])
-    arr = _float_bounds(grid.boxes, grid.scale, 1e-12)
-    for i, j in _overlap_candidates(arr, arr):
+    for i, j in _overlap_candidates(grid.boxes, grid.boxes):
         if i < j and boxes_overlap_interior(grid.boxes[i], grid.boxes[j]):
             raise OverlappingInput((i, j))
-    pad = 1e-9
-    cand = _overlap_candidates(
-        _float_bounds(grid.shifted_botts, grid.scale, pad),
-        _float_bounds(grid.shifts, grid.scale, pad),
-    )
+    cand = _overlap_candidates(grid.shifted_botts, grid.shifts)
     survivors = []
     for i, j in cand:
         if i == j:

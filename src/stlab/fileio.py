@@ -54,10 +54,14 @@ def _parse_int(tok: str) -> int:
 
 
 def _int_record(rec: List[str]) -> int:
-    """The value of a "<name> <int>" record such as "dim 2"."""
+    """The value of a "<name> <int>" record such as "dim 2"; dim, kappa
+    and r must all be at least 1."""
     if len(rec) != 2:
         raise FormatError("bad %s record %r" % (rec[0], " ".join(rec)))
-    return _parse_int(rec[1])
+    value = _parse_int(rec[1])
+    if value < 1:
+        raise FormatError("%s must be at least 1, got %d" % (rec[0], value))
+    return value
 
 
 def _header(kind: str) -> str:

@@ -29,9 +29,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import (
-    Box,
     CoveringError,
-    FreeCube,
+    IntBox,
     InvalidParams,
     SignedPermutation,
     _on_grid,
@@ -39,16 +38,14 @@ from .covering import (
     box_intersection,
     boxes_overlap_interior,
     normalize_points,
-    point_in_box_closed,
-    point_in_box_open,
     points_in_boxes,
     run_covering,
-    shift_cube,
 )
 from .directions import Subspace2, gr_dist_deg
 from .exact import Flat2, FlatMeet, GeometryError, RVector4, Rational, _frac, flat_intersect
 
 Point4 = Tuple[Fraction, Fraction, Fraction, Fraction]
+Box = Tuple[Tuple[Fraction, Fraction], ...]  # per-axis closed [lo, hi]
 
 
 class TooFewPoints(CoveringError):
@@ -92,7 +89,7 @@ class Region:
         reach = []
         for box in self.boxes:
             m = margin * (box[0][1] - box[0][0])
-            if point_in_box_open(q, box, m):
+            if all(lo + m < x < hi - m for x, (lo, hi) in zip(q, box)):
                 return True
             if all(lo + m <= x <= hi - m for x, (lo, hi) in zip(q, box)):
                 reach.append([(lo + m < x, x < hi - m) for x, (lo, hi) in zip(q, box)])
@@ -150,7 +147,7 @@ class CombineDetail:
     waived_precondition: bool = False
 
 
-def _lateral_cells(lat_q1: Box, lat_q2: Box) -> List[Box]:
+def _lateral_cells(lat_q1: IntBox, lat_q2: IntBox) -> List[IntBox]:
     """Partition of the footprint of Q1 by the face planes of the
     footprint of Q2: at most 27 full-dimensional boxes."""
     segs = []
@@ -160,18 +157,19 @@ def _lateral_cells(lat_q1: Box, lat_q2: Box) -> List[Box]:
     return [tuple(combo) for combo in itertools.product(*segs)]
 
 
-def _clip_shift(shifted: Box, cell: Box, lat_q2: Box) -> Box:
+def _clip_shift(shifted: IntBox, cell: IntBox, lat_q2: IntBox) -> IntBox:
     """Cut shifted at the coordinate plane in the middle of the gap
     between the lateral cell and the successor footprint, keeping the
     cell's side.  The lateral axis with the widest gap wins, ties go to
-    the lower axis."""
+    the lower axis.  Faces are grid ints whose sums are even (cube faces
+    are multiples of 10 steps), so the midpoint // 2 is exact."""
     best = None
     for ax, ((clo, chi), (blo, bhi)) in enumerate(zip(cell, lat_q2)):
         lo, hi = shifted[ax + 1]
         if clo >= bhi:  # cell above the footprint on this axis
-            cand = (clo - bhi, ax, (max(lo, (clo + bhi) / 2), hi))
+            cand = (clo - bhi, ax, (max(lo, (clo + bhi) // 2), hi))
         elif chi <= blo:
-            cand = (blo - chi, ax, (lo, min(hi, (chi + blo) / 2)))
+            cand = (blo - chi, ax, (lo, min(hi, (chi + blo) // 2)))
         else:
             continue
         if best is None or cand[0] > best[0]:
@@ -217,40 +215,44 @@ def combine(
     assignments: List[RegionAssignment] = []
     n0 = n1 = 0
     bott_pts = points_in_boxes(work_pts, grid.botts, grid.scale)
-    for qi, cube in enumerate(cover.K):
+    for qi, (qbox, shifted) in enumerate(zip(grid.boxes, grid.shifts)):
         if out_deg[qi] > 1:
             continue
         inside = bott_pts[qi]
-        qbox = cube.box()
-        shifted = shift_cube(cube).box()
         if out_deg[qi] == 0:
-            region = Region((shifted,))
+            boxes: Tuple[IntBox, ...] = (shifted,)
             pool = inside
             n0 += 1
         else:
-            q2 = cover.K[succ[qi]]
-            lat_q1, lat_q2 = qbox[1:], q2.box()[1:]
+            q2box = grid.boxes[succ[qi]]
+            lat_q2 = q2box[1:]
+            cells = _lateral_cells(qbox[1:], lat_q2)
+            hits = points_in_boxes(
+                [work_pts[i] for i in inside], [qbox[:1] + cell for cell in cells], grid.scale
+            )
             best_cell = None
             best_ids: List[int] = []
-            for cell in _lateral_cells(lat_q1, lat_q2):
-                ids = [i for i in inside if point_in_box_closed(work_pts[i][1:], cell)]
-                if len(ids) >= r and len(ids) > len(best_ids):
-                    best_cell, best_ids = cell, ids
+            for cell, ks in zip(cells, hits):
+                if len(ks) >= r and len(ks) > len(best_ids):
+                    best_cell, best_ids = cell, [inside[k] for k in ks]
             if best_cell is None:
                 raise CoveringError("pigeonhole failed: no lateral cell holds r points")
             core = box_intersection(qbox, shifted)
-            if best_cell == tuple(lat_q2):
+            if best_cell == lat_q2:
                 # case (a): prism below Q1 over the chosen cell, one tenth
                 # of the successor side deep
-                depth = q2.side / 10
-                prism = ((qbox[0][0] - depth, qbox[0][0]),) + best_cell
-                region = Region((core, prism))
+                depth = (q2box[0][1] - q2box[0][0]) // 10
+                boxes = (core, ((qbox[0][0] - depth, qbox[0][0]),) + best_cell)
             else:
                 # case (b): shift(Q1) cut at a coordinate plane between
                 # the chosen cell and the successor footprint
-                region = Region((core, _clip_shift(shifted, best_cell, lat_q2)))
+                boxes = (core, _clip_shift(shifted, best_cell, lat_q2))
             pool = best_ids
             n1 += 1
+        region = Region(
+            tuple(tuple((Fraction(lo, grid.scale), Fraction(hi, grid.scale)) for lo, hi in b)
+                  for b in boxes)
+        )
         interior = [
             i for i in pool if region.contains_interior(work_pts[i])
         ]

@@ -14,10 +14,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from stlab.covering import FreeCube, boxes_overlap_interior, shift_cube
+from stlab.covering import FreeCube, boxes_overlap_interior
 from stlab.directions import _angle_deg, apply_mobius, to_sphere
 
 F = Fraction
+
+
+def shift_cube(q):
+    """q translated by -(side/10) along the first axis."""
+    return FreeCube((q.corner[0] - q.side / 10,) + q.corner[1:], q.side)
+
+
+def point_in_box_closed(p, box):
+    return all(lo <= x <= hi for x, (lo, hi) in zip(p, box))
 
 
 def oracle_bott(q, kappa):

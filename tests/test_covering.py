@@ -1,31 +1,30 @@
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from stlab.covering import (
     CoverResult,
     CoverStats,
+    CubeState,
     DuplicatePoints,
     FreeCube,
     InvalidParams,
     NormalizeTransform,
     OverlappingInput,
     SignedPermutation,
+    _CellInfo,
+    _CoverRun,
     _complement_cubes,
-    _float_bounds,
     _on_grid,
+    _overlap_candidates,
     boxes_overlap_interior,
     build_shift_graph,
     normalize_points,
-    point_in_box_closed,
     points_in_boxes,
     run_covering,
-    shift_cube,
     verify_cover,
 )
 
@@ -35,9 +34,11 @@ from _oracles import (
     KNOWN_DEFECT_WITNESSES,
     oracle_bott,
     oracle_shift_graph,
+    point_in_box_closed,
     random_disjoint_cubes,
     random_mixed_cubes,
     random_rational_points,
+    shift_cube,
 )
 
 F = Fraction
@@ -93,6 +94,36 @@ def test_complement_cover_2d_sampling_oracle():
         inside_b = all(lo < x < hi for x, (lo, hi) in zip(p, bbox))
         if inside_q and not inside_b:
             assert any(point_in_box_closed(p, cb) for cb in cubes)
+
+
+def test_a3_count_is_half_open():
+    # d = 1, rho = 5, r = 1: the level-1 cell [0, 5) has a carrier at
+    # [2, 3), so its complement cubes are [0, 2] and [3, 5].  The point
+    # at 5x = 5/2 lies in level-0 cell 2, inside the carrier, and the
+    # half-open count keeps it out of [0, 2]; the point at 5x = 7/2 makes
+    # [3, 5] the green.
+    run = _CoverRun([(F(1, 2),), (F(7, 10),)], 1, 1, 1)
+    info = run.process_cell((0,), 1, [0, 1], [(((2, 3),), _CellInfo(CubeState.A4))])
+    assert (info.state, info.green, info.avoid) == (CubeState.A3, ((3, 5),), ((2, 3),))
+
+
+def test_result_maps_selected_boxes_through_the_axis_map():
+    # two of three selected cubes face +x1, so the result keeps those two,
+    # sends +x1 to -x0 and emits each as a FreeCube in units of 1/rho
+    run = _CoverRun([], 2, 1, 1)
+    run.selected = [
+        (((0, 15), (10, 25)), (1, 1)),
+        (((30, 45), (0, 15)), (0, -1)),
+        (((-5, 0), (-20, -15)), (1, 1)),
+    ]
+    res = run.result()
+    amap = SignedPermutation.sending_to_bottom((1, 1), 2)
+    assert res.axis_map == amap
+    want = []
+    for box, _ in run.selected[::2]:
+        image = amap.apply_box(tuple((F(lo, 5), F(hi, 5)) for lo, hi in box))
+        want.append(FreeCube(tuple(lo for lo, _ in image), image[0][1] - image[0][0]))
+    assert res.K == want and res.K[0] == FreeCube((F(-5), F(0)), F(3))
 
 
 def test_normalize_points():
@@ -207,17 +238,42 @@ def test_verifier_beyond_float_range():
     assert points_in_boxes([(-big, F(1, 2)), (F(1, 2), F(1, 2))], boxes, 10) == [[0, 1], [], [0]]
 
 
-def test_float_bounds_enclose_values_beyond_float_range():
+def test_int_sweep_matches_brute_force():
+    # faces on a coarse lattice, so many boxes touch; negative coordinates
+    # and some boxes and points 10^400 out
+    rng = random.Random(17)
     big = 10**400
-    boxes = [((-big, big),), ((big, big + 1),), ((-big - 1, -big),), ((1, 3),)]
-    arr = _float_bounds(boxes, 2, 1e-9)
-    assert not np.isnan(arr).any()
-    for (lo, hi), (flo, fhi) in zip((b[0] for b in boxes), arr[:, 0]):
-        assert flo == -math.inf or F(flo) <= F(lo, 2)
-        assert fhi == math.inf or F(fhi) >= F(hi, 2)
-    # the inward bounds of the far boxes stay finite, on the right side of 0
-    assert 0 < arr[1, 0, 0] < math.inf and -math.inf < arr[2, 0, 1] < 0
-    assert arr[0, 0].tolist() == [-math.inf, math.inf]
+    for d in (1, 2, 3):
+        for _ in range(20):
+            boxes = []
+            for _ in range(rng.randint(0, 14)):
+                far = rng.choice((-big, 0, 0, big))
+                box = []
+                for ax in range(d):
+                    lo = 3 * rng.randint(-4, 3) + (0 if ax else far)
+                    box.append((lo, lo + 3 * rng.randint(0, 3) + (abs(far) if ax else 0)))
+                boxes.append(tuple(box))
+            other = boxes[::-1] + [tuple((hi, hi + 3) for _, hi in b) for b in boxes[:3]]
+            pairs = _overlap_candidates(boxes, other)
+            want = {(i, j) for i, a in enumerate(boxes) for j, b in enumerate(other)
+                    if all(max(la, lb) <= min(ha, hb) for (la, ha), (lb, hb) in zip(a, b))}
+            assert set(pairs) == want and len(pairs) == len(want)
+            # i ascending, then j in the stable order of other's lower faces
+            assert pairs == sorted(pairs, key=lambda ij: (ij[0], other[ij[1]][0][0], ij[1]))
+            # points on faces, one step of 1/scale off them, and between
+            scale = rng.choice((1, 3, 10))
+            pts = set()
+            for b in boxes:
+                for _ in range(4):
+                    pts.add(tuple(
+                        F(2 * rng.choice((lo, hi)) + rng.choice((-2, 0, 2, 1)), 2 * scale)
+                        for lo, hi in b
+                    ))
+            pts = sorted(pts)
+            got = points_in_boxes(pts, boxes, scale)
+            frac = [[(F(lo, scale), F(hi, scale)) for lo, hi in b] for b in boxes]
+            want = [[k for k, p in enumerate(pts) if point_in_box_closed(p, q)] for q in frac]
+            assert got == want
 
 
 def test_two_point_cluster_d1():

@@ -151,6 +151,43 @@ def test_cli_verify_cover_prints_witness(tmp_path, capsys):
     assert code == 1 and lines[1:] == ["cover witness: cubes 0 and 1 overlap"]
 
 
+def test_cli_verify_regions_prints_witness(tmp_path, capsys):
+    from stlab.regions import FlatBundle, Region, RegionAssignment, canonical_flat
+
+    # the crossings of p and q lie 2/3 from each anchor along the first
+    # axis, so boxes of half side 1/2 around the anchors miss both
+    anchors = [(F(0),) * 4, (F(2), F(0), F(0), F(0)), (F(10),) * 4]
+    bundle = FlatBundle(
+        anchors,
+        [[canonical_flat(a, 0)] for a in anchors],
+        [[canonical_flat(a, 1)] for a in anchors],
+    )
+    (tmp_path / "bundle.txt").write_text(fileio.dump_bundle(bundle))
+
+    def around(a, half=F(1, 2)):
+        return tuple((x - half, x + half) for x in a)
+
+    def verify(regions, ids, r):
+        asg = [RegionAssignment(Region(boxes), i) for boxes, i in zip(regions, ids)]
+        path = tmp_path / "regions.txt"
+        path.write_text(fileio.dump_regions(asg, r))
+        code = main(["verify", "--regions", str(path), "--bundle", str(tmp_path / "bundle.txt")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 2
+        return lines[1]
+
+    far = (around(anchors[2]),)
+    both = (around(anchors[0]), around(anchors[1]))
+    assert verify([both, far, both], [(0, 1), (2,), (0, 1)], 2) == (
+        "regions witness: regions 0 and 2 overlap")
+    assert verify([far, both], [(2,), (0, 1)], 1) == (
+        "regions witness: region 1 does not hold exactly r=1 anchors")
+    assert verify([far, both], [(2,), (2,)], 1) == (
+        "regions witness: region 1 has an anchor outside its interior")
+    assert verify([both, far], [(0, 1), (2, 1)], 2) == (
+        "regions witness: region 0: no mixed crossing family of anchors 0 and 1 lies inside")
+
+
 def test_cli_cover_beyond_float_range(tmp_path, capsys):
     # a cube 10^400 up the first axis, written out in full, next to a unit
     # cube; one point in each bottom side-cube
@@ -246,11 +283,15 @@ UNIT_FLAT = " 0 0 0 0 0 0 1 0 0 0 0 1\n"  # the (x3, x4)-plane
         ("cover", "dim 1\nkappa 1\nr 1\naxismap 0 1\np 1/2\ndim 2\ncube 0 0 1\n"),  # dim changes
         ("bundle", BUNDLE_27 + "flat 7 0" + UNIT_FLAT),  # no family 7
         ("bundle", BUNDLE_27 + "flat 1 27" + UNIT_FLAT),  # point id past the anchors
+        ("cover", "dim 2\nkappa 1\nr 0\naxismap 0 1 1 1\np 1/2 1/2\ncube 0 0 1\n"),
+        ("cover", "dim 2\nkappa 0\nr 1\naxismap 0 1 1 1\np 1/2 1/2\ncube 0 0 1\n"),
+        ("cover", "dim 0\nkappa 1\nr 1\naxismap\n"),
     ],
     ids=[
         "bad-rational", "bare-l", "bare-dim", "word-dim", "duplicate-point",
         "missing-file", "bad-axismap", "word-point-id", "bare-cube", "short-cube",
         "point-arity", "repeated-dim", "flat-family-7", "flat-id-past-anchors",
+        "r-zero", "kappa-zero", "dim-zero",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
@@ -292,6 +333,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["verify", "--regions", "HALF", "--bundle", "BUN"], "halfspace"),
         (["dirs", "cover-sphere", "--delta", "0.01"], "cover centers"),
         (["cover", "--dim", "1", "--in", "BIG"], "float range"),
+        (["verify", "--regions", "RZERO", "--bundle", "BUN"], "r must"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
@@ -299,6 +341,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
         "c-rich-nan", "margin-zero-denominator", "margin-negative",
         "halfspace-record", "delta-too-many-centers", "cover-beyond-float-range",
+        "regions-r-zero",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
@@ -306,6 +349,7 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
         "SYS": fileio.dump_system(*gen_erdos(2)),
         "ONE": fileio.dump_system([ComplexPoint(GR(0), GR(1))], []),
         "REG": fileio.dump_regions([], 1),
+        "RZERO": fileio.dump_regions([], 0),
         # regions are unions of boxes, so a halfspace record is bad input
         "HALF": fileio.dump_regions([], 1) + "region\nhalfspace 1 0 0 0 1/2\npoints 0\n",
         "BUN": "stlab bundle 1\n" + BUNDLE_27,

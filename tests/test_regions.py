@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from stlab.directions import gr_dist_deg
-from stlab.covering import CoveringError, FreeCube, boxes_overlap_interior, shift_cube
+from stlab.covering import CoveringError, FreeCube, boxes_overlap_interior
 from stlab.exact import Flat2, FlatMeet, GeometryError, RVector4, flat_intersect
+from stlab.fileio import dump_regions
 from stlab.generators import gen_bundle_fixture
 from stlab.regions import (
     CANONICAL_SPANS,
@@ -23,6 +25,8 @@ from stlab.regions import (
     count_crossings,
     verify_regions,
 )
+
+from _oracles import shift_cube
 
 F = Fraction
 
@@ -164,6 +168,19 @@ def test_combine_out_degree_one_case():
     assert rep.all_ok
 
 
+@pytest.mark.parametrize(
+    "r, seed, digest", [(2, 1, "7efa7fcd58389d3d"), (1, 2, "93e179b4c3669049")]
+)
+def test_combine_output_pinned(r, seed, digest):
+    # one out-degree-one cube each, so the lateral cell choice and the
+    # case (a) prism are part of the pinned text
+    anchors = stacked_anchors(r, seed=seed)
+    detail = CombineDetail()
+    text = dump_regions(combine(anchors, exact_bundle(anchors), r, detail), r)
+    assert detail.out_degree1 == 1
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_verify_regions_catches_boundary_crossing():
     # a crossing exactly on the region boundary is rejected
     p = (F(0), F(0), F(0), F(0))
@@ -243,31 +260,25 @@ def test_verify_regions_rejects_negative_margin():
 
 # -- case (b): shift(Q1) cut at a coordinate plane ------------------------------
 
-SHIFTED = ((F(-1, 10), F(9, 10)),) + ((F(0), F(1)),) * 3  # shift of [0,1]^4
-UNIT = (F(0), F(1))
+# on the grid of step 1/40: faces are multiples of 10 steps, as on the
+# cube grid, and every gap midpoint is a whole step
+SHIFTED = ((-4, 36),) + ((0, 40),) * 3  # shift of [0,1]^4
+UNIT = (0, 40)
 
 
 @pytest.mark.parametrize(
     "cell, lat_q2, want",
     [
         # gap above the footprint on the first lateral axis, cut at 5/8
-        (((F(3, 4), F(1)), UNIT, UNIT), ((F(-1), F(1, 2)), UNIT, UNIT), (1, (F(5, 8), F(1)))),
+        (((30, 40), UNIT, UNIT), ((-40, 20), UNIT, UNIT), (1, (25, 40))),
         # gap below the footprint on the last lateral axis, cut at 3/8
-        ((UNIT, UNIT, (F(0), F(1, 4))), (UNIT, UNIT, (F(1, 2), F(2))), (3, (F(0), F(3, 8)))),
+        ((UNIT, UNIT, (0, 10)), (UNIT, UNIT, (20, 80)), (3, (0, 15))),
         # faces touching: the cut is the shared face
-        (((F(1, 2), F(1)), UNIT, UNIT), ((F(0), F(1, 2)), UNIT, UNIT), (1, (F(1, 2), F(1)))),
+        (((20, 40), UNIT, UNIT), ((0, 20), UNIT, UNIT), (1, (20, 40))),
         # gap 1/4 above on axis 0 loses to gap 1/2 below on axis 1
-        (
-            ((F(3, 4), F(1)), (F(0), F(1, 4)), UNIT),
-            ((F(-1), F(1, 2)), (F(3, 4), F(2)), UNIT),
-            (2, (F(0), F(1, 2))),
-        ),
+        (((30, 40), (0, 10), UNIT), ((-40, 20), (30, 80), UNIT), (2, (0, 20))),
         # equal gaps of 1/4 on axes 1 and 2: the lower axis wins
-        (
-            (UNIT, (F(3, 4), F(1)), (F(0), F(1, 4))),
-            (UNIT, (F(-1), F(1, 2)), (F(1, 2), F(2))),
-            (2, (F(5, 8), F(1))),
-        ),
+        ((UNIT, (30, 40), (0, 10)), (UNIT, (-40, 20), (20, 80)), (2, (25, 40))),
     ],
     ids=["above", "below", "touching", "widest-gap", "tie-lower-axis"],
 )
@@ -278,19 +289,23 @@ def test_clip_shift_cuts_at_gap_midpoint(cell, lat_q2, want):
 
 
 def test_clip_shift_needs_a_separating_plane():
-    inner = ((F(1, 4), F(3, 4)),) * 3
+    inner = ((10, 30),) * 3
     with pytest.raises(CoveringError):
-        _clip_shift(SHIFTED, inner, ((F(0), F(2)),) * 3)
+        _clip_shift(SHIFTED, inner, ((0, 80),) * 3)
 
 
 def test_clip_shift_property_on_lateral_cells():
+    # quarters on the grid of step 1/40, where a tenth of a side is whole
+    def on_grid(box):
+        return tuple((int(40 * lo), int(40 * hi)) for lo, hi in box)
+
     rng = random.Random(11)
     clipped = 0
     for _ in range(200):
         q1 = FreeCube(tuple(F(rng.randint(-8, 8), 4) for _ in range(4)), F(rng.randint(4, 12), 4))
         q2 = FreeCube(tuple(F(rng.randint(-8, 12), 4) for _ in range(4)), F(rng.randint(1, 12), 4))
-        shifted = shift_cube(q1).box()
-        lat_q1, lat_q2 = q1.box()[1:], q2.box()[1:]
+        shifted = on_grid(shift_cube(q1).box())
+        lat_q1, lat_q2 = on_grid(q1.box()[1:]), on_grid(q2.box()[1:])
         for cell in _lateral_cells(lat_q1, lat_q2):
             if boxes_overlap_interior(cell, lat_q2):
                 continue
