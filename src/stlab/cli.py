@@ -29,6 +29,7 @@ from .incidence import (
     beck_stats,
     check_rich_bound,
     count_incidences,
+    count_naive,
     rich_lines,
     similar_copies,
     sum_product,
@@ -238,7 +239,9 @@ def _regions_witness(rep) -> str:
     if not chk.size_ok:
         return "region %d does not hold exactly r=%d anchors" % (chk.region_index, rep.r)
     if not chk.interior_ok:
-        return "region %d has an anchor outside its interior" % chk.region_index
+        return "region %d: anchor %d lies outside its interior" % (
+            chk.region_index, chk.outside_anchor
+        )
     return "region %d: no mixed crossing family of anchors %d and %d lies inside" % (
         (chk.region_index,) + chk.pair_failures[0]
     )
@@ -284,10 +287,10 @@ def cmd_verify(args) -> int:
             failures += 1
     if args.system:
         pts, lines = _load_system(args.system)
-        naive = count_incidences(pts, lines, method="naive")
-        indexed = count_incidences(pts, lines, method="indexed")
-        print("system: I=%d match=%s" % (indexed.I, naive.I == indexed.I))
-        if naive.I != indexed.I:
+        indexed = count_incidences(pts, lines).I
+        match = count_naive(pts, lines) == indexed
+        print("system: I=%d match=%s" % (indexed, match))
+        if not match:
             failures += 1
     if not (args.cover or args.regions or args.system):
         failures += _self_check()

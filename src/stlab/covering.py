@@ -29,7 +29,8 @@ list once onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm
 of its denominators, and compare int boxes there.  One sweep over
 first-axis faces shortlists the box pairs that meet; a point enters it
 by its cell floor(x0 D) and is then tested against a box by
-cross-multiplying.  Floats appear only in normalize_points' k-d tree.
+cross-multiplying.  Floats appear only in normalize_points' k-d tree,
+whose close pairs are re-checked exactly.
 """
 
 from __future__ import annotations
@@ -182,16 +183,58 @@ class NormalizeTransform:
         return tuple((_frac(x) - self.offset) / self.scale for x in p)
 
 
+def _separating_scale(pts: List[Point], d: int) -> int:
+    """Integer scale k with k^2 |p - q|^2 > d for every pair of the
+    points, two or more and distinct.
+
+    A float k-d tree proposes k from its nearest distance, shrunk by a
+    1e-6 relative margin.  Every pair whose float distance is within
+    rounding of sqrt(d)/k is then checked exactly; if one fails, k
+    becomes the least scale that separates the exact nearest pair,
+    which is among them.  A pair that floats merge is found the same way.
+    """
+    from scipy.spatial import cKDTree
+
+    # floats of x - x0 for x0 the first point cut to ints: rounding then
+    # scales with the spread of the points, not with their distance from 0
+    ref = [int(x) for x in pts[0]]
+    try:
+        arr = np.array([[(x.numerator - r * x.denominator) / x.denominator for x, r in zip(p, ref)]
+                        for p in pts])
+    except OverflowError:
+        raise InvalidParams("the points spread beyond float range") from None
+    tree = cKDTree(arr)
+    dmin = float(tree.query(arr, k=2)[0][:, 1].min())
+    # a squared distance past float range is far above d: scale 1 will do
+    dlow2 = Fraction(min(dmin * dmin, sys.float_info.max)) * Fraction(1 - Fraction(1, 10**6))
+    if dlow2 > 0:
+        k = math.isqrt(int(Fraction(d) / dlow2)) + 1
+        reach = math.sqrt(d) / k
+    else:  # the nearest pair merged or its square underflowed
+        k, reach = 0, math.sqrt(d) * float(tree.query(arr, k=2, p=math.inf)[0][:, 1].min())
+    # float and exact distances differ by at most sqrt(d) * max|x - x0| * 2^-52,
+    # so reach plus twice that holds every pair that can fail at k and,
+    # when k = 0, the exact nearest pair; there is none when the nearest
+    # float distance lies beyond.  Max-norm balls square nothing.
+    radius = reach * (1 + 1e-9) + 2 * math.sqrt(d) * float(np.abs(arr).max()) * 2.0**-52
+    close = []
+    if radius >= dmin:
+        close = tree.query_pairs(radius, p=math.inf, output_type="ndarray").tolist()
+    near2 = min((sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])) for i, j in close), default=None)
+    if near2 is not None and k * k * near2 <= d:
+        k = math.isqrt(int(d / near2)) + 1
+    return k
+
+
 def normalize_points(
     points: Sequence[Sequence[Rational]],
 ) -> Tuple[List[Point], NormalizeTransform]:
     """Similarity making the minimal distance exceed the unit-cube diameter.
 
-    Scales so that the smallest pairwise distance is greater than
-    sqrt(d), then shifts by 1/p for the first prime p that leaves no
-    coordinate an integer.  The nearest pair is located with a float
-    k-d tree; its reported distance, shrunk by a 1e-6 relative margin,
-    is the bound the exact integer scale factor is derived from.
+    Scales by the integer k of ``_separating_scale``, so that every
+    pairwise distance exceeds sqrt(d), then shifts by 1/p for the first
+    prime p that leaves no coordinate an integer.  Floats only propose
+    k; it is checked exactly.
     """
     pts = [tuple(_frac(x) for x in p) for p in points]
     if len(set(pts)) != len(pts):
@@ -201,23 +244,7 @@ def normalize_points(
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise InvalidParams("mixed dimensions")
-    if len(pts) >= 2:
-        from scipy.spatial import cKDTree
-
-        try:
-            arr = np.array([[float(x) for x in p] for p in pts])
-        except OverflowError:
-            raise InvalidParams("a coordinate lies beyond float range") from None
-        dist, _ = cKDTree(arr).query(arr, k=2)
-        dmin = float(dist[:, 1].min())
-        # a squared distance past float range is far above d: scale 1 will do
-        dlow2 = Fraction(min(dmin * dmin, sys.float_info.max)) * Fraction(1 - Fraction(1, 10**6))
-        if dlow2 <= 0:
-            raise DuplicatePoints("nearest pair too close to separate")
-        need = Fraction(d) / dlow2  # scale^2 must exceed d / dmin^2
-        k = math.isqrt(int(need)) + 1
-    else:
-        k = 1
+    k = _separating_scale(pts, d) if len(pts) >= 2 else 1
     for prime in _PRIMES:
         # k * a/b + 1/p in one integer step
         shifted = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,10 +49,6 @@ from .incidence import incident_lines
 
 
 class Unbalanceable(GeometryError):
-    pass
-
-
-class MonotonicityViolation(GeometryError):
     pass
 
 
@@ -215,59 +211,34 @@ ARCS_B = (ARC_B1, ARC_B2, ARC_B3)
 # -- hemisphere split ----------------------------------------------------------
 
 
-def _try_threshold_split(
-    mods: List[Optional[Fraction]], slopes: List[Optional[GaussianRational]], e: int
-):
-    """Search for a modulus threshold splitting floor/ceil across |a|=1.
+def _cut(
+    slopes: List[Optional[GaussianRational]], mods: List[Optional[Fraction]], k: int
+) -> Optional[Tuple[ComplexLinearMap, Fraction]]:
+    """A slope scaling that puts k of the moduli |a|^2 on or inside the
+    unit circle and the rest on or outside, with at most one slope on it.
 
-    Returns (c_kind, payload) where c_kind is "identity", "between"
-    (payload: open interval for c^2) or "onto" (payload: the class
-    slope to rotate onto the circle), or None when no threshold fits.
+    Returns the scaling and the modulus t it carries onto the circle, or
+    None when no scaling fits.  lo and hi are the k-th and (k+1)-th
+    smallest moduli, infinity (None) above every finite one; the cut
+    keeps the frame when it can, else carries a lone slope of modulus
+    lo or hi onto the circle, else puts the circle strictly between them.
     """
-    lo_target = e // 2
-    finite_vals = sorted({m for m in mods if m is not None})
-    classes_at: Dict[Fraction, Set[GaussianRational]] = {}
-    count_at: Dict[Fraction, int] = {}
-    for m, a in zip(mods, slopes):
-        if m is None:
-            continue
-        classes_at.setdefault(m, set()).add(a)
-        count_at[m] = count_at.get(m, 0) + 1
-    less = 0
-    # prefer keeping the frame: a workable cut at modulus 1 first
-    for i, v in enumerate(finite_vals):
-        below = sum(count_at[w] for w in finite_vals[:i])
-        if v == 1 and len(classes_at[v]) == 1 and below <= lo_target <= below + count_at[v]:
-            return ("identity", None)
-    prev = Fraction(0)
-    running = 0
-    for v in finite_vals:
-        if running == lo_target and prev < 1 < v:
-            return ("identity", None)
-        running += count_at[v]
-        prev = v
-    if running == lo_target and prev < 1:
-        return ("identity", None)
-    # exact cut at a single-class modulus
-    running = 0
-    for v in finite_vals:
-        if len(classes_at[v]) == 1 and running <= lo_target <= running + count_at[v]:
-            a_star = next(iter(classes_at[v]))
-            if not a_star.is_zero():
-                return ("onto", a_star)
-        running += count_at[v]
-    # cut strictly between consecutive moduli
-    running = 0
-    prev = Fraction(0)
-    for v in finite_vals + [None]:
-        if running == lo_target:
-            hi = v if v is not None else prev + 1
-            if prev < hi:
-                return ("between", (prev, hi))
-        if v is None:
-            break
-        running += count_at[v]
-        prev = v
+
+    def slopes_at(v: Fraction) -> Set[GaussianRational]:
+        return {a for a, m in zip(slopes, mods) if m == v}
+
+    finite = sorted(m for m in mods if m is not None)
+    lo, hi = (finite[i] if i < len(finite) else None for i in (k - 1, k))
+    if sum(m < 1 for m in finite) <= k <= sum(m <= 1 for m in finite) and len(slopes_at(1)) <= 1:
+        return ComplexLinearMap.identity(), Fraction(1)
+    for v in (lo, hi):
+        if v:  # finite and nonzero
+            at_v = slopes_at(v)
+            if len(at_v) == 1:
+                return scaling_map(next(iter(at_v))), v
+    if lo is not None and (hi is None or lo < hi):
+        c = _rational_sqrt_between(lo, lo + 1 if hi is None else hi)
+        return scaling_map(c), c * c
     return None
 
 
@@ -313,54 +284,36 @@ def hemisphere_split(
 
     Finds a linear transformation after which floor(e/2) line
     directions have modulus at most 1 and the rest at least 1, with at
-    most one parallel class landing exactly on the circle.  A modulus
-    threshold (a slope scaling) almost always suffices; degenerate tie
-    patterns are broken by a small deterministic pool of shears and
-    squeezes first.
+    most one parallel class landing exactly on the circle.  One cut on
+    the exact moduli (``_cut``) picks a slope scaling; only when the
+    moduli tie around the median does a small deterministic pool of
+    shears and squeezes move them first.  E1 takes the lines inside the
+    circle and then, in index order, lines on it until it holds
+    floor(e/2); the choice of the cut guarantees enough of them.
     """
     if sys.e < 2:
         raise ValueError("need at least two lines")
+    k = sys.e // 2
     transform = ComplexLinearMap.identity()
     base = sys.directions()
     dirs = base
     for attempt in range(len(_FIX_MAPS) + 1):
+        if attempt:
+            transform = _FIX_MAPS[attempt - 1].compose(transform)
+            dirs = [apply_mobius(transform, d) for d in base]
         slopes = [None if d.is_infinite else d.a for d in dirs]
         mods = [None if a is None else a.abs2() for a in slopes]
-        found = _try_threshold_split(mods, slopes, sys.e)
-        if found is not None:
-            kind, payload = found
-            if kind == "identity":
-                scale = ComplexLinearMap.identity()
-            elif kind == "onto":
-                scale = scaling_map(payload)
-            else:
-                scale = scaling_map(_rational_sqrt_between(*payload))
-            total = scale.compose(transform)
-            final = [apply_mobius(total, d) for d in base]
-            e1: Set[int] = set()
-            e2: Set[int] = set()
-            boundary: List[int] = []
-            for i, d in enumerate(final):
-                if d.is_infinite:
-                    e2.add(i)
-                    continue
-                m2 = d.a.abs2()
-                if m2 < 1:
-                    e1.add(i)
-                elif m2 > 1:
-                    e2.add(i)
-                else:
-                    boundary.append(i)
-            take = sys.e // 2 - len(e1)
-            if take < 0 or take > len(boundary):
-                raise SplitFailed("threshold bookkeeping failed")
-            e1.update(boundary[:take])
-            e2.update(boundary[take:])
-            return e1, e2, total
-        if attempt == len(_FIX_MAPS):
-            break
-        transform = _FIX_MAPS[attempt].compose(transform)
-        dirs = [apply_mobius(transform, d) for d in base]
+        cut = _cut(slopes, mods, k)
+        if cut is None:
+            continue
+        scale, t = cut
+        e1 = {i for i, m in enumerate(mods) if m is not None and m < t}
+        for i, m in enumerate(mods):
+            if len(e1) == k:
+                break
+            if m == t:
+                e1.add(i)
+        return e1, set(range(sys.e)) - e1, scale.compose(transform)
     raise SplitFailed("no transform in the candidate pool balanced the split")
 
 
@@ -454,22 +407,23 @@ def balance_lambda(
     axis_center: Direction,
     precision: int = 64,
 ) -> Tuple[Fraction, ComplexLinearMap]:
-    """Smallest dyadic squeeze parameter meeting the quota on ARC_A1.
+    """Squeeze parameter at which the quota count on ARC_A1 reaches target_k.
 
-    Returns the least lambda on the 2^-precision grid for which at
-    least target_k points meet the one-third arc quota after the
-    squeeze toward axis_center, together with the squeeze itself.  The
-    search is a bisection; the count at the grid point below the
-    result is certified to miss the target.
+    Bisects lambda in [0, 1 - 2^-precision] until the bracket is
+    narrower than 2^-precision and returns its upper end with the
+    squeeze toward axis_center; lambda = 0 when the unsqueezed system
+    already meets the target.  By construction at least target_k points
+    meet the one-third arc quota at lambda and fewer do at the bracket's
+    lower end.  The midpoints are dyadic but off the 2^-precision grid.
+    Only if the count is monotone in lambda, which is not checked, is
+    lambda within a grid step of the least parameter meeting the target
+    and does the count miss it one grid step below lambda.
     """
     if target_k > sys.n:
         raise Unbalanceable("target exceeds the number of points")
-    seen: List[Tuple[Fraction, int]] = []
 
     def count_at(lam: Fraction) -> int:
-        c = gamma_count(sys, ARC_A1, pi_lambda(axis_center, lam))
-        seen.append((lam, c))
-        return c
+        return gamma_count(sys, ARC_A1, pi_lambda(axis_center, lam))
 
     if count_at(Fraction(0)) >= target_k:
         return Fraction(0), ComplexLinearMap.identity()
@@ -478,18 +432,12 @@ def balance_lambda(
     if count_at(hi) < target_k:
         raise Unbalanceable("quota unreachable even at the largest squeeze")
     lo = Fraction(0)
-    while hi - lo > step:
+    while hi - lo > step:  # invariant: count_at(lo) < target_k <= count_at(hi)
         mid = (lo + hi) / 2
         if count_at(mid) >= target_k:
             hi = mid
         else:
             lo = mid
-    for l1, c1 in seen:
-        for l2, c2 in seen:
-            if l1 < l2 and c1 >= target_k > c2:
-                raise MonotonicityViolation(
-                    "quota dropped between lambda=%s and %s" % (l1, l2)
-                )
     return hi, pi_lambda(axis_center, hi)
 
 

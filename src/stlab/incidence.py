@@ -160,19 +160,13 @@ def count_incidences(
     points: Sequence[ComplexPoint],
     lines: Sequence[ComplexLine],
     C: float = 1e70,
-    method: str = "indexed",
 ) -> IncidenceReport:
     """Exact incidence count of a duplicate-free system, plus the bound."""
     if not 0 <= C < math.inf:  # also rejects nan
         raise GeometryError("C must be finite and non-negative, got %r" % C)
     _check_unique(points, "point")
     _check_unique(lines, "line")
-    if method == "indexed":
-        count = count_indexed(points, lines)
-    elif method == "naive":
-        count = count_naive(points, lines)
-    else:
-        raise ValueError("unknown method %r" % method)
+    count = count_indexed(points, lines)
     n, e = len(points), len(lines)
     bound = C * (n ** (2.0 / 3.0)) * (e ** (2.0 / 3.0)) + 3.0 * n + 3.0 * e
     ratio = count / bound if bound > 0 else 0.0

@@ -293,8 +293,12 @@ def _map_back(
 class RegionCheck:
     region_index: int
     size_ok: bool
-    interior_ok: bool
+    outside_anchor: Optional[int]  # first anchor id outside the interior
     pair_failures: List[Tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def interior_ok(self) -> bool:
+        return self.outside_anchor is None
 
 
 @dataclass
@@ -354,12 +358,12 @@ def verify_regions(
 
     checks: List[RegionCheck] = []
     for idx, asg in enumerate(assignments):
+        inside = asg.region.contains_interior
         chk = RegionCheck(
             idx,
             size_ok=len(asg.point_ids) == r,
-            interior_ok=all(
-                asg.region.contains_interior(bundle.anchors[i], margin)
-                for i in asg.point_ids
+            outside_anchor=next(
+                (i for i in asg.point_ids if not inside(bundle.anchors[i], margin)), None
             ),
         )
         ids = asg.point_ids

@@ -140,13 +140,30 @@ def test_normalize_points():
         normalize_points([(F(1),), (F(1),)])
     single, _ = normalize_points([(F(7), F(2))])
     assert all(x.denominator != 1 for x in single[0])
-    # the k-d tree needs floats: a coordinate beyond float range is refused
+    # the k-d tree needs floats: points spread beyond float range are refused
     with pytest.raises(InvalidParams, match="float range"):
         normalize_points([(F(10**400, 3),), (F(1, 7),)])
+    # only the offsets from the first point need floats: a far pair is fine
+    got, _ = normalize_points([(F(10**400) + F(1, 2),), (F(10**400) + F(3, 2),)])
+    assert (got[0][0] - got[1][0]) ** 2 > 1
     # far apart inside float range, the squared distance overflows, and
     # scale 1 already separates the points
     _, tr = normalize_points([(F(0),), (F(10**200),)])
     assert tr == NormalizeTransform(F(1), F(1, 2))
+    # the scale is re-checked exactly where the float distance errs: 19%
+    # and 33% long and merged by rounding while a far point at -1 sets the
+    # float resolution, and a square that underflows; without that point
+    # the floats of x - x0 are exact
+    for pair in (
+        [(F(10**9),), (F(10**9) + F(1, 10**7),)],
+        [(F(2**40) + F(1, 2),), (F(2**40) + F(1, 2) + F(3, 2**14),)],
+        [(F(10**17),), (F(10**17) + F(1, 2),)],
+        [(F(0),), (F(1, 10**200),)],
+    ):
+        for pts in (pair, [(F(-1),)] + pair[::-1]):
+            got, tr = normalize_points(pts)
+            assert min((a[0] - b[0]) ** 2 for a, b in itertools.combinations(got, 2)) > 1
+            assert [tr.invert(p) for p in got] == pts
 
 
 # exact outputs, so a wrong reduction or prime choice cannot pass: 1/2 and

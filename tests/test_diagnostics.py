@@ -5,6 +5,7 @@ import pytest
 from _oracles import oracle_cluster_stats
 
 from stlab.diagnostics import (
+    _FIX_MAPS,
     ARC_A1,
     ARC_A2,
     ARC_A3,
@@ -15,6 +16,7 @@ from stlab.diagnostics import (
     DiagnosticParams,
     EmptySelection,
     SparseInvariant,
+    SplitFailed,
     SystemView,
     TooClose,
     Unbalanceable,
@@ -150,6 +152,57 @@ def test_split_all_vertical():
     sys = SystemView.build([], lns)
     e1, e2, tr = hemisphere_split(sys)
     split_is_valid(sys, e1, e2, tr)
+
+
+@pytest.mark.parametrize(
+    "slopes, e1, m",
+    [
+        # identity: 1/2 inside, the class of i tops e1 up in index order
+        ([(0, 1), (3, 0), (F(1, 2), 0), (0, 1)], {0, 2}, ComplexLinearMap.identity()),
+        # onto at lo: moduli 4 9 25 49, both 3 and 5 are lone slopes
+        ([(2, 0), (3, 0), (5, 0), (7, 0)], {0, 1}, ComplexLinearMap(1, 0, 0, F(1, 3))),
+        # onto at hi: 2 and -2 share the modulus lo
+        ([(2, 0), (-2, 0), (3, 0), (4, 0)], {0, 1}, ComplexLinearMap(1, 0, 0, F(1, 3))),
+        # between: two slopes at lo and at hi
+        ([(2, 0), (-2, 0), (3, 0), (-3, 0)], {0, 1}, ComplexLinearMap(1, 0, 0, F(4, 9))),
+        # between with hi infinite: lo + 1 stands in for hi
+        ([(2, 0), (-2, 0), None, (None, 1)], {0, 1}, ComplexLinearMap(1, 0, 0, F(16, 35))),
+        # fix pool: four slopes of one modulus
+        (
+            [(2, 0), (-2, 0), (0, 2), (0, -2)],
+            {0, 3},
+            ComplexLinearMap(1, F(1, 2), GR(F(70, 97), F(12, 97)), GR(F(62, 97), F(-6, 97))),
+        ),
+    ],
+    ids=["identity", "onto-lo", "onto-hi", "between", "between-inf-hi", "fix-pool"],
+)
+def test_split_branches_pinned(slopes, e1, m):
+    # (a, b) is the line z2 = a*z1 + b of slope a; None and (None, c) are
+    # the verticals z1 = 0 and z1 = c
+    lns = []
+    for i, s in enumerate(slopes):
+        if s is None or s[0] is None:
+            lns.append(ComplexLine.vertical(GR(0 if s is None else s[1])))
+        else:
+            lns.append(line(GR(*s), i))
+    sys = SystemView.build([], lns)
+    got1, got2, tr = hemisphere_split(sys)
+    assert (got1, tr) == (e1, m)
+    split_is_valid(sys, got1, got2, tr)
+
+
+def test_split_fails_when_every_pool_map_ties_the_median():
+    # 15 verticals hold both median positions; each pool transform takes
+    # them to one slope v and a second line to -v, of the same modulus,
+    # so no cut keeps a single slope on the circle
+    lns = [ComplexLine.vertical(GR(c)) for c in range(15)]
+    t = ComplexLinearMap.identity()
+    for fix in _FIX_MAPS:
+        t = fix.compose(t)
+        v = apply_mobius(t, DIR_INF).a
+        lns.append(line(apply_mobius(t.inverse(), Direction(-v)).a, len(lns)))
+    with pytest.raises(SplitFailed):
+        hemisphere_split(SystemView.build([], lns))
 
 
 def test_split_random_systems():

@@ -72,7 +72,7 @@ def test_count_examples():
     expect = oracle_count(pts, lines)
     assert expect == 10
     assert count_naive(pts, lines) == count_indexed(pts, lines) == expect
-    assert count_incidences(pts, lines, method="naive").I == expect
+    assert count_incidences(pts, lines).I == expect
 
 
 def test_duplicate_input_rejected():

@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -87,10 +88,13 @@ def test_cli_gen_incidences_pipeline(tmp_path, capsys):
 
 
 def test_cli_pipe_via_subprocess():
+    # run from src/ so that "-m" finds this tree's stlab without an install
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     gen = subprocess.run(
         [sys.executable, "-m", "stlab.cli", "gen", "erdos", "--k", "3"],
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert gen.returncode == 0
     cnt = subprocess.run(
@@ -98,6 +102,7 @@ def test_cli_pipe_via_subprocess():
         input=gen.stdout,
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert cnt.returncode == 0
     assert "I=81 n=54 e=27" in cnt.stdout
@@ -126,6 +131,15 @@ def test_cli_cover_verify_cycle(tmp_path, capsys):
     assert "non_overlap=True" in out and "bott=True" in out
     assert "witness" not in out and len(out.splitlines()) == 1
     assert main(["shiftgraph", "--in", str(coverfile)]) == 0
+
+
+def test_cli_cover_separates_points_floats_merge(tmp_path):
+    ptsfile = tmp_path / "pts.txt"
+    ptsfile.write_text("stlab points 1\ndim 1\np 100000000000000000\np 200000000000000001/2\n")
+    coverfile = tmp_path / "cover.txt"
+    assert main(["cover", "--dim", "1", "--kappa", "1", "--r", "1",
+                 "--in", str(ptsfile), "--out", str(coverfile)]) == 0
+    assert main(["verify", "--cover", str(coverfile)]) == 0
 
 
 def test_cli_verify_cover_prints_witness(tmp_path, capsys):
@@ -183,7 +197,7 @@ def test_cli_verify_regions_prints_witness(tmp_path, capsys):
     assert verify([far, both], [(2,), (0, 1)], 1) == (
         "regions witness: region 1 does not hold exactly r=1 anchors")
     assert verify([far, both], [(2,), (2,)], 1) == (
-        "regions witness: region 1 has an anchor outside its interior")
+        "regions witness: region 1: anchor 2 lies outside its interior")
     assert verify([both, far], [(0, 1), (2, 1)], 2) == (
         "regions witness: region 0: no mixed crossing family of anchors 0 and 1 lies inside")
 
