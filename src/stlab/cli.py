@@ -155,8 +155,7 @@ def cmd_cover(args) -> int:
         if stream is not sys.stdin:
             stream.close()
     if d != args.dim:
-        print("input dimension %d does not match --dim %d" % (d, args.dim), file=sys.stderr)
-        return 2
+        raise fileio.FormatError("input dimension %d does not match --dim %d" % (d, args.dim))
     normalized, _ = normalize_points(pts)
     result = run_covering(normalized, args.dim, args.kappa, args.r)
     _emit(fileio.dump_cover(normalized, result, args.dim, args.kappa, args.r), args.out)

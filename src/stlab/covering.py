@@ -29,8 +29,10 @@ list once onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm
 of its denominators, and compare int boxes there.  One sweep over
 first-axis faces shortlists the box pairs that meet; a point enters it
 by its cell floor(x0 D) and is then tested against a box by
-cross-multiplying.  Floats appear only in normalize_points' k-d tree,
-whose close pairs are re-checked exactly.
+cross-multiplying.  normalize_points reads the points once as ints
+over the lcm of their denominators and finds their exact nearest pair
+on a sampled grid.  The one float is VerificationReport.count_bound, a
+printed copy of the exact bound.
 """
 
 from __future__ import annotations
@@ -38,13 +40,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from .exact import Rational, _frac
 
@@ -183,47 +183,48 @@ class NormalizeTransform:
         return tuple((_frac(x) - self.offset) / self.scale for x in p)
 
 
-def _separating_scale(pts: List[Point], d: int) -> int:
-    """Integer scale k with k^2 |p - q|^2 > d for every pair of the
-    points, two or more and distinct.
+def _least_square_distance(cols: List[List[int]]) -> int:
+    """The exact least squared distance among n >= 2 int points, given
+    per axis as cols; a repeated point raises DuplicatePoints.
 
-    A float k-d tree proposes k from its nearest distance, shrunk by a
-    1e-6 relative margin.  Every pair whose float distance is within
-    rounding of sqrt(d)/k is then checked exactly; if one fails, k
-    becomes the least scale that separates the exact nearest pair,
-    which is among them.  A pair that floats merge is found the same way.
+    Rabin's sampled grid: the least m over n seeded random pairs bounds
+    it, and any closer pair lies in the same or adjacent cells of side
+    ceil(sqrt(m)).  The sample sets the running time, never the answer.
     """
-    from scipy.spatial import cKDTree
+    def squares(I: Sequence[int], J: Sequence[int]) -> List[int]:
+        total = [0] * len(I)
+        for col in cols:
+            diff = list(map(operator.sub, map(col.__getitem__, I), map(col.__getitem__, J)))
+            total = list(map(operator.add, total, map(operator.mul, diff, diff)))
+        return total
 
-    # floats of x - x0 for x0 the first point cut to ints: rounding then
-    # scales with the spread of the points, not with their distance from 0
-    ref = [int(x) for x in pts[0]]
-    try:
-        arr = np.array([[(x.numerator - r * x.denominator) / x.denominator for x, r in zip(p, ref)]
-                        for p in pts])
-    except OverflowError:
-        raise InvalidParams("the points spread beyond float range") from None
-    tree = cKDTree(arr)
-    dmin = float(tree.query(arr, k=2)[0][:, 1].min())
-    # a squared distance past float range is far above d: scale 1 will do
-    dlow2 = Fraction(min(dmin * dmin, sys.float_info.max)) * Fraction(1 - Fraction(1, 10**6))
-    if dlow2 > 0:
-        k = math.isqrt(int(Fraction(d) / dlow2)) + 1
-        reach = math.sqrt(d) / k
-    else:  # the nearest pair merged or its square underflowed
-        k, reach = 0, math.sqrt(d) * float(tree.query(arr, k=2, p=math.inf)[0][:, 1].min())
-    # float and exact distances differ by at most sqrt(d) * max|x - x0| * 2^-52,
-    # so reach plus twice that holds every pair that can fail at k and,
-    # when k = 0, the exact nearest pair; there is none when the nearest
-    # float distance lies beyond.  Max-norm balls square nothing.
-    radius = reach * (1 + 1e-9) + 2 * math.sqrt(d) * float(np.abs(arr).max()) * 2.0**-52
-    close = []
-    if radius >= dmin:
-        close = tree.query_pairs(radius, p=math.inf, output_type="ndarray").tolist()
-    near2 = min((sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])) for i, j in close), default=None)
-    if near2 is not None and k * k * near2 <= d:
-        k = math.isqrt(int(d / near2)) + 1
-    return k
+    n = len(cols[0])
+    # each point against a random other one, 1 to n - 1 places ahead
+    ahead = random.Random(0).choices(range(1, n), k=n)
+    m = min(squares(range(n), [(i + t) % n for i, t in enumerate(ahead)]))
+    if m:
+        s = math.isqrt(m - 1) + 1
+        # cell c has the key sum c_i w^i; digits stay below w/2 in size, so
+        # c + e, e in {-1, 0, 1}^d, has key c + key e; forward e have key e > 0
+        w = 2 * max([max(map(abs, col)) // s for col in cols]) + 5
+        keys = [0] * n
+        for col in reversed(cols):
+            keys = [key * w + a // s for key, a in zip(keys, col)]
+        cells: Dict[int, List[int]] = {}
+        for i, key in enumerate(keys):
+            cells.setdefault(key, []).append(i)
+        axes = [(-(w**i), 0, w**i) for i in range(len(cols))]
+        steps = [t for t in map(sum, itertools.product(*axes)) if t > 0]
+        I, J = [], []
+        for key, ids in cells.items():
+            near = ids + [j for t in steps for j in cells.get(key + t, ())]
+            for a in range(len(ids)):
+                I += [ids[a]] * (len(near) - a - 1)
+                J += near[a + 1 :]
+        m = min(squares(I, J) + [m])
+    if m == 0:
+        raise DuplicatePoints("points must be pairwise distinct")
+    return m
 
 
 def normalize_points(
@@ -231,28 +232,28 @@ def normalize_points(
 ) -> Tuple[List[Point], NormalizeTransform]:
     """Similarity making the minimal distance exceed the unit-cube diameter.
 
-    Scales by the integer k of ``_separating_scale``, so that every
-    pairwise distance exceeds sqrt(d), then shifts by 1/p for the first
-    prime p that leaves no coordinate an integer.  Floats only propose
-    k; it is checked exactly.
+    Reads the points once as ints x L, L the lcm of all their
+    denominators; the ints grow with the bit length of L.  With m > 0
+    their least squared distance, it scales by k = isqrt(d L^2 // m) + 1,
+    the least integer with k^2 |p - q|^2 > d for every pair, then shifts
+    by 1/p for the first prime p that leaves no coordinate an integer.
     """
-    pts = [tuple(_frac(x) for x in p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise DuplicatePoints("points must be pairwise distinct")
-    if not pts:
+    if not all(issubclass(t, (int, Fraction)) for t in {type(x) for p in points for x in p}):
+        [_frac(x) for p in points for x in p]  # raises its TypeError
+    if not points:
         return [], NormalizeTransform(Fraction(1), Fraction(1, 2))
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise InvalidParams("mixed dimensions")
-    k = _separating_scale(pts, d) if len(pts) >= 2 else 1
+    d = len(points[0])
+    if d == 0 or any(len(p) != d for p in points):
+        raise InvalidParams("points need one dimension d >= 1")
+    L = math.lcm(*{x.denominator for p in points for x in p})
+    cols = [[x.numerator * (L // x.denominator) for x in col] for col in zip(*points)]
+    k = math.isqrt(d * L * L // _least_square_distance(cols)) + 1 if len(points) > 1 else 1
     for prime in _PRIMES:
-        # k * a/b + 1/p in one integer step
-        shifted = [
-            tuple(Fraction(k * prime * x.numerator + x.denominator, prime * x.denominator) for x in p)
-            for p in pts
-        ]
-        if all(x.denominator != 1 for p in shifted for x in p):
-            return shifted, NormalizeTransform(Fraction(k), Fraction(1, prime))
+        # k x + 1/p is an integer iff p L divides p k x L + L
+        step, den = k * prime, prime * L
+        if all([(step * a + L) % den for col in cols for a in col]):
+            shifted = [[Fraction(step * a + L, den) for a in col] for col in cols]
+            return list(zip(*shifted)), NormalizeTransform(Fraction(k), Fraction(1, prime))
     raise CoveringError("no shift candidate avoided the integer lattice")
 
 

@@ -173,6 +173,46 @@ def random_rational_points(n, d, span, seed, denom=2**20):
     return pts
 
 
+def random_clustered_points(rng, d, n):
+    """n distinct points in one to three clusters.  A cluster centre has
+    coordinates up to 10^400 in size over 1, 3 or 7; its points sit up
+    to 20 steps of 1/(q e) away on each axis, q in 1, 10^3, 10^9 per
+    cluster and e in 1, 2, 3, 7 per point, so denominators mix."""
+    clusters = []
+    for _ in range(rng.randint(1, 3)):
+        e = rng.choice((0, 3, 17, 400))
+        centre = tuple(F(rng.randint(-(10**e), 10**e), rng.choice((1, 3, 7))) for _ in range(d))
+        clusters.append((centre, rng.choice((1, 10**3, 10**9))))
+    pts, seen = [], set()
+    while len(pts) < n:
+        centre, q = rng.choice(clusters)
+        den = q * rng.choice((1, 2, 3, 7))
+        p = tuple(x + F(rng.randint(-20, 20), den) for x in centre)
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts
+
+
+def oracle_separating_scale(points):
+    """The least integer k with k^2 |p - q|^2 > d for every pair of the
+    distinct points, from all pairs in Fractions: doubling, then
+    bisection on that predicate."""
+    d = len(points[0])
+    m = min(sum((a - b) ** 2 for a, b in zip(p, q)) for p, q in itertools.combinations(points, 2))
+    hi = 1
+    while hi * hi * m <= d:
+        hi *= 2
+    lo = hi // 2  # fails, or is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid * m > d:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def oracle_cluster_stats(dirs, m):
     """Unit mean center and angular diameter (degrees) of the images of
     ``dirs`` under ``m``, each image taken by the exact Moebius action

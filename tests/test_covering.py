@@ -1,9 +1,15 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlab.covering import (
     CoverResult,
@@ -33,9 +39,11 @@ from _oracles import (
     IN_DEGREE_TWO_POINTS,
     KNOWN_DEFECT_WITNESSES,
     oracle_bott,
+    oracle_separating_scale,
     oracle_shift_graph,
     point_in_box_closed,
     random_disjoint_cubes,
+    random_clustered_points,
     random_mixed_cubes,
     random_rational_points,
     shift_cube,
@@ -138,22 +146,29 @@ def test_normalize_points():
     assert back == [(F(0), F(0)), (F(3), F(0))]
     with pytest.raises(DuplicatePoints):
         normalize_points([(F(1),), (F(1),)])
+    # the type comes first, then the dimension: zip would cut (1, 2) to (1,)
+    with pytest.raises(TypeError):
+        normalize_points([(F(1), 0.5), (F(1),)])
+    with pytest.raises(InvalidParams, match="dimension"):
+        normalize_points([(F(1), F(2)), (F(1),)])
+    with pytest.raises(InvalidParams, match="dimension"):
+        normalize_points([()])
     single, _ = normalize_points([(F(7), F(2))])
     assert all(x.denominator != 1 for x in single[0])
-    # the k-d tree needs floats: points spread beyond float range are refused
-    with pytest.raises(InvalidParams, match="float range"):
-        normalize_points([(F(10**400, 3),), (F(1, 7),)])
-    # only the offsets from the first point need floats: a far pair is fine
+    # points spread beyond float range normalise exactly
+    far = [(F(10**400, 3),), (F(1, 7),)]
+    got, tr = normalize_points(far)
+    assert tr == NormalizeTransform(F(1), F(1, 2))
+    assert got == [(F(10**400, 3) + F(1, 2),), (F(9, 14),)]
+    assert [tr.invert(p) for p in got] == far
+    # a close pair far from 0
     got, _ = normalize_points([(F(10**400) + F(1, 2),), (F(10**400) + F(3, 2),)])
     assert (got[0][0] - got[1][0]) ** 2 > 1
-    # far apart inside float range, the squared distance overflows, and
-    # scale 1 already separates the points
+    # a squared distance that no float holds: scale 1 already separates
     _, tr = normalize_points([(F(0),), (F(10**200),)])
     assert tr == NormalizeTransform(F(1), F(1, 2))
-    # the scale is re-checked exactly where the float distance errs: 19%
-    # and 33% long and merged by rounding while a far point at -1 sets the
-    # float resolution, and a square that underflows; without that point
-    # the floats of x - x0 are exact
+    # close pairs far from 0 and a gap of 10^-200, each also behind a far
+    # point at -1
     for pair in (
         [(F(10**9),), (F(10**9) + F(1, 10**7),)],
         [(F(2**40) + F(1, 2),), (F(2**40) + F(1, 2) + F(3, 2**14),)],
@@ -164,6 +179,48 @@ def test_normalize_points():
             got, tr = normalize_points(pts)
             assert min((a[0] - b[0]) ** 2 for a, b in itertools.combinations(got, 2)) > 1
             assert [tr.invert(p) for p in got] == pts
+
+
+def test_normalize_points_dense_cluster_far_away():
+    # 1000 points 10^-6 apart near 10^17 and one at 0: linear, not
+    # quadratic in the cluster
+    pts = [(F(0),)] + [(F(10**17) + F(j, 10**6),) for j in range(1000)]
+    start = time.perf_counter()
+    got, tr = normalize_points(pts)
+    assert time.perf_counter() - start < 1
+    assert tr == NormalizeTransform(F(10**6 + 1), F(1, 2))
+    assert (got[2][0] - got[1][0]) ** 2 > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4))
+def test_normalize_points_least_scale_matches_oracle(seed, d):
+    rng = random.Random(seed)
+    pts = random_clustered_points(rng, d, rng.randint(2, 40))
+    got, tr = normalize_points(pts)
+    assert tr.scale == oracle_separating_scale(pts)
+    assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
+    assert all(x.denominator != 1 for p in got for x in p)
+    # the same point again, once as ints where it has them
+    twin = tuple(int(x) if x.denominator == 1 else x for x in rng.choice(pts))
+    with pytest.raises(DuplicatePoints):
+        normalize_points(pts + [twin])
+
+
+def test_covering_runs_without_scipy():
+    code = (
+        "import sys\n"
+        "from stlab.covering import normalize_points, run_covering, verify_cover\n"
+        "from _oracles import random_rational_points\n"
+        "norm, _ = normalize_points(random_rational_points(300, 2, 30, 5))\n"
+        "assert verify_cover(norm, run_covering(norm, 2, 1, 1), 1, 1).all_ok\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 # exact outputs, so a wrong reduction or prime choice cannot pass: 1/2 and

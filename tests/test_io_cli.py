@@ -142,6 +142,14 @@ def test_cli_cover_separates_points_floats_merge(tmp_path):
     assert main(["verify", "--cover", str(coverfile)]) == 0
 
 
+def test_cli_cover_points_beyond_float_range(tmp_path):
+    ptsfile = tmp_path / "pts.txt"
+    ptsfile.write_text("stlab points 1\ndim 1\np %d/3\np 1/7\n" % 10**400)
+    coverfile = tmp_path / "cover.txt"
+    assert main(["cover", "--dim", "1", "--in", str(ptsfile), "--out", str(coverfile)]) == 0
+    assert main(["verify", "--cover", str(coverfile)]) == 0
+
+
 def test_cli_verify_cover_prints_witness(tmp_path, capsys):
     from stlab.covering import CoverResult, CoverStats, FreeCube, SignedPermutation
     from _oracles import IN_DEGREE_TWO, IN_DEGREE_TWO_POINTS
@@ -346,7 +354,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["verify", "--regions", "REG", "--bundle", "BUN", "--margin", "-1"], "margin must"),
         (["verify", "--regions", "HALF", "--bundle", "BUN"], "halfspace"),
         (["dirs", "cover-sphere", "--delta", "0.01"], "cover centers"),
-        (["cover", "--dim", "1", "--in", "BIG"], "float range"),
+        (["cover", "--dim", "2", "--in", "BIG"], "does not match --dim 2"),
         (["verify", "--regions", "RZERO", "--bundle", "BUN"], "r must"),
     ],
     ids=[
@@ -354,7 +362,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         "erdos-k0", "rich-t1", "bundle-m0", "beck-one-point", "check-samples-negative",
         "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
         "c-rich-nan", "margin-zero-denominator", "margin-negative",
-        "halfspace-record", "delta-too-many-centers", "cover-beyond-float-range",
+        "halfspace-record", "delta-too-many-centers", "cover-dim-mismatch",
         "regions-r-zero",
     ],
 )
