@@ -18,9 +18,11 @@ from .covering import CoveringError, build_shift_graph, normalize_points, run_co
 from .directions import (
     DIR_INF,
     Direction,
+    apply_mobius,
     dist_deg,
     is_orthogonal,
     max_cover_gap_deg,
+    pi_lambda,
     sphere_disk_cover,
 )
 from .exact import GaussianRational, GeometryError
@@ -193,8 +195,6 @@ def cmd_dirs(args) -> int:
     elif args.op == "orth":
         print(str(is_orthogonal(_parse_direction(args.a), _parse_direction(args.b))).lower())
     elif args.op == "mobius":
-        from .directions import apply_mobius, pi_lambda
-
         center = _parse_direction(args.center)
         lam = fileio.parse_rational(args.lam)
         img = apply_mobius(pi_lambda(center, lam), _parse_direction(args.a))

@@ -5,7 +5,9 @@ algorithm selects non-overlapping axis-aligned cubes such that the
 bottom side-cube of every selected cube holds at least r of the
 original points, the number of selected cubes is proportional to n/r,
 and the directed "shift graph" on the selection has in-degree at most
-one everywhere.
+one everywhere.  Here it departs from the paper: the placements can leave
+a cube with two sources, so the run ends by dropping every cube of
+in-degree 2 or more until none is left (CoverStats.dropped).
 
 The algorithm runs over a hierarchy of lattice subdivisions whose side
 ratio is rho = 4*kappa + 1 per axis (each parent cell consists of
@@ -31,8 +33,8 @@ first-axis faces shortlists the box pairs that meet; a point enters it
 by its cell floor(x0 D) and is then tested against a box by
 cross-multiplying.  normalize_points reads the points once as ints
 over the lcm of their denominators and finds their exact nearest pair
-on a sampled grid.  The one float is VerificationReport.count_bound, a
-printed copy of the exact bound.
+on a sampled grid keyed on at most four axes.  The one float is
+VerificationReport.count_bound, a printed copy of the exact bound.
 """
 
 from __future__ import annotations
@@ -190,6 +192,8 @@ def _least_square_distance(cols: List[List[int]]) -> int:
     Rabin's sampled grid: the least m over n seeded random pairs bounds
     it, and any closer pair lies in the same or adjacent cells of side
     ceil(sqrt(m)).  The sample sets the running time, never the answer.
+    The grid keys on at most four axes, so a cell has at most 80 neighbours;
+    a closer pair is adjacent on every axis, so also on those four.
     """
     def squares(I: Sequence[int], J: Sequence[int]) -> List[int]:
         total = [0] * len(I)
@@ -206,14 +210,15 @@ def _least_square_distance(cols: List[List[int]]) -> int:
         s = math.isqrt(m - 1) + 1
         # cell c has the key sum c_i w^i; digits stay below w/2 in size, so
         # c + e, e in {-1, 0, 1}^d, has key c + key e; forward e have key e > 0
-        w = 2 * max([max(map(abs, col)) // s for col in cols]) + 5
+        grid = cols[:4]
+        w = 2 * max([max(map(abs, col)) // s for col in grid]) + 5
         keys = [0] * n
-        for col in reversed(cols):
+        for col in reversed(grid):
             keys = [key * w + a // s for key, a in zip(keys, col)]
         cells: Dict[int, List[int]] = {}
         for i, key in enumerate(keys):
             cells.setdefault(key, []).append(i)
-        axes = [(-(w**i), 0, w**i) for i in range(len(cols))]
+        axes = [(-(w**i), 0, w**i) for i in range(len(grid))]
         steps = [t for t in map(sum, itertools.product(*axes)) if t > 0]
         I, J = [], []
         for key, ids in cells.items():
@@ -334,6 +339,7 @@ class CoverStats:
     s: int = 0
     b: int = 0
     g: int = 0
+    dropped: int = 0  # cubes pruned for shift-graph in-degree >= 2
     orientation_counts: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
@@ -647,7 +653,19 @@ class _CoverRun:
                 box = amap.apply_box(box)
                 side = Fraction(box[0][1] - box[0][0], self.rho)
                 K.append(FreeCube(tuple(Fraction(lo, self.rho) for lo, _ in box), side))
-        return CoverResult(K, amap, self.stats)
+        # drop every target of in-degree >= 2 until none is left, since a drop
+        # can open a corridor; in-degree is at most the spill candidates
+        while True:
+            grid = _on_grid(K, self.kappa)
+            sources: Dict[int, List[int]] = {}
+            for i, j in _spill_pairs(grid):
+                sources.setdefault(j, []).append(i)
+            gated = [j for j, ids in sources.items() if len(ids) > 1]
+            full = {j for j in gated if sum(_edge_condition2(grid, i, j) for i in sources[j]) > 1}
+            if not full:
+                return CoverResult(K, amap, self.stats)
+            self.stats.dropped += len(full)
+            K = [c for t, c in enumerate(K) if t not in full]
 
 
 def run_covering(
@@ -814,31 +832,29 @@ def _edge_condition2(grid: _Grid, i: int, j: int) -> bool:
     return _corridor_open(base, blockers)
 
 
-def _shift_graph(grid: _Grid) -> ShiftGraph:
-    """The shift graph of the cubes behind grid; see build_shift_graph."""
-    k = len(grid.boxes)
-    if k < 2:
-        return ShiftGraph(k, [])
-    for i, j in _overlap_candidates(grid.boxes, grid.boxes):
-        if i < j and boxes_overlap_interior(grid.boxes[i], grid.boxes[j]):
-            raise OverlappingInput((i, j))
-    cand = _overlap_candidates(grid.shifted_botts, grid.shifts)
-    survivors = []
-    for i, j in cand:
+def _spill_pairs(grid: _Grid) -> List[Tuple[int, int]]:
+    """Pairs (i, j), i != j, whose shifted bott(K[i]) meets shift(K[j]) in
+    an open set that spills outside bott(K[i]): the first edge condition."""
+    pairs = []
+    for i, j in _overlap_candidates(grid.shifted_botts, grid.shifts):
         if i == j:
             continue
         inter = box_intersection(grid.shifted_botts[i], grid.shifts[j])
         if any(lo >= hi for lo, hi in inter):
             continue
-        # spill outside bott(Q1): the open intersection must not sit inside it
-        if all(
-            bl <= lo and hi <= bh
-            for (lo, hi), (bl, bh) in zip(inter, grid.botts[i])
-        ):
+        if all(bl <= lo and hi <= bh for (lo, hi), (bl, bh) in zip(inter, grid.botts[i])):
             continue
-        survivors.append((i, j))
-    edges = [(i, j) for i, j in survivors if _edge_condition2(grid, i, j)]
-    return ShiftGraph(k, sorted(edges))
+        pairs.append((i, j))
+    return pairs
+
+
+def _shift_graph(grid: _Grid) -> ShiftGraph:
+    """The shift graph of the cubes behind grid; see build_shift_graph."""
+    for i, j in _overlap_candidates(grid.boxes, grid.boxes):
+        if i < j and boxes_overlap_interior(grid.boxes[i], grid.boxes[j]):
+            raise OverlappingInput((i, j))
+    edges = [(i, j) for i, j in _spill_pairs(grid) if _edge_condition2(grid, i, j)]
+    return ShiftGraph(len(grid.boxes), sorted(edges))
 
 
 def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:

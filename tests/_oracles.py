@@ -173,6 +173,30 @@ def random_rational_points(n, d, span, seed, denom=2**20):
     return pts
 
 
+def clustered_cover_input(seed):
+    """(points, d, kappa, r) of a seeded clustered covering input: n
+    points around 2 to 6 integer centres in [0, 400]^d, each offset by
+    up to the drawn spread per axis plus the usual 2^-20 tie-breaker.
+    Such clusters make covers whose placements give a cube two
+    shift-graph sources."""
+    rng = random.Random("sweep2:%d" % seed)
+    d = rng.choice((2, 2, 3, 4))
+    kappa = rng.choice((1, 1, 2))
+    r = rng.choice((1, 2, 4, 8))
+    n = rng.choice((400, 800, 1500))
+    centres = [[rng.randint(0, 400) for _ in range(d)] for _ in range(rng.randint(2, 6))]
+    spread = rng.choice((1, 3, 10, 40))
+    pts, seen, t = [], set(), 0
+    while len(pts) < n:
+        c = rng.choice(centres)
+        p = tuple(F(c[i] + rng.randint(0, spread)) + F(2 * (t + i) + 1, 2**20) for i in range(d))
+        t += d
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts, d, kappa, r
+
+
 def random_clustered_points(rng, d, n):
     """n distinct points in one to three clusters.  A cluster centre has
     coordinates up to 10^400 in size over 1, 3 or 7; its points sit up

@@ -20,6 +20,7 @@ from stlab.covering import (
     InvalidParams,
     NormalizeTransform,
     OverlappingInput,
+    ShiftGraph,
     SignedPermutation,
     _CellInfo,
     _CoverRun,
@@ -38,6 +39,7 @@ from _oracles import (
     IN_DEGREE_TWO,
     IN_DEGREE_TWO_POINTS,
     KNOWN_DEFECT_WITNESSES,
+    clustered_cover_input,
     oracle_bott,
     oracle_separating_scale,
     oracle_shift_graph,
@@ -193,7 +195,7 @@ def test_normalize_points_dense_cluster_far_away():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32), st.integers(1, 4))
+@given(st.integers(0, 2**32), st.integers(1, 8))  # the grid keys on four axes
 def test_normalize_points_least_scale_matches_oracle(seed, d):
     rng = random.Random(seed)
     pts = random_clustered_points(rng, d, rng.randint(2, 40))
@@ -205,6 +207,15 @@ def test_normalize_points_least_scale_matches_oracle(seed, d):
     twin = tuple(int(x) if x.denominator == 1 else x for x in rng.choice(pts))
     with pytest.raises(DuplicatePoints):
         normalize_points(pts + [twin])
+
+
+def test_covering_high_dimension_is_fast():
+    # a grid on all 20 axes would probe (3^20 - 1)/2 neighbour cells
+    pts = random_clustered_points(random.Random(7), 20, 3)
+    start = time.perf_counter()
+    norm, _ = normalize_points(pts)
+    assert verify_cover(norm, run_covering(norm, 20, 1, 1), 1, 1).all_ok
+    assert time.perf_counter() - start < 1
 
 
 def test_covering_runs_without_scipy():
@@ -469,6 +480,14 @@ def test_shift_graph_side_by_side():
     assert build_shift_graph([q1], kappa=1).edges == []
 
 
+def test_shift_graph_d1_admits_two_sources():
+    # at d = 1 a target can have a source above it, whose bottom side-cube
+    # is longer than the target, and a small one within side/10 below it
+    cubes = [fc((0,), 10), FreeCube((F(21, 2),), F(60)), FreeCube((F(-3, 5),), F(1, 2))]
+    edges = build_shift_graph(cubes, kappa=1).edges
+    assert edges == oracle_shift_graph(cubes, 1) == [(0, 2), (1, 0), (2, 0)]
+
+
 def test_shift_graph_blocked_corridor():
     # a small cube hangs slightly below q1's bottom plane; three slim cubes
     # tile the corridor between them and must kill the edge exactly
@@ -608,6 +627,33 @@ def test_verify_cover_names_known_defect_witnesses():
         edges = oracle_shift_graph(cubes, 1)
         assert [i for i, j in edges if j == target] == sources
         assert build_shift_graph(cubes, 1).edges == edges
+
+
+# clustered inputs whose placements gave a cube two shift-graph sources
+# before run_covering pruned them (d = 2 to 4, kappa = 1 and 2)
+CLUSTERED_IN_DEGREE_TWO = (16, 270, 307, 361, 982, 1093, 1258, 1386)
+
+
+@pytest.mark.parametrize("seed", CLUSTERED_IN_DEGREE_TWO)
+def test_covering_prunes_in_degree_two(seed):
+    pts, d, kappa, r = clustered_cover_input(seed)
+    norm, _ = normalize_points(pts)
+    res = run_covering(norm, d, kappa, r)
+    assert verify_cover(norm, res, kappa, r).all_ok
+    assert res.stats.dropped >= 1
+    # run_covering prunes on build_shift_graph's own route; the oracle is
+    # the independent one
+    edges = oracle_shift_graph(res.K, kappa)
+    assert build_shift_graph(res.K, kappa).edges == edges
+    assert max(ShiftGraph(len(res.K), edges).in_degrees()) <= 1
+
+
+def test_covering_clustered_sweep():
+    for seed in range(200):
+        pts, d, kappa, r = clustered_cover_input(seed)
+        norm, _ = normalize_points(pts)
+        rep = verify_cover(norm, run_covering(norm, d, kappa, r), kappa, r)
+        assert rep.all_ok, (seed, rep)
 
 
 def test_points_in_boxes_matches_brute_force():
