@@ -33,7 +33,7 @@ first-axis faces shortlists the box pairs that meet; a point enters it
 by its cell floor(x0 D) and is then tested against a box by
 cross-multiplying.  normalize_points reads the points once as ints
 over the lcm of their denominators and finds their exact nearest pair
-on a sampled grid keyed on at most four axes.  The one float is
+on a sampled grid keyed on its four widest axes.  The one float is
 VerificationReport.count_bound, a printed copy of the exact bound.
 """
 
@@ -192,8 +192,9 @@ def _least_square_distance(cols: List[List[int]]) -> int:
     Rabin's sampled grid: the least m over n seeded random pairs bounds
     it, and any closer pair lies in the same or adjacent cells of side
     ceil(sqrt(m)).  The sample sets the running time, never the answer.
-    The grid keys on at most four axes, so a cell has at most 80 neighbours;
-    a closer pair is adjacent on every axis, so also on those four.
+    The grid keys on the four axes of widest spread (all of them when
+    d <= 4), so a cell has at most 80 neighbours; a closer pair is
+    adjacent on every axis, so also on those four.
     """
     def squares(I: Sequence[int], J: Sequence[int]) -> List[int]:
         total = [0] * len(I)
@@ -210,7 +211,8 @@ def _least_square_distance(cols: List[List[int]]) -> int:
         s = math.isqrt(m - 1) + 1
         # cell c has the key sum c_i w^i; digits stay below w/2 in size, so
         # c + e, e in {-1, 0, 1}^d, has key c + key e; forward e have key e > 0
-        grid = cols[:4]
+        widest = sorted(range(len(cols)), key=lambda i: max(cols[i]) - min(cols[i]))[-4:]
+        grid = [cols[i] for i in sorted(widest)]
         w = 2 * max([max(map(abs, col)) // s for col in grid]) + 5
         keys = [0] * n
         for col in reversed(grid):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -140,19 +140,18 @@ class DiagnosticParams:
             raise ValueError("d_a must be nonnegative")
 
 
-def _circle_position(a: GaussianRational) -> int:
-    """Where a nonzero a points, in steps of 22.5 degrees: 2k on the ray
-    at 45k degrees, 2k + 1 strictly inside the octant after it.
+def _position(x: int, y: int) -> int:
+    """Where a nonzero (x, y) points, in steps of 22.5 degrees: 2k on the
+    ray at 45k degrees, 2k + 1 strictly inside the octant after it.
 
-    x and y are re and im times the positive re.den * im.den.  Folding
-    (x, y) by a half turn into the upper half plane and by a quarter
-    turn into the first quadrant leaves one comparison of x with y;
-    together these read off the signs of re, im, re + im and re - im
-    with integer comparisons only.
+    Folding (x, y) by a half turn into the upper half plane and by a
+    quarter turn into the first quadrant leaves one comparison of x with
+    y; together these read off the signs of x, y, x + y and x - y with
+    integer comparisons only.  ``ArcSpec.contains`` reads a slope through
+    it, and ``balance_lambda``'s count the quadratic w of each squeezed
+    slope (``_squeeze_counter``).
     """
-    if a.is_zero():
-        raise PoleDirection("the meridian projection is undefined at 0")
-    x, y, pos = a.re.numerator * a.im.denominator, a.im.numerator * a.re.denominator, 0
+    pos = 0
     if y < 0 or (y == 0 and x < 0):
         x, y, pos = -x, -y, 8
     if x <= 0:
@@ -162,6 +161,20 @@ def _circle_position(a: GaussianRational) -> int:
     if y < x:
         return pos + 1
     return pos + 2 if y == x else pos + 3
+
+
+def _ints(a: GaussianRational) -> Tuple[int, int, int]:
+    """a as (x + iy) / n with ints x, y and n = re.den * im.den > 0."""
+    (xn, xd), (yn, yd) = a.re.as_integer_ratio(), a.im.as_integer_ratio()
+    return xn * yd, yn * xd, xd * yd
+
+
+def _circle_position(a: GaussianRational) -> int:
+    """``_position`` of a nonzero a."""
+    if a.is_zero():
+        raise PoleDirection("the meridian projection is undefined at 0")
+    x, y, _ = _ints(a)
+    return _position(x, y)
 
 
 @dataclass(frozen=True)
@@ -189,8 +202,11 @@ class ArcSpec:
 
     def contains(self, a: GaussianRational) -> bool:
         """Does the meridian projection a/|a| of a nonzero a lie on the arc?"""
-        start = int(self.lo) // 45 * 2
-        return (_circle_position(a) - start) % 16 <= int(self.length()) // 45 * 2
+        return self._covers(_circle_position(a))
+
+    def _covers(self, pos: int) -> bool:
+        """Is the circle position ``pos`` (see ``_position``) on the arc?"""
+        return (pos - int(self.lo) // 45 * 2) % 16 <= int(self.length()) // 45 * 2
 
     def midpoint_deg(self) -> float:
         mid = self.lo + self.length() / 2.0
@@ -401,6 +417,48 @@ def gamma_count(sys: SystemView, arc: ArcSpec, transform: Optional[ComplexLinear
 # -- meridian balancing -----------------------------------------------------------
 
 
+def _squeeze_counter(sys: SystemView, center: Direction) -> Callable[[Fraction], int]:
+    """The quota count on ARC_A1 after pi_lambda(center, lam), as a
+    function of lam, in ints only.
+
+    For |c| = 1, pi_lambda(c, lam) sends a slope s to num/den with
+    num = lam conj(c) + s and den = 1 + lam c s.  The image points where
+    w = num conj(den) = s + lam conj(c) (1 + |s|^2) + lam^2 conj(c)^2 conj(s)
+    points, since |den|^2 > 0; a vertical direction has w = lam conj(c).
+    w = 0 exactly when the image is 0 or infinity, which the quota skips.
+    With c = (p + iq)/e and s = (u + iv)/n, scaling w by e^2 n^2 > 0 makes
+    its three coefficients Gaussian integers w0, w1, w2, once per call; at
+    lam = k/m, w0 m^2 + w1 k m + w2 k^2 points where the image does.
+    """
+    pi_lambda(center, 0)  # raises UnitModulusRequired for a bad center
+    p, q, e = _ints(center.a)
+    c2re, c2im = p * p - q * q, -2 * p * q  # conj(c)^2 e^2
+    table = []  # per line: re and im of w0, w1, w2
+    for d in sys.directions():
+        if d.is_infinite:
+            table.append((0, 0, p, -q, 0, 0))
+            continue
+        u, v, n = _ints(d.a)
+        r = n * n + u * u + v * v
+        table.append((
+            e * e * n * u, e * e * n * v,
+            e * p * r, -e * q * r,
+            n * (c2re * u + c2im * v), n * (c2im * u - c2re * v),
+        ))
+
+    def count_at(lam: Fraction) -> int:
+        k, m = lam.numerator, lam.denominator
+        mm = m * m
+        hit = []
+        for x0, y0, x1, y1, x2, y2 in table:
+            x = (x2 * k + x1 * m) * k + x0 * mm
+            y = (y2 * k + y1 * m) * k + y0 * mm
+            hit.append((x != 0 or y != 0) and ARC_A1._covers(_position(x, y)))
+        return sum(1 for ls in sys.incident_lines if ls and 3 * sum(hit[li] for li in ls) >= len(ls))
+
+    return count_at
+
+
 def balance_lambda(
     sys: SystemView,
     target_k: int,
@@ -418,13 +476,18 @@ def balance_lambda(
     Only if the count is monotone in lambda, which is not checked, is
     lambda within a grid step of the least parameter meeting the target
     and does the count miss it one grid step below lambda.
+
+    A step builds no map: the image of a slope s points where the
+    quadratic w = s + lambda conj(c) (1 + |s|^2) + lambda^2 conj(c)^2
+    conj(s) does, c the center, and ``_squeeze_counter`` evaluates it
+    from Gaussian-integer coefficients made once per call.
+    ``gamma_count`` with pi_lambda(axis_center, lambda) maps the
+    directions on the Moebius route instead, so it checks the
+    certificate independently.
     """
     if target_k > sys.n:
         raise Unbalanceable("target exceeds the number of points")
-
-    def count_at(lam: Fraction) -> int:
-        return gamma_count(sys, ARC_A1, pi_lambda(axis_center, lam))
-
+    count_at = _squeeze_counter(sys, axis_center)
     if count_at(Fraction(0)) >= target_k:
         return Fraction(0), ComplexLinearMap.identity()
     step = Fraction(1, 2**precision)

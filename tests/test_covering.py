@@ -194,6 +194,20 @@ def test_normalize_points_dense_cluster_far_away():
     assert (got[2][0] - got[1][0]) ** 2 > 1
 
 
+def test_normalize_points_keys_the_widest_axes():
+    # 2,000 points that agree on the first four of five axes: the grid
+    # keys on the spread fifth axis, so they are not compared all against all
+    h = F(1, 2)
+    pts = [(h, h, h, h, i + h) for i in range(2000)]
+    start = time.perf_counter()
+    got, tr = normalize_points(pts)
+    assert time.perf_counter() - start < 0.5
+    # the brute-force oracle needs about 45 s for all 2,000 points; every
+    # prefix of two or more has the same least squared distance, 1
+    assert tr.scale == oracle_separating_scale(pts[:300])
+    assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 8))  # the grid keys on four axes
 def test_normalize_points_least_scale_matches_oracle(seed, d):

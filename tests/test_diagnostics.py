@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -380,6 +381,111 @@ def test_balance_lambda_matches_coarse_scan():
             l for l in grid if gamma_count(sys, ARC_A1, pi_lambda(Direction.finite(1), l)) >= target
         )
         assert first - F(1, 512) <= lam <= first
+
+
+CENTERS = [
+    Direction.finite(1),
+    Direction.finite(-1),
+    Direction.finite(GR(0, 1)),
+    Direction.finite(GR(F(3, 5), F(4, 5))),
+]
+
+
+def squeeze_fixture(rng, center):
+    """Points on lines of slopes from a pool: vertical, 0, the octant
+    rays and one slope inside each octant, -2 conj(c) (a pole of
+    pi_lambda(c, 1/2)), and random slopes."""
+    c = center.a
+    compass = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
+    compass += [(-x, -y) for x, y in compass]
+    pool = [None, GR(0), GR(-2) * c.conjugate()]
+    pool += [GR(r * x, r * y) for r in (F(1, 3), F(5, 4)) for x, y in compass]
+    pool += [GR(F(rng.randint(-9, 9), rng.randint(1, 6)), F(rng.randint(-9, 9), rng.randint(1, 6)))
+             for _ in range(10)]
+    # a point of degree 1 for each slope, then points of degree 2 to 5
+    lists = [[a] for a in pool] + [rng.sample(pool, rng.randint(2, 5)) for _ in range(12)]
+    pts, lns = [], []
+    for i, slopes in enumerate(lists):
+        p = ComplexPoint(GR(F(i), F(rng.randint(-3, 3), 5)), GR(F(rng.randint(-9, 9), 7)))
+        pts.append(p)
+        for a in slopes:
+            l = ComplexLine.vertical(p.z1) if a is None else ComplexLine.slanted(a, p.z2 - a * p.z1)
+            if l not in lns:
+                lns.append(l)
+    return SystemView.build(pts, lns)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_squeeze_counter_matches_moebius_route(seed):
+    from stlab.diagnostics import _circle_position, _squeeze_counter, gamma_count
+    from stlab.directions import pi_lambda
+
+    rng = random.Random(seed)
+    lams = [F(0), F(1, 2), 1 - F(1, 2**30), 1 - F(1, 2**64)]
+    lams += [F(rng.randrange(2**p), 2**p) for p in (3, 30, 64, 128) for _ in range(4)]
+    for center in CENTERS:
+        sys = squeeze_fixture(rng, center)
+        # at lambda = 0 the images are the slopes: every circle position occurs
+        slopes = [l.a for l in sys.lines if not l.is_vertical and not l.a.is_zero()]
+        assert {_circle_position(a) for a in slopes} == set(range(16))
+        pole = Direction(GR(-2) * center.a.conjugate())
+        assert apply_mobius(pi_lambda(center, F(1, 2)), pole) == DIR_INF
+        count_at = _squeeze_counter(sys, center)
+        for lam in lams:
+            assert count_at(lam) == gamma_count(sys, ARC_A1, pi_lambda(center, lam)), (center, lam)
+
+
+def vertical_system():
+    pts, lns = [], []
+    for i in range(4):
+        p = ComplexPoint(GR(F(i)), GR(F(i, 7)))
+        pts.append(p)
+        lns.append(ComplexLine.vertical(p.z1))
+        for t in range(3):
+            a = GR(-F(i + 2, 10) - F(t, 10**6))
+            lns.append(ComplexLine.slanted(a, p.z2 - a * p.z1))
+    return SystemView.build(pts, lns)
+
+
+# (system, target, center, precision) -> numerator and log2 denominator of
+# lambda, and a digest of repr((lambda, map)); recorded before the search
+# moved onto integer quadratics
+PINNED_BALANCE = [
+    ((F(3, 10), F(3, 5)), 3, 1, 30, 86469112979731251, 58, "a02b4e25d27d9d8d"),
+    ((F(1, 4), F(7, 10)), 4, 1, 30, 403522526880831897, 59, "195c551869192f75"),
+    ((F(11, 20), F(19, 20)), 6, 1, 30, 547637714822470041, 59, "72c294045546a8d8"),
+    ((F(3, 10), F(3, 5)), 4, 1, 64, 204169420152563078092782159718028568165, 128, "11765efc1ce7fccc"),
+    ((F(2, 5), F(4, 5)), 3, GR(F(3, 5), F(4, 5)), 24, 149063994994005, 48, "5c508c751b231eac"),
+    (None, 3, 1, 30, 461168602916480613, 60, "1d5f0f84676f9bb1"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_BALANCE, ids=["t3", "t4", "t6", "t4-p64", "c345", "vertical"])
+def test_balance_lambda_pinned(case):
+    gs, target, center, precision, num, log_den, digest = case
+    sys = vertical_system() if gs is None else two_cluster_system(*gs)
+    lam, m = balance_lambda(sys, target, Direction.finite(center), precision)
+    assert (lam.numerator, lam.denominator) == (num, 2**log_den)
+    assert hashlib.sha256(repr((lam, m)).encode()).hexdigest()[:16] == digest
+
+
+def test_balance_lambda_errors():
+    from stlab.directions import UnitModulusRequired
+
+    sys = two_cluster_system(F(3, 10), F(3, 5))
+    one = Direction.finite(1)
+    with pytest.raises(Unbalanceable, match="exceeds"):
+        balance_lambda(sys, 7, one)
+    # the target is checked before the center
+    with pytest.raises(Unbalanceable, match="exceeds"):
+        balance_lambda(sys, 7, DIR_INF)
+    for bad in (DIR_INF, Direction.finite(2), Direction.finite(GR(F(3, 5), F(3, 5)))):
+        for target in (0, 3):
+            with pytest.raises(UnitModulusRequired):
+                balance_lambda(sys, target, bad)
+    # negative real slopes squeezed toward i reach the arc only at i itself
+    with pytest.raises(Unbalanceable, match="unreachable"):
+        balance_lambda(sys, 4, Direction.finite(GR(0, 1)), precision=30)
 
 
 # -- refinement round ------------------------------------------------------------------
