@@ -133,9 +133,6 @@ class ComplexPoint:
         object.__setattr__(self, "z1", as_gaussian(self.z1))
         object.__setattr__(self, "z2", as_gaussian(self.z2))
 
-    def sort_key(self):
-        return self.z1.sort_key() + self.z2.sort_key()
-
 
 @dataclass(frozen=True)
 class ComplexLine:

@@ -9,22 +9,21 @@ routes to the same number: the full point-by-line sweep
 and intercept and makes one pass over the points per distinct slope.
 The sweep is the baseline the keyed route is checked against; both are
 checked against the Fraction predicate ``exact.incident`` in the tests.
-The scaled integers grow with the bit length of L.
+Rich lines come from the same form: ``_rich_pairs`` buckets points by
+reduced integer slope key, and ``rich_lines`` builds each line once
+from its key and sorts float-first with exact tie-breaks.  The scaled
+integers grow with the bit length of L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from fractions import Fraction
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .exact import (
-    ComplexLine,
-    ComplexPoint,
-    GaussianRational,
-    GeometryError,
-    line_through,
-)
+from .exact import ComplexLine, ComplexPoint, GaussianRational, GeometryError
 
 
 class DuplicateInput(GeometryError):
@@ -68,21 +67,12 @@ def _check_unique(items: Iterable, what: str) -> None:
 _VERTICAL = (0, -1, 0)
 
 _LineKey = Tuple[Tuple[int, int, int], Tuple[int, int]]
+_Scaled = Tuple[int, int, int, int]
+_SlopeKey = Optional[Tuple[int, int, int]]  # reduced (nr, ni, den); None is vertical
 
 
-def _scaled(
-    points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]
-) -> Tuple[List[Tuple[int, int, int, int]], List[Optional[_LineKey]]]:
-    """The exact integer form shared by every incidence route.
-
-    Points are scaled by L, the lcm of all point coordinate
-    denominators, to Gaussian integers (X1.re, X1.im, X2.re, X2.im).  A
-    slanted line y = a*x + b gets the slope key (D, A.re, A.im), D the
-    lcm of a's denominators and A = D*a, and the intercept B = D*L*b; a
-    vertical line x = c gets ``_VERTICAL`` and B = L*c.  A point lies on
-    the line iff D*X2 == A*X1 + B.  When B is not integral no scaled
-    point can satisfy that, and the line's entry is None.
-    """
+def _scaled_points(points: Sequence[ComplexPoint]) -> Tuple[List[_Scaled], int]:
+    """The points as Gaussian integers over their common denominator L."""
     L = math.lcm(
         *{f.denominator for p in points for f in (p.z1.re, p.z1.im, p.z2.re, p.z2.im)}
     )
@@ -95,6 +85,23 @@ def _scaled(
         )
         for p in points
     ]
+    return pts, L
+
+
+def _scaled(
+    points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]
+) -> Tuple[List[_Scaled], List[Optional[_LineKey]]]:
+    """The exact integer form shared by every incidence route.
+
+    Points are scaled by L, the lcm of all point coordinate
+    denominators, to Gaussian integers (X1.re, X1.im, X2.re, X2.im).  A
+    slanted line y = a*x + b gets the slope key (D, A.re, A.im), D the
+    lcm of a's denominators and A = D*a, and the intercept B = D*L*b; a
+    vertical line x = c gets ``_VERTICAL`` and B = L*c.  A point lies on
+    the line iff D*X2 == A*X1 + B.  When B is not integral no scaled
+    point can satisfy that, and the line's entry is None.
+    """
+    pts, L = _scaled_points(points)
     keys: List[Optional[_LineKey]] = []
     for l in lines:
         if l.is_vertical:
@@ -173,23 +180,28 @@ def count_incidences(
     return IncidenceReport(count, n, e, bound, ratio, violated=count > bound)
 
 
-def _rich_pairs(points: Sequence[ComplexPoint], t: int) -> Iterator[Tuple[int, int, int]]:
-    """(i, j, count) for every line through at least t input points, t >= 2.
+def _rich_pairs(
+    points: Sequence[ComplexPoint], t: int
+) -> Tuple[List[_Scaled], int, List[Tuple[int, _SlopeKey, int]]]:
+    """The lines through at least t input points, t >= 2, in integer form.
 
-    Per-point slope bucketing over the scaled integers: for each point
-    i, every other point is bucketed by the reduced slope of the line
-    joining them, so a bucket of size c is a line with c + 1 points.
-    Each line is yielded once, from its lowest-index point i, with j
-    the next point on it.
+    Returns the scaled points, their common denominator L and one row
+    (i, key, count) per line.  Per-point slope bucketing over the scaled
+    integers: for each point i, every other point is bucketed by the
+    reduced slope key (nr, ni, den) of the line joining them, slope
+    (nr + i*ni)/den, or None for a vertical line, so a bucket of size
+    c is a line with c + 1 points.  Each line is listed once, from its
+    lowest-index point i.
     """
     if t < 2:
         raise GeometryError("t must be at least 2")
     _check_unique(points, "point")
-    pts, _ = _scaled(points, ())
+    pts, L = _scaled_points(points)
     gcd = math.gcd
+    rows: List[Tuple[int, _SlopeKey, int]] = []
     for i, (x1r, x1i, x2r, x2i) in enumerate(pts):
-        first: Dict[object, int] = {}
-        size: Dict[object, int] = {}
+        first: Dict[_SlopeKey, int] = {}
+        size: Dict[_SlopeKey, int] = {}
         for j, (y1r, y1i, y2r, y2i) in enumerate(pts):
             if j == i:
                 continue
@@ -208,19 +220,64 @@ def _rich_pairs(points: Sequence[ComplexPoint], t: int) -> Iterator[Tuple[int, i
                 size[key] = 1
                 first[key] = j
         for key, c in size.items():
-            j = first[key]
-            if j > i and c + 1 >= t:
-                yield i, j, c + 1
+            if first[key] > i and c + 1 >= t:
+                rows.append((i, key, c + 1))
+    return pts, L, rows
+
+
+def _float(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded, and +-inf beyond float range.
+
+    Int/int true division rounds correctly, so this is monotone: it
+    orders any two rationals as they are ordered, or ties them.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _exact_key(xr: int, xi: int, den: int, z: GaussianRational) -> tuple:
+    """Orders z = (xr + i*xi)/den like ``z.sort_key()``, but compares
+    its Fractions only where the floats tie."""
+    return (_float(xr, den), z.re, _float(xi, den), z.im)
 
 
 def rich_lines(points: Sequence[ComplexPoint], t: int) -> List[RichLine]:
     """Every complex line incident to at least t input points, t >= 2.
 
-    Output is sorted by canonical form, so it is deterministic.
+    Output is sorted by ``ComplexLine.sort_key``, so it is
+    deterministic.  Each line is built from its integer slope key and
+    its lowest-index point's scaled coordinates X: the slope is
+    a = (nr + i*ni)/den and the intercept is
+    (den*X2 - (nr + i*ni)*X1) / (den*L).  Each Fraction is made once
+    from ints, and all lines with one slope share its GaussianRational
+    and its sort key.  The sort puts a float before each exact
+    coordinate, so Fractions are compared only where the floats tie.
     """
-    out = [RichLine(line_through(points[i], points[j]), c) for i, j, c in _rich_pairs(points, t)]
-    out.sort(key=lambda r: r.line.sort_key())
-    return out
+    pts, L, rows = _rich_pairs(points, t)
+    slopes: Dict[Tuple[int, int, int], Tuple[GaussianRational, tuple]] = {}
+    keyed = []
+    for i, key, c in rows:
+        x1r, x1i, x2r, x2i = pts[i]
+        if key is None:
+            line = ComplexLine(None, points[i].z1)
+            sort_key = (1,) + _exact_key(x1r, x1i, L, line.b)
+        else:
+            nr, ni, den = key
+            if key not in slopes:
+                a = GaussianRational(Fraction(nr, den), Fraction(ni, den))
+                slopes[key] = a, _exact_key(nr, ni, den, a)
+            a, a_key = slopes[key]
+            dl = den * L
+            br = den * x2r - nr * x1r + ni * x1i
+            bi = den * x2i - nr * x1i - ni * x1r
+            b = GaussianRational(Fraction(br, dl), Fraction(bi, dl))
+            line = ComplexLine(a, b)
+            sort_key = (0, a_key) + _exact_key(br, bi, dl, b)
+        keyed.append((sort_key, RichLine(line, c)))
+    keyed.sort(key=itemgetter(0))
+    return [r for _, r in keyed]
 
 
 @dataclass(frozen=True)
@@ -235,7 +292,7 @@ class RichBoundReport:
 def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float) -> RichBoundReport:
     if not 0 <= c < math.inf:  # also rejects nan
         raise GeometryError("c must be finite and non-negative, got %r" % c)
-    rich_count = sum(1 for _ in _rich_pairs(points, t))
+    rich_count = len(_rich_pairs(points, t)[2])
     n = len(points)
     bound = c * (n * n / t**3 + n / t)
     return RichBoundReport(t, n, rich_count, bound, violated=rich_count > bound)
@@ -245,7 +302,7 @@ def beck_stats(points: Sequence[ComplexPoint]) -> Tuple[int, int]:
     """(number of connecting lines, max point count on one of them)."""
     if len(points) < 2:
         raise GeometryError("need at least 2 points")
-    counts = [c for _, _, c in _rich_pairs(points, 2)]
+    counts = [c for _, _, c in _rich_pairs(points, 2)[2]]
     return len(counts), max(counts)
 
 

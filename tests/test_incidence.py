@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from stlab import fileio
+from stlab.cli import main
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational, incident, line_through
 from stlab.generators import gen_erdos, gen_random_system
 from stlab.incidence import (
     DuplicateInput,
+    RichLine,
     TooSmallPattern,
     ZeroElement,
     _scaled,
@@ -140,6 +144,165 @@ def test_rich_lines_examples():
     assert [(r.line, r.count) for r in rich] == [(ComplexLine.slanted(a, b), 4)]
     counts = oracle_pair_lines(pts)
     assert {r.line: r.count for r in rich_lines(pts, 2)} == counts
+
+
+def oracle_rich_lines(points, t):
+    # the Fraction route: join every pair, collect the points per line, and
+    # sort by the canonical key
+    on = {}
+    for p, q in itertools.combinations(points, 2):
+        on.setdefault(line_through(p, q), set()).update((p, q))
+    rich = [RichLine(l, len(s)) for l, s in on.items() if len(s) >= t]
+    return sorted(rich, key=lambda r: r.line.sort_key())
+
+
+def collinear_runs(seed, coordinate, n):
+    # collinear runs on slanted lines and on verticals, then free points
+    rng = random.Random(seed)
+
+    def g():
+        return GR(coordinate(rng), coordinate(rng))
+
+    pts = {}
+    for _ in range(3):
+        a, b = g(), g()
+        for _ in range(rng.randint(3, 6)):
+            z = g()
+            pts[ComplexPoint(z, a * z + b)] = None
+    for _ in range(2):
+        z = g()
+        for _ in range(rng.randint(3, 5)):
+            pts[ComplexPoint(z, g())] = None
+    while len(pts) < n:
+        pts[ComplexPoint(g(), g())] = None
+    return list(pts)
+
+
+def mixed_system(seed):
+    return collinear_runs(seed, lambda rng: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7))), 40)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rich_lines_order_matches_line_through_route(seed):
+    pts = mixed_system(seed)
+    shuffled = random.Random(seed).sample(pts, len(pts))
+    for t in (2, 3, 4):
+        expect = oracle_rich_lines(pts, t)
+        assert rich_lines(pts, t) == expect
+        assert rich_lines(shuffled, t) == expect
+    assert any(r.line.is_vertical and r.count >= 3 for r in expect)
+
+
+EPS = Fraction(1, 2**60)
+
+
+def float_tie_points():
+    # slopes, intercepts and vertical abscissae that tie in float but
+    # differ exactly, in both the real and the imaginary part
+    near = [GR(1), GR(1 + EPS), GR(1, 1), GR(1, 1 + EPS), GR(-1 - EPS, -1)]
+    pts = {}
+    for a in near:
+        for b in near + [GR(EPS), GR(0, -EPS)]:
+            for x in (GR(0), GR(2), GR(0, 3)):
+                pts[ComplexPoint(x, a * x + b)] = None
+    for c in near:
+        for y in (GR(5), GR(7, 1)):
+            pts[ComplexPoint(c, y)] = None
+    return list(pts)
+
+
+def extreme_points(scale, seed):
+    # coordinates mostly a few units of scale: 10**400 overflows float, and
+    # 10**-400 underflows to 0.0
+    def coordinate(rng):
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) * (scale if rng.random() < 0.7 else 1)
+
+    return collinear_runs(seed, coordinate, 30)
+
+
+def coordinates(rich):
+    for r in rich:
+        yield from (r.line.b.re, r.line.b.im)
+        if not r.line.is_vertical:
+            yield from (r.line.a.re, r.line.a.im)
+
+
+def overflows(x):
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
+HARD_CASES = {
+    "float-ties": float_tie_points,
+    "huge": lambda: extreme_points(10**400, 1),
+    "tiny": lambda: extreme_points(Fraction(1, 10**400), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARD_CASES))
+def test_rich_lines_float_first_order_hard_cases(case):
+    pts = HARD_CASES[case]()
+    for t in (2, 3, 4):
+        assert rich_lines(pts, t) == oracle_rich_lines(pts, t)
+    rich = rich_lines(pts, 2)
+    # the inputs really reach the float ties, the overflow and the underflow
+    xs = list(coordinates(rich))
+    if case == "float-ties":
+        slanted = [r.line for r in rich if not r.line.is_vertical]
+        for part in (lambda l: l.a.re, lambda l: l.a.im, lambda l: l.b.re, lambda l: l.b.im):
+            assert len({float(part(l)) for l in slanted}) < len({part(l) for l in slanted})
+        verticals = [r.line.b for r in rich if r.line.is_vertical]
+        assert len({complex(b) for b in verticals}) < len(verticals)
+    elif case == "huge":
+        assert any(overflows(x) and x > 0 for x in xs) and any(overflows(x) and x < 0 for x in xs)
+    else:
+        assert any(x != 0 and not overflows(x) and float(x) == 0.0 for x in xs)
+
+
+# (case, t) -> sha256 prefix of ``stlab rich`` output, recorded before rich
+# lines were built from integer slope keys
+PINNED_RICH_CLI = {
+    ("float-ties", 2): "616eae8dd69c72c7",
+    ("float-ties", 3): "143a442620dae430",
+    ("huge", 2): "374b630ce588949c",
+    ("huge", 3): "c38abd72a0b3adab",
+    ("tiny", 2): "9a3834a9a3d3375d",
+    ("tiny", 3): "e10809cf4012445d",
+}
+
+
+@pytest.mark.parametrize("case,t", sorted(PINNED_RICH_CLI))
+def test_cli_rich_hard_cases(case, t, tmp_path, capsys):
+    pts = HARD_CASES[case]()
+    sysfile = tmp_path / "sys.txt"
+    fileio.write_atomic(str(sysfile), fileio.dump_system(pts, []))
+    assert main(["rich", "--t", str(t), "--in", str(sysfile)]) == 0
+    out = capsys.readouterr().out
+    expect = oracle_rich_lines(pts, t)
+    assert out.splitlines() == ["rich=%d t=%d n=%d" % (len(expect), t, len(pts))] + [
+        "# count=%d %s" % (r.count, "V" if r.line.is_vertical else "S") for r in expect
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_RICH_CLI[case, t]
+
+
+# (system, t) -> number of rich lines and sha256 prefix of repr([(line, count)]),
+# recorded before rich lines were built from integer slope keys
+PINNED_RICH = {
+    ("erdos4", 2): (3758, "9172bc72b7566908"),
+    ("erdos4", 3): (686, "4df910bceaed2095"),
+    ("similarity-image", 2): (20, "142cb19b5c67f1ed"),
+    ("similarity-image", 3): (8, "8a68bd4eb623a676"),
+}
+
+
+@pytest.mark.parametrize("which,t", sorted(PINNED_RICH))
+def test_rich_lines_pinned(which, t):
+    pts = gen_erdos(4)[0] if which == "erdos4" else similarity_image_of_grid()
+    rich = [(r.line, r.count) for r in rich_lines(pts, t)]
+    assert (len(rich), hashlib.sha256(repr(rich).encode()).hexdigest()[:16]) == PINNED_RICH[which, t]
 
 
 def test_beck_stats():
