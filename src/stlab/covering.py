@@ -192,9 +192,9 @@ def _least_square_distance(cols: List[List[int]]) -> int:
     Rabin's sampled grid: the least m over n seeded random pairs bounds
     it, and any closer pair lies in the same or adjacent cells of side
     ceil(sqrt(m)).  The sample sets the running time, never the answer.
-    The grid keys on the four axes of widest spread (all of them when
-    d <= 4), so a cell has at most 80 neighbours; a closer pair is
-    adjacent on every axis, so also on those four.
+    The grid keys on the four axes with the most distinct cells (all of
+    them when d <= 4), so a cell has at most 80 neighbours; a closer
+    pair is adjacent on every axis, so also on those four.
     """
     def squares(I: Sequence[int], J: Sequence[int]) -> List[int]:
         total = [0] * len(I)
@@ -211,8 +211,10 @@ def _least_square_distance(cols: List[List[int]]) -> int:
         s = math.isqrt(m - 1) + 1
         # cell c has the key sum c_i w^i; digits stay below w/2 in size, so
         # c + e, e in {-1, 0, 1}^d, has key c + key e; forward e have key e > 0
-        widest = sorted(range(len(cols)), key=lambda i: max(cols[i]) - min(cols[i]))[-4:]
-        grid = [cols[i] for i in sorted(widest)]
+        grid = cols
+        if len(cols) > 4:
+            busiest = sorted(range(len(cols)), key=lambda i: len({a // s for a in cols[i]}))[-4:]
+            grid = [cols[i] for i in sorted(busiest)]
         w = 2 * max([max(map(abs, col)) // s for col in grid]) + 5
         keys = [0] * n
         for col in reversed(grid):

@@ -36,6 +36,7 @@ from .directions import (
     Direction,
     PoleDirection,
     _angle_deg,
+    _ints,
     apply_mobius,
     direction_of,
     dist_deg,
@@ -161,12 +162,6 @@ def _position(x: int, y: int) -> int:
     if y < x:
         return pos + 1
     return pos + 2 if y == x else pos + 3
-
-
-def _ints(a: GaussianRational) -> Tuple[int, int, int]:
-    """a as (x + iy) / n with ints x, y and n = re.den * im.den > 0."""
-    (xn, xd), (yn, yd) = a.re.as_integer_ratio(), a.im.as_integer_ratio()
-    return xn * yd, yn * xd, xd * yd
 
 
 def _circle_position(a: GaussianRational) -> int:
@@ -658,11 +653,11 @@ def refine_step(
 # -- squeeze to orthogonal ----------------------------------------------------------
 
 
-def _rotation_taking_one_to(target: np.ndarray) -> ComplexLinearMap:
+def _rotation_taking_one_to(target: Tuple[float, float, float]) -> ComplexLinearMap:
     """A rational sphere rotation taking the direction 1 to the target
     vector (approximately; rotations here are exact maps, the target
     is matched to float accuracy)."""
-    tx, ty, tz = (float(x) for x in target)
+    tx, ty, tz = target
     beta = math.degrees(math.atan2(ty, tx))
     gamma = math.degrees(math.atan2(tz, math.hypot(tx, ty)))
     # the Moebius matrix (cos a, sin a) turns the sphere by 2a about the
@@ -673,26 +668,34 @@ def _rotation_taking_one_to(target: np.ndarray) -> ComplexLinearMap:
     return spin.compose(tilt)
 
 
-def _sphere_vectors(m: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
-    """Unit sphere vectors of the images of ``dirs`` under the complex
-    2x2 matrix ``m``, in floats.
-
-    A direction is the line through (p, q) of slope q/p, infinity is
-    (0, 1); ``m`` acts on (p, q) linearly, and q/p lands on the sphere
-    at (2 q conj(p), |q|^2 - |p|^2) / (|p|^2 + |q|^2), which divides by
-    no slope, so infinity needs no branch.
-    """
-    pq = np.array([(0, 1) if d.is_infinite else (1, d.a) for d in dirs], dtype=complex)
-    p, q = m @ pq.T
-    w = 2 * q * np.conj(p)
-    p2, q2 = np.abs(p) ** 2, np.abs(q) ** 2
-    return np.column_stack([w.real, w.imag, q2 - p2]) / (p2 + q2)[:, None]
+def _float_pair(d: Direction) -> Tuple[complex, complex]:
+    """d as a float vector (p, q) of slope q/p: (1, a), infinity as (0, 1),
+    and a slope with |a|^2 >= 2^1020 as (1/a, 1), the same line; below
+    that bound |q|^2 < 2^1024 under map entries of modulus at most 2."""
+    if d.is_infinite:
+        return 0j, 1 + 0j
+    x, y, n = _ints(d.a)
+    r = x * x + y * y
+    if r >= n * n << 1020:
+        return complex(n * x / r, -n * y / r), 1 + 0j
+    return 1 + 0j, complex(x / n, y / n)
 
 
-def _center(vecs: np.ndarray) -> np.ndarray:
-    c = vecs.mean(axis=0)
-    n = np.linalg.norm(c)
-    return c / n if n >= 1e-12 else vecs[0]
+def _unit_mean(pqs: Sequence[Tuple[complex, complex]], m: Tuple[complex, ...]) -> Tuple[float, ...]:
+    """Unit mean of the sphere images of the float pairs under the 2x2
+    matrix m = (m11, m12, m21, m22), or the first image if the mean is
+    shorter than 1e-12.  An image (p, q) lands at (2 q conj(p), |q|^2 -
+    |p|^2) / (|p|^2 + |q|^2), which needs no branch at infinity."""
+    m11, m12, m21, m22 = m
+    vecs = []
+    for p0, q0 in pqs:
+        p, q = m11 * p0 + m12 * q0, m21 * p0 + m22 * q0
+        w = 2 * q * p.conjugate()
+        p2, q2 = abs(p) ** 2, abs(q) ** 2
+        vecs.append((w.real / (p2 + q2), w.imag / (p2 + q2), (q2 - p2) / (p2 + q2)))
+    x, y, z = (sum(c) / len(vecs) for c in zip(*vecs))
+    norm = math.sqrt(x * x + y * y + z * z)
+    return (x / norm, y / norm, z / norm) if norm >= 1e-12 else vecs[0]
 
 
 def separate_to_orthogonal(
@@ -706,7 +709,8 @@ def separate_to_orthogonal(
     centers are antipodal.  Representatives closer than 5 degrees are
     rejected.
 
-    The search for lam runs in floats; only the returned map
+    The search for lam runs on Python complex floats, over float pairs
+    made once per direction (``_float_pair``); only the returned map
     rot . pi_lambda(1, lam) . rot^-1 is exact, with a rational rotation
     and lam.  ``rot`` is unitary up to a scalar, so it moves the sphere
     by an isometry that keeps the angle between the image centers: the
@@ -714,20 +718,22 @@ def separate_to_orthogonal(
     """
     if not d1 or not d2:
         raise ValueError("need nonempty direction samples")
-    c1, c2 = (_center(_sphere_vectors(np.eye(2), d)) for d in (d1, d2))
+    pq1, pq2 = [_float_pair(d) for d in d1], [_float_pair(d) for d in d2]
+    c1, c2 = _unit_mean(pq1, (1, 0, 0, 1)), _unit_mean(pq2, (1, 0, 0, 1))
     sep = _angle_deg(c1, c2)
     if sep < 5.0:
         raise TooClose("cluster centers only %.3f degrees apart" % sep)
     if sep >= 179.0:
         return ComplexLinearMap.identity()
-    axis = -(c1 + c2)
-    rot = _rotation_taking_one_to(axis / np.linalg.norm(axis))
+    ax, ay, az = -(c1[0] + c2[0]), -(c1[1] + c2[1]), -(c1[2] + c2[2])
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
+    rot = _rotation_taking_one_to((ax / norm, ay / norm, az / norm))
     rot_inv = rot.inverse()
-    rot_inv_f = np.array([[rot_inv.m11, rot_inv.m12], [rot_inv.m21, rot_inv.m22]], dtype=complex)
+    r11, r12, r21, r22 = map(complex, (rot_inv.m11, rot_inv.m12, rot_inv.m21, rot_inv.m22))
 
     def quality(lam: float) -> float:
-        m = np.array([[1, lam], [lam, 1]]) @ rot_inv_f
-        return _angle_deg(_center(_sphere_vectors(m, d1)), _center(_sphere_vectors(m, d2)))
+        m = (r11 + lam * r21, r12 + lam * r22, lam * r11 + r21, lam * r12 + r22)
+        return _angle_deg(_unit_mean(pq1, m), _unit_mean(pq2, m))
 
     # coarse scan, then ternary refinement around the best parameter
     best = max((k / 256 for k in range(256)), key=quality)

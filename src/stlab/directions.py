@@ -196,21 +196,37 @@ class ComplexLinearMap:
         )
 
 
+def _ints(a: GaussianRational) -> Tuple[int, int, int]:
+    """a as (x + iy) / n with ints x, y and n = re.den * im.den > 0."""
+    (xn, xd), (yn, yd) = a.re.as_integer_ratio(), a.im.as_integer_ratio()
+    return xn * yd, yn * xd, xd * yd
+
+
 def apply_mobius(m: ComplexLinearMap, d: Direction) -> Direction:
     """Direction of the image line: the induced action on the sphere.
 
     A line of slope a has direction vector (1, a); the image direction
     vector is (m11 + m12*a, m21 + m22*a), hence the Moebius formula
-    with the usual conventions at infinity.
+    with the usual conventions at infinity.  With a = (u + iv)/n
+    (infinity as 1/0) and each entry over its own denominator, N = num n
+    d21 d22 and M = den n d11 d12 are Gaussian integers, and one division
+    gives the image N conj(M) d11 d12 / (|M|^2 d21 d22), or infinity if M = 0.
     """
-    if d.is_infinite:
-        num, den = m.m22, m.m12
-    else:
-        num = m.m21 + m.m22 * d.a
-        den = m.m11 + m.m12 * d.a
-    if den.is_zero():
+    u, v, n = (1, 0, 0) if d.is_infinite else _ints(d.a)
+    (x11, y11, d11), (x12, y12, d12), (x21, y21, d21), (x22, y22, d22) = map(
+        _ints, (m.m11, m.m12, m.m21, m.m22)
+    )
+    nx = (x22 * u - y22 * v) * d21 + x21 * n * d22
+    ny = (x22 * v + y22 * u) * d21 + y21 * n * d22
+    mx = (x12 * u - y12 * v) * d11 + x11 * n * d12
+    my = (x12 * v + y12 * u) * d11 + y11 * n * d12
+    q = (mx * mx + my * my) * d21 * d22
+    if q == 0:
         return DIR_INF
-    return Direction(num / den)
+    s = d11 * d12
+    return Direction(GaussianRational(
+        Fraction((nx * mx + ny * my) * s, q), Fraction((ny * mx - nx * my) * s, q)
+    ))
 
 
 def scaling_map(c) -> ComplexLinearMap:

@@ -3,9 +3,10 @@
 These deliberately avoid the production code paths: the shift-graph
 oracle decides the corridor condition by exhaustive rational box
 subdivision, independently of the sweep in the library, and the
-cluster oracle maps directions exactly, independently of the float
-search in ``separate_to_orthogonal``.  Hand-built fixtures that more
-than one module checks live here too.
+cluster oracle maps directions by ``oracle_mobius``, GaussianRational
+arithmetic independent both of the float search in
+``separate_to_orthogonal`` and of the integer route of ``apply_mobius``.
+Hand-built fixtures that more than one module checks live here too.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from stlab.covering import FreeCube, boxes_overlap_interior
-from stlab.directions import _angle_deg, apply_mobius, to_sphere
+from stlab.directions import DIR_INF, Direction, _angle_deg, to_sphere
 
 F = Fraction
 
@@ -237,11 +238,22 @@ def oracle_separating_scale(points):
     return hi
 
 
+def oracle_mobius(m, d):
+    """The image direction of d under m in GaussianRational arithmetic:
+    (m21 + m22 a) / (m11 + m12 a), m22 / m12 at infinity, and infinity
+    when the denominator vanishes."""
+    if d.is_infinite:
+        num, den = m.m22, m.m12
+    else:
+        num, den = m.m21 + m.m22 * d.a, m.m11 + m.m12 * d.a
+    return DIR_INF if den.is_zero() else Direction(num / den)
+
+
 def oracle_cluster_stats(dirs, m):
     """Unit mean center and angular diameter (degrees) of the images of
     ``dirs`` under ``m``, each image taken by the exact Moebius action
-    before it lands on the sphere."""
-    arr = np.array([to_sphere(apply_mobius(m, d)).v for d in dirs])
+    (``oracle_mobius``) before it lands on the sphere."""
+    arr = np.array([to_sphere(oracle_mobius(m, d)).v for d in dirs])
     center = arr.mean(axis=0)
     nrm = np.linalg.norm(center)
     center = center / nrm if nrm >= 1e-12 else arr[0]

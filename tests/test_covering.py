@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -205,6 +206,19 @@ def test_normalize_points_keys_the_widest_axes():
     # the brute-force oracle needs about 45 s for all 2,000 points; every
     # prefix of two or more has the same least squared distance, 1
     assert tr.scale == oracle_separating_scale(pts[:300])
+    assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
+
+
+def test_normalize_points_keys_the_axes_with_most_cells():
+    # two far clusters on axes 1-4, spread only along a narrow fifth axis:
+    # the four widest axes hold two cells each, the fifth about n / 2
+    n = 4000
+    pts = [(F(1000 * (i % 2)),) * 4 + (F(i, 1000),) for i in range(n)]
+    start = time.perf_counter()
+    got, tr = normalize_points(pts)
+    assert time.perf_counter() - start < 1
+    # least squared distance (2/1000)^2, from i to i + 2 on the fifth axis
+    assert tr.scale == math.isqrt(5 * 1000**2 // 4) + 1 == oracle_separating_scale(pts[:200])
     assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
 
 

@@ -40,6 +40,7 @@ from stlab.directions import (
     direction_of,
     dist_deg,
     gamma_arg,
+    unit_direction_from_angle,
 )
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational, incident
 
@@ -544,8 +545,6 @@ def test_refine_step_empty_selection():
 
 
 def tight_cluster(center_arg_deg, modulus, count, jitter=F(1, 2000)):
-    from stlab.directions import unit_direction_from_angle
-
     base = unit_direction_from_angle(center_arg_deg).a * GR(modulus)
     return [
         Direction.finite(base + GR(jitter * k, jitter * (k % 2)))
@@ -586,11 +585,77 @@ def test_separate_cluster_at_zero():
     assert_squeezed(near, tight_cluster(60.0, F(1), 4))
 
 
-def test_separate_random_clusters():
+def random_cluster_pairs():
     rng = random.Random(41)
     for trial in range(6):
         a1 = rng.uniform(-170, 170)
         a2 = a1 + rng.uniform(40, 140)
         d1 = tight_cluster(a1, F(rng.randint(2, 5), 3), 4)
-        d2 = tight_cluster(a2, F(rng.randint(2, 5), 4), 4)
+        yield d1, tight_cluster(a2, F(rng.randint(2, 5), 4), 4)
+
+
+def test_separate_random_clusters():
+    for d1, d2 in random_cluster_pairs():
         assert_squeezed(d1, d2)
+
+
+def criterion_10_pairs():
+    """The 20 jittered cluster pairs of acceptance criterion 10, drawn
+    after its 20 balance trials from the same seeded stream."""
+    rng = random.Random(1010)
+    for _ in range(20):
+        rng.randint(10, 55), rng.randint(60, 95), rng.choice((3, 4, 6))
+    jit = F(1, 2000)
+    for _ in range(20):
+        a1 = rng.uniform(-170, 170)
+        a2 = a1 + rng.uniform(40, 140)
+        base1 = unit_direction_from_angle(a1).a * GR(F(rng.randint(2, 5), 3))
+        base2 = unit_direction_from_angle(a2).a * GR(F(rng.randint(2, 5), 4))
+        yield tuple(
+            [Direction.finite(base + GR(jit * k, jit * (k % 2))) for k in range(-2, 3)]
+            for base in (base1, base2)
+        )
+
+
+def near_zero_mean_pairs():
+    """A first cluster whose sphere images cancel (2 and -1/2 are
+    antipodal; 0 and infinity are the poles), exactly or to 1e-14, so
+    its unit mean falls back to the first image."""
+    yield [Direction.finite(2), Direction.finite(F(-1, 2))], tight_cluster(90.0, F(1), 4)
+    near = Direction.finite(F(-1, 2) + F(1, 10**14))
+    yield [Direction.finite(2), near], tight_cluster(90.0, F(1), 4)
+    yield [Direction.finite(0), DIR_INF], tight_cluster(30.0, F(1), 4)
+
+
+def big_slope_pairs():
+    """Clusters at 2^509 + k, whose float pairs (1, a) stay in range."""
+    yield [Direction.finite(GR(2**509 + k, k % 2)) for k in range(3)], tight_cluster(10.0, F(1), 4)
+
+
+# digest of repr of the list of maps per family; recorded before the
+# search moved from numpy arrays onto Python complex floats
+PINNED_SEPARATE = [
+    (criterion_10_pairs, "cd43a151d260c8bd"),
+    (random_cluster_pairs, "39586963f63a0969"),
+    (near_zero_mean_pairs, "4aa7bc711c4f5e84"),
+    (big_slope_pairs, "06a5d0c62fe821a7"),
+]
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_SEPARATE, ids=["criterion-10", "clusters", "zero-mean", "big-slope"]
+)
+def test_separate_maps_pinned(case):
+    pairs, digest = case
+    maps = [separate_to_orthogonal(d1, d2) for d1, d2 in pairs()]
+    assert hashlib.sha256(repr(maps).encode()).hexdigest()[:16] == digest
+
+
+def test_separate_slope_beyond_float_range():
+    # 10^400 + k overflows a float; carried as (1/a, 1) it sits at the pole
+    huge = [Direction.finite(GR(10**400 + k, k % 2)) for k in range(3)]
+    for other in (tight_cluster(10.0, F(1), 4), tight_cluster(-120.0, F(3, 2), 2)):
+        assert_squeezed(huge, other)
+        assert_squeezed(other, huge)
+    with pytest.raises(TooClose):
+        separate_to_orthogonal(huge, [Direction.finite(GR(10**300, 1))])

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _oracles import oracle_mobius
 
 from stlab.directions import (
     DIR_I,
@@ -155,6 +156,45 @@ def test_mobius_action_property(m1, m2, d):
     composed = apply_mobius(m2.compose(m1), d)
     stepped = apply_mobius(m2, apply_mobius(m1, d))
     assert composed == stepped
+
+
+# parts with denominators up to 2^70 and numerators up to 2^80, zero
+# a third of the time, so entries and slopes vanish and images hit infinity
+big_fracs = st.one_of(
+    st.just(Fraction(0)),
+    small_fracs,
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+)
+big_gaussians = st.builds(GR, big_fracs, big_fracs)
+mobius_directions = st.one_of(
+    st.just(DIR_INF), st.just(DIR_ZERO), st.builds(Direction, big_gaussians)
+)
+
+
+@st.composite
+def mobius_cases(draw):
+    """A nonsingular map and a direction; every other case puts the
+    direction on the pole, where the image is infinity."""
+    from hypothesis import assume
+
+    m11, m12, m21, m22 = (draw(big_gaussians) for _ in range(4))
+    assume(not (m11 * m22 - m12 * m21).is_zero())
+    m = ComplexLinearMap(m11, m12, m21, m22)
+    if draw(st.booleans()):
+        # the pole -m11/m12 (infinity when m12 = 0) has den = 0
+        return m, DIR_INF if m12.is_zero() else Direction(-m11 / m12)
+    return m, draw(mobius_directions)
+
+
+@given(mobius_cases())
+@example((ComplexLinearMap(0, 1, 1, 0), DIR_ZERO))  # zero diagonal, image infinity
+@example((ComplexLinearMap(1, 0, 3, 1), DIR_INF))  # m12 = 0 keeps infinity
+@example((ComplexLinearMap(GR(1, 1), GR(2, -1), GR(0, 1), 0), Direction(-GR(1, 1) / GR(2, -1))))
+@example((pi_lambda(DIR_I, Fraction(3, 2**70)), fin(Fraction(2**65 + 1, 2**64 + 3), -1)))
+@settings(max_examples=400, deadline=None)
+def test_apply_mobius_matches_oracle(case):
+    m, d = case
+    assert apply_mobius(m, d) == oracle_mobius(m, d)
 
 
 def test_gamma_arg():
