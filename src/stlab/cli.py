@@ -161,7 +161,7 @@ def cmd_cover(args) -> int:
     normalized, _ = normalize_points(pts)
     result = run_covering(normalized, args.dim, args.kappa, args.r)
     _emit(fileio.dump_cover(normalized, result, args.dim, args.kappa, args.r), args.out)
-    print("selected=%d" % len(result.K), file=sys.stderr)
+    print("selected=%d dropped=%d" % (len(result.K), result.stats.dropped), file=sys.stderr)
     return 0
 
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .exact import (
     ComplexLine,
     ComplexPoint,
@@ -556,26 +554,24 @@ def _na_arc_point(
     return False
 
 
-def _bisecting_constant(dirs_xyz: np.ndarray, normal: np.ndarray) -> Tuple[float, np.ndarray]:
+Vec3 = Tuple[float, float, float]
+
+
+def _project(v: Vec3, nrm: Vec3) -> float:
+    return v[0] * nrm[0] + v[1] * nrm[1] + v[2] * nrm[2]
+
+
+def _bisecting_constant(dirs: Sequence[Vec3], normal: Vec3) -> Tuple[float, Vec3]:
     """Median projection of the direction multiset onto the normal; the
     normal is nudged deterministically until at most one direction
     lies on the plane."""
     for attempt in range(64):
-        if attempt:
-            ang = attempt * 1e-9
-            c, s = math.cos(ang), math.sin(ang)
-            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            nrm = rot @ normal
-        else:
-            nrm = normal
-        proj = dirs_xyz @ nrm
-        srt = np.sort(proj)
-        k = len(srt)
-        if k % 2 == 1:
-            cval = float(srt[k // 2])
-        else:
-            cval = float((srt[k // 2 - 1] + srt[k // 2]) / 2)
-        if np.count_nonzero(np.abs(proj - cval) < 1e-12) <= 1:
+        c, s = math.cos(attempt * 1e-9), math.sin(attempt * 1e-9)
+        nrm = (c * normal[0] - s * normal[1], s * normal[0] + c * normal[1], normal[2])
+        proj = sorted(_project(v, nrm) for v in dirs)
+        k = len(proj)
+        cval = proj[k // 2] if k % 2 else (proj[k // 2 - 1] + proj[k // 2]) / 2
+        if sum(1 for x in proj if abs(x - cval) < 1e-12) <= 1:
             return cval, nrm
     return cval, nrm
 
@@ -599,25 +595,16 @@ def refine_step(
     """
     if not u or not v:
         raise ValueError("u and v must be nonempty")
-    line_ids = sorted(u) + sorted(v)
-    dirs_xyz = np.array(
-        [to_sphere(direction_of(sys.lines[li])).v for li in line_ids]
-    )
+    vec = {li: to_sphere(direction_of(sys.lines[li])).v for li in sorted(u) + sorted(v)}
 
-    row = {li: k for k, li in enumerate(line_ids)}
-
-    def side_filter(ids: Iterable[int], nrm: np.ndarray, cval: float, want_positive: bool) -> Set[int]:
-        out = set()
-        for li in ids:
-            x = float(np.dot(dirs_xyz[row[li]], nrm))
-            if (x > cval) == want_positive and x != cval:
-                out.add(li)
-        return out
+    def side_filter(ids: Iterable[int], nrm: Vec3, cval: float, want_positive: bool) -> Set[int]:
+        xs = {li: _project(vec[li], nrm) for li in ids}
+        return {li for li, x in xs.items() if (x > cval) == want_positive and x != cval}
 
     planes = []
     for arc in ARCS_A:
-        normal = np.array(to_sphere(unit_direction_from_angle(arc.midpoint_deg())).v)
-        cval, nrm = _bisecting_constant(dirs_xyz, normal)
+        normal = to_sphere(unit_direction_from_angle(arc.midpoint_deg())).v
+        cval, nrm = _bisecting_constant(list(vec.values()), normal)
         threshold = math.cos(math.radians(arc.length() / 2 + _NEIGHBORHOOD_DEG))
         planes.append((arc, cval, nrm, cval >= threshold))
 
@@ -643,8 +630,8 @@ def refine_step(
         raise EmptySelection("no concentrated points for any complementary arc")
     arc_b = ARCS_B[best_m]
     _, cval, nrm, _ = planes[best_m]
-    mid_b = np.array(to_sphere(unit_direction_from_angle(arc_b.midpoint_deg())).v)
-    want_positive = bool(np.dot(mid_b, nrm) > cval)
+    mid_b = to_sphere(unit_direction_from_angle(arc_b.midpoint_deg())).v
+    want_positive = _project(mid_b, nrm) > cval
     u_new = side_filter(u, nrm, cval, want_positive)
     v_new = side_filter(v, nrm, cval, want_positive)
     return RefineResult(best_pts, u_new, v_new, "largest-b-class", best_m, nxt)

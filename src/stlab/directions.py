@@ -10,17 +10,16 @@ so antipodal directions sit at 180.
 The module also carries the induced Moebius action of invertible
 complex 2x2 matrices on directions (exact rational arithmetic) and the
 map into the Grassmannian of 2-subspaces of R^4, whose metric is the
-sum of the two principal angles.
+sum of the two principal angles; every measurement is on plain floats.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .exact import (
     ComplexLine,
@@ -94,8 +93,7 @@ class SpherePoint:
     v: Tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        n = math.sqrt(sum(c * c for c in self.v))
-        if abs(n - 1.0) > 1e-12:
+        if abs(math.hypot(*self.v) - 1.0) > 1e-12:
             raise GeometryError("sphere point not unit norm: %r" % (self.v,))
 
 
@@ -301,30 +299,47 @@ def unit_direction_from_angle(theta_deg: float) -> Direction:
 # -- Grassmannian of 2-subspaces of R^4 -------------------------------------
 
 
+def _dot(u: Tuple[float, ...], w: Tuple[float, ...]) -> float:
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2] + u[3] * w[3]
+
+
+def _qr2(v1, v2) -> Tuple[Tuple[float, ...], Tuple[float, ...], float, float, float]:
+    """Thin QR (q1, q2, r11, r12, r22) of the 4-vector columns v1, v2 by
+    Gram-Schmidt with one re-orthogonalisation; a zero column gets q = 0."""
+    r11 = math.hypot(*v1)
+    q1 = tuple(x / r11 for x in v1) if r11 else tuple(v1)
+    r12 = _dot(q1, v2)
+    w = tuple(b - r12 * a for a, b in zip(q1, v2))
+    c = _dot(q1, w)
+    w = tuple(b - c * a for a, b in zip(q1, w))
+    r22 = math.hypot(*w)
+    return q1, tuple(x / r22 for x in w) if r22 else w, r11, r12 + c, r22
+
+
+def _singular_values(a: float, b: float, c: float, d: float) -> Tuple[float, float]:
+    """Singular values (largest first) of [[a, b], [c, d]] in closed form."""
+    h1, h2 = math.hypot(a + d, c - b), math.hypot(a - d, b + c)
+    return (h1 + h2) / 2, abs(h1 - h2) / 2
+
+
 @dataclass(frozen=True)
 class Subspace2:
-    """A 2-subspace of R^4 by an orthonormal basis (floating point)."""
+    """A 2-subspace of R^4 by an orthonormal basis of plain floats."""
 
     b1: Tuple[float, float, float, float]
     b2: Tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        n1 = math.sqrt(sum(c * c for c in self.b1))
-        n2 = math.sqrt(sum(c * c for c in self.b2))
-        dot = sum(x * y for x, y in zip(self.b1, self.b2))
+        n1, n2, dot = math.hypot(*self.b1), math.hypot(*self.b2), _dot(self.b1, self.b2)
         if abs(n1 - 1) > 1e-12 or abs(n2 - 1) > 1e-12 or abs(dot) > 1e-12:
             raise GeometryError("basis not orthonormal within 1e-12")
 
     @classmethod
     def from_span(cls, v1, v2) -> "Subspace2":
-        a = np.array([[float(x) for x in v1], [float(x) for x in v2]], dtype=float)
-        q, r = np.linalg.qr(a.T)
-        if abs(r[0, 0] * r[1, 1]) < 1e-300:
+        q1, q2, r11, r12, r22 = _qr2([float(x) for x in v1], [float(x) for x in v2])
+        if abs(r11 * r22) < 1e-300 or r22 < 1e-12 * abs(r12):  # v2's angle to v1 below 1e-12
             raise GeometryError("spanning vectors are dependent")
-        return cls(tuple(q[:, 0]), tuple(q[:, 1]))
-
-    def matrix(self) -> np.ndarray:
-        return np.array([self.b1, self.b2], dtype=float).T  # 4x2
+        return cls(q1, q2)
 
 
 def tau_hat(d: Direction) -> Subspace2:
@@ -348,29 +363,26 @@ def tau_hat(d: Direction) -> Subspace2:
 def principal_angles_deg(s1: Subspace2, s2: Subspace2) -> Tuple[float, float]:
     """The two canonical angles between 2-subspaces, each in [0, 90].
 
-    Cosines come from the singular values of B1^T B2; sines from the
-    residual B2 - B1 (B1^T B2), which keeps small angles accurate where
-    arccos alone loses half the digits.
+    Cosines are the singular values of M = B1^T B2, sines those of the
+    R factor of the residual B2 - B1 M, which keeps small angles accurate
+    where arccos alone loses half the digits.
     """
-    b1 = s1.matrix()
-    b2 = s2.matrix()
-    m = b1.T @ b2
-    cos = np.linalg.svd(m, compute_uv=False)
-    cos = np.clip(cos, -1.0, 1.0)
-    resid = b2 - b1 @ m
-    sin = np.linalg.svd(resid, compute_uv=False)
-    sin = np.clip(np.sort(sin), 0.0, 1.0)  # ascending pairs with descending cos
-    angles = [
-        math.degrees(math.atan2(float(s), float(c)))
-        for s, c in zip(sin, sorted(cos, reverse=True))
-    ]
-    return (angles[0], angles[1])
+    (p1, p2), (q1, q2) = (s1.b1, s1.b2), (s2.b1, s2.b2)
+    a, b, c, d = _dot(p1, q1), _dot(p1, q2), _dot(p2, q1), _dot(p2, q2)
+    r1 = tuple(x - a * u - c * w for x, u, w in zip(q1, p1, p2))
+    r2 = tuple(x - b * u - d * w for x, u, w in zip(q2, p1, p2))
+    _, _, t11, t12, t22 = _qr2(r1, r2)
+    cos_big, cos_small = _singular_values(a, b, c, d)
+    sin_big, sin_small = _singular_values(t11, t12, 0.0, t22)
+    return (
+        math.degrees(math.atan2(min(sin_small, 1.0), min(cos_big, 1.0))),
+        math.degrees(math.atan2(min(sin_big, 1.0), min(cos_small, 1.0))),
+    )
 
 
 def gr_dist_deg(s1: Subspace2, s2: Subspace2) -> float:
     """Sum of the two principal angles, in degrees in [0, 180]."""
-    t1, t2 = principal_angles_deg(s1, s2)
-    return t1 + t2
+    return sum(principal_angles_deg(s1, s2))
 
 
 # -- disk covers of the sphere ----------------------------------------------
@@ -410,18 +422,34 @@ def sphere_disk_cover(delta_deg: float) -> List[SpherePoint]:
 def max_cover_gap_deg(
     centers: List[SpherePoint], samples: int, seed: int = 0
 ) -> float:
-    """Sampling oracle: worst angular distance from a sample to the cover."""
-    if samples < 1:
-        raise GeometryError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(samples, 3))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    c = np.array([p.v for p in centers])
-    worst = 0.0
-    chunk = max(1, 10**7 // max(1, len(centers)))
-    for i in range(0, samples, chunk):
-        dots = x[i : i + chunk] @ c.T
-        best = np.clip(dots.max(axis=1), -1.0, 1.0)
-        gap = float(np.degrees(np.arccos(best)).max())
-        worst = max(worst, gap)
-    return worst
+    """Sampling oracle: worst angular distance from a sample to the cover.
+
+    The samples are normalised ``random.Random(seed).gauss`` triples.
+    Centers are bucketed on a grid of chord side s, about twice their
+    spacing.  Any center within chord 0.99 s of a sample lies in the 27
+    cells around it, so a best dot product there of at least 1 - 0.49 s^2
+    is the exact nearest; below that, every center is scanned.
+    """
+    if samples < 1 or not centers:
+        raise GeometryError("samples must be at least 1, over at least one center")
+    side = 2.0 * math.sqrt(4.0 * math.pi / len(centers))
+    every = [p.v for p in centers]
+    cells, blocks = {}, {}
+    for v in every:
+        key = (math.floor(v[0] / side), math.floor(v[1] / side), math.floor(v[2] / side))
+        cells.setdefault(key, []).append(v)
+    gauss, worst = random.Random(seed).gauss, 1.0
+    for _ in range(samples):
+        x, y, z = gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0)
+        nrm = math.hypot(x, y, z)
+        x, y, z = x / nrm, y / nrm, z / nrm
+        key = (math.floor(x / side), math.floor(y / side), math.floor(z / side))
+        if key not in blocks:
+            i, j, k = key
+            blocks[key] = [v for a in (i - 1, i, i + 1) for b in (j - 1, j, j + 1)
+                           for c in (k - 1, k, k + 1) for v in cells.get((a, b, c), ())]
+        best = max([x * cx + y * cy + z * cz for cx, cy, cz in blocks[key]], default=-2.0)
+        if best < 1.0 - 0.49 * side * side:
+            best = max([x * cx + y * cy + z * cz for cx, cy, cz in every])
+        worst = min(worst, best)
+    return math.degrees(math.acos(max(-1.0, worst)))

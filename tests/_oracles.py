@@ -6,10 +6,13 @@ subdivision, independently of the sweep in the library, and the
 cluster oracle maps directions by ``oracle_mobius``, GaussianRational
 arithmetic independent both of the float search in
 ``separate_to_orthogonal`` and of the integer route of ``apply_mobius``.
+The principal-angle and cover-gap oracles are the numpy routes that the
+library's plain-float closed forms replaced.
 Hand-built fixtures that more than one module checks live here too.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -259,6 +262,49 @@ def oracle_cluster_stats(dirs, m):
     center = center / nrm if nrm >= 1e-12 else arr[0]
     diam = max((_angle_deg(u, w) for u, w in itertools.combinations(arr, 2)), default=0.0)
     return center, diam
+
+
+def oracle_principal_angles(s1, s2):
+    """The two principal angles in degrees by numpy SVDs: cosines are
+    the singular values of B1^T B2, sines those of the residual
+    B2 - B1 (B1^T B2), the smaller sine paired with the larger cosine."""
+    b1 = np.array([s1.b1, s1.b2], dtype=float).T  # 4x2
+    b2 = np.array([s2.b1, s2.b2], dtype=float).T
+    m = b1.T @ b2
+    cos = np.linalg.svd(m, compute_uv=False)
+    cos = np.clip(cos, -1.0, 1.0)
+    resid = b2 - b1 @ m
+    sin = np.linalg.svd(resid, compute_uv=False)
+    sin = np.clip(np.sort(sin), 0.0, 1.0)  # ascending pairs with descending cos
+    angles = [
+        math.degrees(math.atan2(float(s), float(c)))
+        for s, c in zip(sin, sorted(cos, reverse=True))
+    ]
+    return (angles[0], angles[1])
+
+
+def oracle_cover_gap(centers, samples, seed=0):
+    """Worst angle (degrees) from a sample to its nearest center, every
+    center scanned in numpy.  The samples are the normalised
+    ``random.Random(seed).gauss`` triples that ``max_cover_gap_deg``
+    draws, and each dot product is summed in the same order, so the two
+    agree exactly when both find each sample's nearest center."""
+    gauss = random.Random(seed).gauss
+    x = []
+    for _ in range(samples):
+        v = (gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0))
+        nrm = math.hypot(*v)
+        x.append([c / nrm for c in v])
+    x = np.array(x)
+    c = np.array([p.v for p in centers])
+    worst = 0.0
+    chunk = max(1, 10**6 // len(c))
+    for i in range(0, samples, chunk):
+        xs = x[i : i + chunk]
+        dots = xs[:, :1] * c[:, 0] + xs[:, 1:2] * c[:, 1] + xs[:, 2:] * c[:, 2]
+        best = np.clip(dots.max(axis=1), -1.0, 1.0)
+        worst = max(worst, float(np.degrees(np.arccos(best)).max()))
+    return worst
 
 
 # the cubes behind the two in-degree witnesses that perfbench/known_defect.py

@@ -515,7 +515,8 @@ def test_refine_step_case_one():
     res = refine_step(set(range(sys.n)), u, v, sys, params, inv)
     assert res.case == "plane-avoids-arc" and res.arc_index == 0
     assert res.o_new == {0, 1}  # exactly the concentrated minority
-    assert res.u_new <= u and res.v_new <= v
+    assert res.u_new == {0, 1, 2, 6, 7, 8, 12, 18, 24, 30, 36}
+    assert res.v_new == {3, 4, 5, 9, 10, 11}
     assert res.invariant.j == 1
     assert res.invariant.e_j == inv.e_j / 2
     # selected lines keep the hemisphere invariant sides
@@ -539,6 +540,66 @@ def test_refine_step_empty_selection():
     inv = SparseInvariant.initial(sys.n, sys.e, params.d_a)
     with pytest.raises(EmptySelection):
         refine_step(set(range(sys.n)), u, v, sys, params, inv)
+
+
+def random_refine_system(seed):
+    """A few points, each on lines of slope modulus just inside and just
+    outside 1 around a unit direction; a third of the seeds plant the
+    directions i, -i and -1, where every bisecting plane cuts its arc's
+    neighborhood, and elsewhere some points take spread directions."""
+    rng = random.Random(seed)
+    pts, lns = [], []
+    planted = seed % 3 == 0
+    centers = [90, -90, 180] if planted else [
+        rng.choice((90, -90, 180, 45 * rng.randint(-3, 4), rng.uniform(-180, 180)))
+        for _ in range(3)
+    ]
+    for i in range(rng.randint(3, 8)):
+        if planted:
+            theta = centers[i % 3]
+        else:
+            theta = rng.choice(centers) + rng.choice((0, 0, rng.uniform(-30, 30)))
+        base = unit_direction_from_angle(theta).a
+        slopes = []
+        spread = not planted and rng.random() < 0.4
+        for _ in range(rng.randint(1, 4)):
+            if spread:
+                base = unit_direction_from_angle(rng.uniform(-180, 180)).a
+            jit = GR(F(rng.randint(-5, 5), 1000), F(rng.randint(-5, 5), 1000))
+            for mod in (F(rng.randint(90, 97), 100), F(rng.randint(103, 110), 100)):
+                slopes.append(base * GR(mod) + jit)
+        if rng.random() < 0.5:
+            slopes.pop()  # an odd count puts the median line on the plane
+        point_with_slopes(pts, lns, F(i), F(rng.randint(-9, 9), 7), dict.fromkeys(slopes))
+    sys = SystemView.build(pts, lns)
+    u = {i for i, l in enumerate(sys.lines) if l.a.abs2() < 1}
+    return sys, u, set(range(sys.e)) - u
+
+
+def refine_outcome(sys, u, v):
+    params = DiagnosticParams(d_a=sys.average_point_degree())
+    inv = SparseInvariant.initial(sys.n, sys.e, params.d_a)
+    try:
+        res = refine_step(set(range(sys.n)), u, v, sys, params, inv)
+    except EmptySelection:
+        return "EmptySelection"
+    return (res.case, res.arc_index, sorted(res.o_new), sorted(res.u_new), sorted(res.v_new), res.invariant)
+
+
+def test_refine_step_pinned():
+    # 50 seeded systems: 10 end in EmptySelection, 29 in the first case
+    # and 11 in the second, and 21 have an odd line count
+    outcomes = []
+    for seed in range(1, 51):
+        sys, u, v = random_refine_system(seed)
+        out = refine_outcome(sys, u, v)
+        if out != "EmptySelection":
+            # the survivors lie strictly on one side of a plane through the
+            # median projection, so at most half of the lines survive; the
+            # median line of an odd count sits on the plane and drops out
+            assert len(out[3]) + len(out[4]) <= (len(u) + len(v)) // 2, seed
+        outcomes.append(out)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] == "8fa64b49f0d7d5ed"
 
 
 # -- separation to orthogonal --------------------------------------------------------

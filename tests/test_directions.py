@@ -2,11 +2,10 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from _oracles import oracle_mobius
+from _oracles import oracle_cover_gap, oracle_mobius, oracle_principal_angles
 
 from stlab.directions import (
     DIR_I,
@@ -18,6 +17,7 @@ from stlab.directions import (
     LambdaOutOfRange,
     PoleDirection,
     SingularMap,
+    Subspace2,
     apply_mobius,
     dist_deg,
     gamma_arg,
@@ -25,6 +25,7 @@ from stlab.directions import (
     is_orthogonal,
     max_cover_gap_deg,
     pi_lambda,
+    principal_angles_deg,
     sphere_disk_cover,
     tau_hat,
     to_sphere,
@@ -237,6 +238,76 @@ def test_neighborhood_containment_1_to_10():
         if dist_deg(d, d2) > 1.0:
             continue
         assert gr_dist_deg(tau_hat(d), tau_hat(d2)) <= 10.0 + 1e-6
+
+
+unit_floats = st.floats(-1, 1)
+four_floats = st.tuples(unit_floats, unit_floats, unit_floats, unit_floats)
+directions = st.one_of(st.just(DIR_INF), st.builds(Direction, gaussians))
+
+
+def span(v1, v2):
+    try:
+        return Subspace2.from_span(v1, v2)
+    except GeometryError as err:
+        assume("dependent" not in str(err))  # rejects the draw
+        raise
+
+
+@st.composite
+def subspace_pairs(draw):
+    """tau_hat pairs, near tau_hat pairs (offsets down to 1e-9), random
+    real spans, slightly perturbed real spans and identical subspaces."""
+    kind = draw(st.sampled_from(("tau", "near", "span", "near-span", "same")))
+    eps = 10.0 ** -draw(st.integers(1, 9))
+    if kind == "span":
+        return span(draw(four_floats), draw(four_floats)), span(draw(four_floats), draw(four_floats))
+    if kind == "near-span":
+        v1, v2, w1, w2 = (draw(four_floats) for _ in range(4))
+        return span(v1, v2), span(
+            [a + eps * b for a, b in zip(v1, w1)], [a + eps * b for a, b in zip(v2, w2)]
+        )
+    d = draw(directions)
+    if kind == "same":
+        return tau_hat(d), tau_hat(d)
+    if kind == "tau" or d.is_infinite:
+        return tau_hat(d), tau_hat(draw(directions))
+    return tau_hat(d), tau_hat(Direction(d.a + draw(gaussians) * GR(Fraction(eps))))
+
+
+def test_from_span_rejects_dependent_vectors():
+    # what is left of v2 after removing v1 is zero or rounding noise
+    for v1, v2 in [((0, 0, 1, 1), (0, 0, 1, 1)), ((0, 0, 3, 3), (0, 0, 1, 1)), ((1, 2, 3, 4), (0,) * 4)]:
+        with pytest.raises(GeometryError, match="dependent"):
+            Subspace2.from_span(v1, v2)
+    s = Subspace2.from_span((1, 1, 0, 0), (1, 1 + 1e-9, 0, 0))
+    assert gr_dist_deg(s, tau_hat(DIR_ZERO)) < 1e-6
+
+
+@given(subspace_pairs())
+@example((tau_hat(DIR_ZERO), tau_hat(DIR_INF)))  # the canonical frame, 180 degrees apart
+@settings(max_examples=500, deadline=None)
+def test_principal_angles_match_oracle(pair):
+    got, want = principal_angles_deg(*pair), oracle_principal_angles(*pair)
+    assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("delta, samples", [(90.0, 20000), (10.0, 5000), (2.0, 2000)])
+def test_max_cover_gap_matches_oracle(delta, samples):
+    centers = sphere_disk_cover(delta)
+    gap = max_cover_gap_deg(centers, samples, seed=3)
+    assert gap == oracle_cover_gap(centers, samples, seed=3)
+    assert gap <= delta / 2
+
+
+def test_max_cover_gap_full_scan():
+    # with only the northern cap covered, southern samples are far beyond
+    # the bucket block, so their nearest center comes from the full scan
+    north = [p for p in sphere_disk_cover(10.0) if p.v[2] > 0.5]
+    gap = max_cover_gap_deg(north, 3000, seed=4)
+    assert gap == oracle_cover_gap(north, 3000, seed=4)
+    assert gap > 90.0
+    with pytest.raises(GeometryError):
+        max_cover_gap_deg([], 10)
 
 
 def test_sphere_disk_cover_sizes():

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from _oracles import clustered_cover_input
 
 from stlab import fileio
 from stlab.cli import main
@@ -131,6 +132,20 @@ def test_cli_cover_verify_cycle(tmp_path, capsys):
     assert "non_overlap=True" in out and "bott=True" in out
     assert "witness" not in out and len(out.splitlines()) == 1
     assert main(["shiftgraph", "--in", str(coverfile)]) == 0
+
+
+def test_cli_cover_reports_dropped(tmp_path, capsys):
+    # a clustered input whose placements gave a cube two shift-graph
+    # sources; the prune drops one cube and the count reaches stderr
+    pts, d, kappa, r = clustered_cover_input(270)
+    ptsfile = tmp_path / "pts.txt"
+    fileio.write_atomic(str(ptsfile), fileio.dump_points(pts, d))
+    coverfile = tmp_path / "cover.txt"
+    assert main(["cover", "--dim", str(d), "--kappa", str(kappa), "--r", str(r),
+                 "--in", str(ptsfile), "--out", str(coverfile)]) == 0
+    assert capsys.readouterr().err == "selected=8 dropped=1\n"
+    with open(coverfile) as fh:
+        assert len(fileio.load_cover(fh).result.K) == 8
 
 
 def test_cli_cover_separates_points_floats_merge(tmp_path):
