@@ -52,10 +52,6 @@ def _parse_direction(tok: str) -> Direction:
     return Direction.finite(_parse_gaussian(tok))
 
 
-def _open_in(path):
-    return sys.stdin if path in (None, "-") else open(path)
-
-
 def _emit(text: str, path) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -63,13 +59,12 @@ def _emit(text: str, path) -> None:
         fileio.write_atomic(path, text)
 
 
-def _load_system(path):
-    stream = _open_in(path)
-    try:
-        return fileio.load_system(stream)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+def _load(path, loader):
+    """loader applied to stdin for None or "-", else to the opened file."""
+    if path in (None, "-"):
+        return loader(sys.stdin)
+    with open(path) as fh:
+        return loader(fh)
 
 
 def cmd_gen(args) -> int:
@@ -86,14 +81,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_incidences(args) -> int:
-    pts, lines = _load_system(args.infile)
+    pts, lines = _load(args.infile, fileio.load_system)
     rep = count_incidences(pts, lines)
     print("I=%d n=%d e=%d" % (rep.I, rep.n, rep.e))
     return 0
 
 
 def cmd_rich(args) -> int:
-    pts, lines = _load_system(args.infile)
+    pts, lines = _load(args.infile, fileio.load_system)
     rich = rich_lines(pts, args.t)
     print("rich=%d t=%d n=%d" % (len(rich), args.t, len(pts)))
     for rl in rich:
@@ -105,7 +100,7 @@ def cmd_rich(args) -> int:
 def cmd_bounds(args) -> int:
     C = _number(args.C, "--C")
     c_rich = _number(args.c_rich, "--c-rich")
-    pts, lines = _load_system(args.infile)
+    pts, lines = _load(args.infile, fileio.load_system)
     rep = count_incidences(pts, lines, C=C)
     rb = check_rich_bound(pts, args.t, c_rich) if args.t is not None else None
     print(
@@ -121,7 +116,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_beck(args) -> int:
-    pts, lines = _load_system(args.infile)
+    pts, lines = _load(args.infile, fileio.load_system)
     connecting, richest = beck_stats(pts)
     print("connecting=%d max_rich=%d n=%d" % (connecting, richest, len(pts)))
     return 0
@@ -150,12 +145,7 @@ def cmd_similar(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    stream = _open_in(args.infile)
-    try:
-        pts, d = fileio.load_points(stream)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    pts, d = _load(args.infile, fileio.load_points)
     if d != args.dim:
         raise fileio.FormatError("input dimension %d does not match --dim %d" % (d, args.dim))
     normalized, _ = normalize_points(pts)
@@ -166,8 +156,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_shiftgraph(args) -> int:
-    with open(args.infile) as fh:
-        cf = fileio.load_cover(fh)
+    cf = _load(args.infile, fileio.load_cover)
     graph = build_shift_graph(cf.result.K, cf.kappa)
     print("nodes=%d edges=%d" % (graph.nodes, len(graph.edges)))
     for a, b in graph.edges:
@@ -176,8 +165,7 @@ def cmd_shiftgraph(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    with open(args.bundle) as fh:
-        bundle = fileio.load_bundle(fh)
+    bundle = _load(args.bundle, fileio.load_bundle)
     detail = CombineDetail()
     assignments = combine(bundle.anchors, bundle, args.r, detail)
     _emit(fileio.dump_regions(assignments, args.r), args.out)
@@ -252,8 +240,7 @@ def cmd_verify(args) -> int:
     margin = _number(args.margin, "--margin", Fraction).limit_denominator(10**12)
     failures = 0
     if args.cover:
-        with open(args.cover) as fh:
-            cf = fileio.load_cover(fh)
+        cf = _load(args.cover, fileio.load_cover)
         rep = verify_cover(cf.points, cf.result, cf.kappa, cf.r)
         print(
             "cover: non_overlap=%s bott=%s count=%s (precondition_met=%s) "
@@ -272,10 +259,8 @@ def cmd_verify(args) -> int:
             print("cover witness: %s" % _cover_witness(rep))
             failures += 1
     if args.regions:
-        with open(args.regions) as fh:
-            assignments, r = fileio.load_regions(fh)
-        with open(args.bundle) as fh:
-            bundle = fileio.load_bundle(fh)
+        assignments, r = _load(args.regions, fileio.load_regions)
+        bundle = _load(args.bundle, fileio.load_bundle)
         rep = verify_regions(assignments, bundle, r, margin)
         print(
             "regions: disjoint=%s all_ok=%s checked=%d"
@@ -285,7 +270,7 @@ def cmd_verify(args) -> int:
             print("regions witness: %s" % _regions_witness(rep))
             failures += 1
     if args.system:
-        pts, lines = _load_system(args.system)
+        pts, lines = _load(args.system, fileio.load_system)
         indexed = count_incidences(pts, lines).I
         match = count_naive(pts, lines) == indexed
         print("system: I=%d match=%s" % (indexed, match))

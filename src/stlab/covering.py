@@ -6,8 +6,9 @@ bottom side-cube of every selected cube holds at least r of the
 original points, the number of selected cubes is proportional to n/r,
 and the directed "shift graph" on the selection has in-degree at most
 one everywhere.  Here it departs from the paper: the placements can leave
-a cube with two sources, so the run ends by dropping every cube of
-in-degree 2 or more until none is left (CoverStats.dropped).
+a cube with two sources, so the run ends by reading the in-degrees of
+its own shift graph and dropping every cube of in-degree 2 or more until
+none is left (CoverStats.dropped).
 
 The algorithm runs over a hierarchy of lattice subdivisions whose side
 ratio is rho = 4*kappa + 1 per axis (each parent cell consists of
@@ -44,6 +45,7 @@ import math
 import operator
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -344,7 +346,6 @@ class CoverStats:
     b: int = 0
     g: int = 0
     dropped: int = 0  # cubes pruned for shift-graph in-degree >= 2
-    orientation_counts: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -432,17 +433,14 @@ class _CoverRun:
 
     # phase machinery ---------------------------------------------------------
 
-    def all_in_single_cell(self) -> bool:
-        # termination watches the input points, not the surviving ones:
-        # deletions silence counting but pending labels must still ripen
-        return self.lo == self.hi
-
     def run(self) -> None:
         # keep going past the single-cube point while a yellow is still
         # pending: its green deserves the selection phase it would get in
-        # a larger input (a yellow phase deletes points, so this ends)
+        # a larger input (a yellow phase deletes points, so this ends).
+        # Termination watches the input points, not the surviving ones:
+        # deletions silence counting but pending labels must still ripen
         while True:
-            done = self.all_in_single_cell()
+            done = self.lo == self.hi
             pending = any(info.state in _YELLOW_STATES for info in self.states.values())
             if done and not pending:
                 break
@@ -638,34 +636,23 @@ class _CoverRun:
             assert n < 2 * m * m * r
 
     def result(self) -> CoverResult:
-        counts: Dict[Tuple[int, int], int] = {}
-        for _, orientation in self.selected:
-            counts[orientation] = counts.get(orientation, 0) + 1
-        self.stats.orientation_counts = counts
+        counts = Counter(orientation for _, orientation in self.selected)
         assert self.stats.b <= 2 * max(self.stats.s, 1)
         if not self.selected:
             return CoverResult([], SignedPermutation.identity(self.d), self.stats)
-        best = max(sorted(counts), key=lambda o: counts[o])
-        amap = (
-            SignedPermutation.identity(self.d)
-            if best == (0, -1)
-            else SignedPermutation.sending_to_bottom(best, self.d)
-        )
+        best = max(sorted(counts), key=counts.__getitem__)
+        amap = SignedPermutation.sending_to_bottom(best, self.d)
         K = []
         for box, o in self.selected:
             if o == best:
                 box = amap.apply_box(box)
                 side = Fraction(box[0][1] - box[0][0], self.rho)
                 K.append(FreeCube(tuple(Fraction(lo, self.rho) for lo, _ in box), side))
-        # drop every target of in-degree >= 2 until none is left, since a drop
-        # can open a corridor; in-degree is at most the spill candidates
+        # drop every cube of in-degree >= 2 until none is left, since a drop
+        # can open a corridor
         while True:
-            grid = _on_grid(K, self.kappa)
-            sources: Dict[int, List[int]] = {}
-            for i, j in _spill_pairs(grid):
-                sources.setdefault(j, []).append(i)
-            gated = [j for j, ids in sources.items() if len(ids) > 1]
-            full = {j for j in gated if sum(_edge_condition2(grid, i, j) for i in sources[j]) > 1}
+            in_deg = _shift_graph(_on_grid(K, self.kappa)).in_degrees()
+            full = {j for j, deg in enumerate(in_deg) if deg > 1}
             if not full:
                 return CoverResult(K, amap, self.stats)
             self.stats.dropped += len(full)
@@ -775,7 +762,7 @@ def points_in_boxes(
     return inside
 
 
-def _corridor_open(base: List[Tuple[int, int]], blockers: List[List[Tuple[int, int]]]) -> bool:
+def _corridor_open(base: IntBox, blockers: List[IntBox]) -> bool:
     """Is any lateral point of base outside every (closed) blocker box?
 
     Exact decision by coordinate compression: the uncovered set changes
@@ -814,50 +801,38 @@ def _edge_condition2(grid: _Grid, i: int, j: int) -> bool:
     avoiding every other cube of K."""
     bi = grid.botts[i]
     bj = grid.boxes[j]
-    base = []
-    for ax in range(1, len(bi)):
-        lo = max(bi[ax][0], bj[ax][0])
-        hi = min(bi[ax][1], bj[ax][1])
-        if lo > hi:
-            return False
-        base.append((lo, hi))
+    base = box_intersection(bi[1:], bj[1:])
+    if any(lo > hi for lo, hi in base):
+        return False
     seg_lo = min(bi[0][0], bj[0][1])
     seg_hi = max(bi[0][0], bj[0][1])
     blockers = []
     for t, cb in enumerate(grid.boxes):
-        if t in (i, j):
+        if t in (i, j) or cb[0][1] < seg_lo or cb[0][0] > seg_hi:
             continue
-        if cb[0][1] < seg_lo or cb[0][0] > seg_hi:
-            continue
-        lat = [cb[ax] for ax in range(1, len(cb))]
+        lat = cb[1:]
         if any(l[0] > b[1] or l[1] < b[0] for l, b in zip(lat, base)):
             continue
         blockers.append(lat)
     return _corridor_open(base, blockers)
 
 
-def _spill_pairs(grid: _Grid) -> List[Tuple[int, int]]:
-    """Pairs (i, j), i != j, whose shifted bott(K[i]) meets shift(K[j]) in
-    an open set that spills outside bott(K[i]): the first edge condition."""
-    pairs = []
-    for i, j in _overlap_candidates(grid.shifted_botts, grid.shifts):
-        if i == j:
-            continue
-        inter = box_intersection(grid.shifted_botts[i], grid.shifts[j])
-        if any(lo >= hi for lo, hi in inter):
-            continue
-        if all(bl <= lo and hi <= bh for (lo, hi), (bl, bh) in zip(inter, grid.botts[i])):
-            continue
-        pairs.append((i, j))
-    return pairs
-
-
 def _shift_graph(grid: _Grid) -> ShiftGraph:
-    """The shift graph of the cubes behind grid; see build_shift_graph."""
+    """The shift graph of the cubes behind grid; see build_shift_graph.
+    An edge (i, j), i != j, needs the shifted bott(K[i]) to meet shift(K[j])
+    in an open set that spills outside bott(K[i]), then _edge_condition2."""
     for i, j in _overlap_candidates(grid.boxes, grid.boxes):
         if i < j and boxes_overlap_interior(grid.boxes[i], grid.boxes[j]):
             raise OverlappingInput((i, j))
-    edges = [(i, j) for i, j in _spill_pairs(grid) if _edge_condition2(grid, i, j)]
+    edges = []
+    for i, j in _overlap_candidates(grid.shifted_botts, grid.shifts):
+        inter = box_intersection(grid.shifted_botts[i], grid.shifts[j])
+        if i == j or any(lo >= hi for lo, hi in inter):
+            continue
+        if all(bl <= lo and hi <= bh for (lo, hi), (bl, bh) in zip(inter, grid.botts[i])):
+            continue
+        if _edge_condition2(grid, i, j):
+            edges.append((i, j))
     return ShiftGraph(len(grid.boxes), sorted(edges))
 
 

@@ -563,15 +563,18 @@ def _project(v: Vec3, nrm: Vec3) -> float:
 
 def _bisecting_constant(dirs: Sequence[Vec3], normal: Vec3) -> Tuple[float, Vec3]:
     """Median projection of the direction multiset onto the normal; the
-    normal is nudged deterministically until at most one direction
-    lies on the plane."""
+    normal is nudged deterministically, at most 63 times, until the
+    directions on the plane are copies of at most one vector.  Copies of
+    one vector stay on the plane under every rotation, so they end the
+    nudging at once."""
     for attempt in range(64):
         c, s = math.cos(attempt * 1e-9), math.sin(attempt * 1e-9)
         nrm = (c * normal[0] - s * normal[1], s * normal[0] + c * normal[1], normal[2])
-        proj = sorted(_project(v, nrm) for v in dirs)
+        xs = [_project(v, nrm) for v in dirs]
+        proj = sorted(xs)
         k = len(proj)
         cval = proj[k // 2] if k % 2 else (proj[k // 2 - 1] + proj[k // 2]) / 2
-        if sum(1 for x in proj if abs(x - cval) < 1e-12) <= 1:
+        if len({v for v, x in zip(dirs, xs) if abs(x - cval) < 1e-12}) <= 1:
             return cval, nrm
     return cval, nrm
 

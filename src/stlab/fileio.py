@@ -64,6 +64,12 @@ def _int_record(rec: List[str]) -> int:
     return value
 
 
+def _once(rec: List[str], value) -> None:
+    """Reject a second record of rec's name: value is what the first set."""
+    if value is not None:
+        raise FormatError("repeated %s record" % rec[0])
+
+
 def _header(kind: str) -> str:
     return "stlab %s %d" % (kind, FORMAT_VERSION)
 
@@ -160,6 +166,7 @@ def load_points(stream: TextIO) -> Tuple[List[Tuple[Fraction, ...]], int]:
     pts: List[Tuple[Fraction, ...]] = []
     for rec in _records(stream):
         if rec[0] == "dim":
+            _once(rec, d)
             d = _int_record(rec)
         elif rec[0] == "p":
             if d is None or len(rec) != d + 1:
@@ -265,14 +272,16 @@ def load_cover(stream: TextIO) -> CoverFile:
     cubes: List[FreeCube] = []
     for rec in _records(stream):
         if rec[0] == "dim":
-            if d is not None:
-                raise FormatError("repeated dim record")
+            _once(rec, d)
             d = _int_record(rec)
         elif rec[0] == "kappa":
+            _once(rec, kappa)
             kappa = _int_record(rec)
         elif rec[0] == "r":
+            _once(rec, r)
             r = _int_record(rec)
         elif rec[0] == "axismap":
+            _once(rec, amap)
             if d is None or len(rec) != 2 * d + 1:
                 raise FormatError("axismap before dim or wrong arity")
             perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
@@ -331,6 +340,7 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
 
     for rec in _records(stream):
         if rec[0] == "r":
+            _once(rec, r)
             r = _int_record(rec)
         elif rec[0] == "region":
             flush()

@@ -658,17 +658,27 @@ def test_verify_cover_names_known_defect_witnesses():
 
 
 # clustered inputs whose placements gave a cube two shift-graph sources
-# before run_covering pruned them (d = 2 to 4, kappa = 1 and 2)
-CLUSTERED_IN_DEGREE_TWO = (16, 270, 307, 361, 982, 1093, 1258, 1386)
+# before run_covering pruned them (d = 2 to 4, kappa = 1 and 2), each with
+# the pruned cover's exact dropped count and _cover_digest
+CLUSTERED_IN_DEGREE_TWO = {
+    16: (1, "8a5ed49ca50f1e6f"),
+    270: (1, "fc1ed70c029b6116"),
+    307: (1, "419db68db87435f4"),
+    361: (1, "ba7b18d9565e3596"),
+    982: (1, "7d78546c8ebfc9ea"),
+    1093: (1, "82089f9bc6d611aa"),
+    1258: (1, "00bf46136aa894ac"),
+    1386: (1, "bd77d8f7487ae07e"),
+}
 
 
-@pytest.mark.parametrize("seed", CLUSTERED_IN_DEGREE_TWO)
+@pytest.mark.parametrize("seed", sorted(CLUSTERED_IN_DEGREE_TWO))
 def test_covering_prunes_in_degree_two(seed):
     pts, d, kappa, r = clustered_cover_input(seed)
     norm, _ = normalize_points(pts)
     res = run_covering(norm, d, kappa, r)
     assert verify_cover(norm, res, kappa, r).all_ok
-    assert res.stats.dropped >= 1
+    assert (res.stats.dropped, _cover_digest(res)) == CLUSTERED_IN_DEGREE_TWO[seed]
     # run_covering prunes on build_shift_graph's own route; the oracle is
     # the independent one
     edges = oracle_shift_graph(res.K, kappa)

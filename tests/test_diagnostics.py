@@ -21,6 +21,8 @@ from stlab.diagnostics import (
     SystemView,
     TooClose,
     Unbalanceable,
+    _bisecting_constant,
+    _project,
     apply_map_system,
     balance_lambda,
     classify_points,
@@ -40,6 +42,7 @@ from stlab.directions import (
     direction_of,
     dist_deg,
     gamma_arg,
+    to_sphere,
     unit_direction_from_angle,
 )
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational, incident
@@ -524,6 +527,20 @@ def test_refine_step_case_one():
         assert sys.lines[li].a.abs2() < 1
     for li in res.v_new:
         assert sys.lines[li].a.abs2() > 1
+
+
+def test_bisecting_constant_keeps_normal_on_repeated_median():
+    # refine_fixture gives each slope to five lines, so the directions on
+    # every arc's bisecting plane are copies of one vector, which no
+    # rotation of the normal moves apart: the first normal is kept
+    sys, u, v = refine_fixture()
+    dirs = [to_sphere(direction_of(sys.lines[li])).v for li in sorted(u) + sorted(v)]
+    for arc in ARCS_A:
+        normal = to_sphere(unit_direction_from_angle(arc.midpoint_deg())).v
+        cval, nrm = _bisecting_constant(dirs, normal)
+        assert nrm == normal
+        on_plane = [w for w in dirs if abs(_project(w, nrm) - cval) < 1e-12]
+        assert len(on_plane) == 5 and len(set(on_plane)) == 1
 
 
 def test_refine_step_empty_selection():

@@ -371,6 +371,11 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["dirs", "cover-sphere", "--delta", "0.01"], "cover centers"),
         (["cover", "--dim", "2", "--in", "BIG"], "does not match --dim 2"),
         (["verify", "--regions", "RZERO", "--bundle", "BUN"], "r must"),
+        (["cover", "--dim", "2", "--in", "PDIM"], "repeated dim record"),
+        (["verify", "--cover", "CKAPPA"], "repeated kappa record"),
+        (["verify", "--cover", "CR"], "repeated r record"),
+        (["verify", "--cover", "CAXIS"], "repeated axismap record"),
+        (["verify", "--regions", "RR", "--bundle", "BUN"], "repeated r record"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
@@ -378,7 +383,8 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         "random-n-negative", "random-e-negative", "C-nan", "C-negative", "C-inf",
         "c-rich-nan", "margin-zero-denominator", "margin-negative",
         "halfspace-record", "delta-too-many-centers", "cover-dim-mismatch",
-        "regions-r-zero",
+        "regions-r-zero", "points-repeated-dim", "cover-repeated-kappa", "cover-repeated-r",
+        "cover-repeated-axismap", "regions-repeated-r",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
@@ -391,6 +397,12 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
         "HALF": fileio.dump_regions([], 1) + "region\nhalfspace 1 0 0 0 1/2\npoints 0\n",
         "BUN": "stlab bundle 1\n" + BUNDLE_27,
         "BIG": "stlab points 1\ndim 1\np %d/3\np 1/7\n" % 10**400,
+        # a second header record would silently replace the first
+        "PDIM": "stlab points 1\ndim 1\np 1/3\ndim 2\np 1/3 1/5\n",
+        "CKAPPA": "stlab cover 1\n" + COVER_HEAD + "kappa 2\n",
+        "CR": "stlab cover 1\n" + COVER_HEAD + "r 2\n",
+        "CAXIS": "stlab cover 1\n" + COVER_HEAD + "axismap 1 0 1 1\n",
+        "RR": fileio.dump_regions([], 1) + "r 2\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
