@@ -223,6 +223,8 @@ def _regions_witness(rep) -> str:
     if rep.overlap_witness is not None:
         return "regions %d and %d overlap" % rep.overlap_witness
     chk = next(c for c in rep.checks if not (c.size_ok and c.interior_ok and not c.pair_failures))
+    if chk.repeated_anchor is not None:
+        return "region %d names anchor %d twice" % (chk.region_index, chk.repeated_anchor)
     if not chk.size_ok:
         return "region %d does not hold exactly r=%d anchors" % (chk.region_index, rep.r)
     if not chk.interior_ok:
@@ -237,6 +239,9 @@ def _regions_witness(rep) -> str:
 def cmd_verify(args) -> int:
     if args.regions and not args.bundle:
         raise fileio.FormatError("--regions needs --bundle")
+    stdin = ["--" + f for f in ("cover", "regions", "bundle", "system") if getattr(args, f) == "-"]
+    if len(stdin) > 1:
+        raise fileio.FormatError("%s cannot both read stdin" % " and ".join(stdin))
     margin = _number(args.margin, "--margin", Fraction).limit_denominator(10**12)
     failures = 0
     if args.cover:

@@ -32,9 +32,12 @@ list once onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm
 of its denominators, and compare int boxes there.  One sweep over
 first-axis faces shortlists the box pairs that meet; a point enters it
 by its cell floor(x0 D) and is then tested against a box by
-cross-multiplying.  normalize_points reads the points once as ints
-over the lcm of their denominators and finds their exact nearest pair
-on a sampled grid keyed on its four widest axes.  The one float is
+cross-multiplying.  The same sweep, over the corridor prisms against
+the cubes, finds every shift-graph corridor's blockers at once; and
+_face_cells cuts a box by the faces of another, for the A3 complement
+cubes and combine's lateral cells.  normalize_points reads the points
+once as ints over the lcm of their denominators and finds their exact
+nearest pair on a sampled grid keyed on its four widest axes.  The one float is
 VerificationReport.count_bound, a printed copy of the exact bound.
 """
 
@@ -112,21 +115,14 @@ class FreeCube:
 # -- complement covers (cube minus nested cube) ------------------------------
 
 
-def _complement_boxes(qbox: IntBox, bbox: IntBox) -> List[IntBox]:
-    """The <=3^d - 1 boxes cut from qbox minus bbox by the faces of bbox."""
-    d = len(qbox)
-    segs: List[List[Tuple[int, int]]] = []
-    for (ql, qh), (bl, bh) in zip(qbox, bbox):
-        segs.append([(ql, bl), (bl, bh), (bh, qh)])
-    out: List[IntBox] = []
-    for combo in itertools.product(range(3), repeat=d):
-        if all(c == 1 for c in combo):
-            continue
-        box = tuple(segs[i][c] for i, c in enumerate(combo))
-        if any(lo >= hi for lo, hi in box):
-            continue
-        out.append(box)
-    return out
+def _face_cells(q: IntBox, b: IntBox) -> List[IntBox]:
+    """Partition of box q by the face planes of b that cut its interior:
+    at most 3^d full-dimensional boxes, in lexicographic order."""
+    segs = []
+    for (ql, qh), (bl, bh) in zip(q, b):
+        cuts = sorted({ql, qh, *(x for x in (bl, bh) if ql < x < qh)})
+        segs.append(list(zip(cuts, cuts[1:])))
+    return [tuple(combo) for combo in itertools.product(*segs)]
 
 
 def _encapsulate(r: IntBox, qbox: IntBox, mid_axes: Set[int]) -> IntBox:
@@ -162,15 +158,11 @@ def _encapsulate(r: IntBox, qbox: IntBox, mid_axes: Set[int]) -> IntBox:
 def _complement_cubes(qbox: IntBox, bbox: IntBox) -> List[IntBox]:
     """Cover qbox minus bbox, a finer grid cube inside it, by at most
     3^d - 1 cubes inside qbox avoiding the interior of bbox."""
-    out = []
-    for r in _complement_boxes(qbox, bbox):
-        mid = {
-            i
-            for i, ((lo, hi), (bl, bh)) in enumerate(zip(r, bbox))
-            if lo == bl and hi == bh
-        }
-        out.append(_encapsulate(r, qbox, mid))
-    return out
+    return [
+        _encapsulate(r, qbox, {i for i, side in enumerate(r) if side == bbox[i]})
+        for r in _face_cells(qbox, bbox)
+        if r != bbox
+    ]
 
 
 # -- normalization -----------------------------------------------------------
@@ -796,43 +788,33 @@ def _corridor_open(base: IntBox, blockers: List[IntBox]) -> bool:
     return False
 
 
-def _edge_condition2(grid: _Grid, i: int, j: int) -> bool:
-    """A vertical segment from the bottom of bott(K[i]) to the top of K[j]
-    avoiding every other cube of K."""
-    bi = grid.botts[i]
-    bj = grid.boxes[j]
-    base = box_intersection(bi[1:], bj[1:])
-    if any(lo > hi for lo, hi in base):
-        return False
-    seg_lo = min(bi[0][0], bj[0][1])
-    seg_hi = max(bi[0][0], bj[0][1])
-    blockers = []
-    for t, cb in enumerate(grid.boxes):
-        if t in (i, j) or cb[0][1] < seg_lo or cb[0][0] > seg_hi:
-            continue
-        lat = cb[1:]
-        if any(l[0] > b[1] or l[1] < b[0] for l, b in zip(lat, base)):
-            continue
-        blockers.append(lat)
-    return _corridor_open(base, blockers)
-
-
 def _shift_graph(grid: _Grid) -> ShiftGraph:
     """The shift graph of the cubes behind grid; see build_shift_graph.
     An edge (i, j), i != j, needs the shifted bott(K[i]) to meet shift(K[j])
-    in an open set that spills outside bott(K[i]), then _edge_condition2."""
+    in an open set that spills outside bott(K[i]), and then an open
+    corridor: the closed prism from the bottom of bott(K[i]) to the top of
+    K[j] over their lateral overlap, blocked by every other cube that meets
+    it.  One overlap sweep finds the blockers of all the prisms."""
     for i, j in _overlap_candidates(grid.boxes, grid.boxes):
         if i < j and boxes_overlap_interior(grid.boxes[i], grid.boxes[j]):
             raise OverlappingInput((i, j))
-    edges = []
+    pairs, prisms = [], []
     for i, j in _overlap_candidates(grid.shifted_botts, grid.shifts):
         inter = box_intersection(grid.shifted_botts[i], grid.shifts[j])
         if i == j or any(lo >= hi for lo, hi in inter):
             continue
-        if all(bl <= lo and hi <= bh for (lo, hi), (bl, bh) in zip(inter, grid.botts[i])):
+        bi, bj = grid.botts[i], grid.boxes[j]
+        if all(bl <= lo and hi <= bh for (lo, hi), (bl, bh) in zip(inter, bi)):
             continue
-        if _edge_condition2(grid, i, j):
-            edges.append((i, j))
+        base = box_intersection(bi[1:], bj[1:])
+        if all(lo <= hi for lo, hi in base):
+            pairs.append((i, j))
+            prisms.append((tuple(sorted((bi[0][0], bj[0][1]))),) + base)
+    blockers: List[List[IntBox]] = [[] for _ in pairs]
+    for k, t in _overlap_candidates(prisms, grid.boxes):
+        if t not in pairs[k]:
+            blockers[k].append(grid.boxes[t][1:])
+    edges = [ij for ij, prism, bl in zip(pairs, prisms, blockers) if _corridor_open(prism[1:], bl)]
     return ShiftGraph(len(grid.boxes), sorted(edges))
 
 

@@ -349,6 +349,8 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
             boxes.append(tuple((vals[2 * i], vals[2 * i + 1]) for i in range(4)))
         elif rec[0] == "points":
             ids = tuple(_parse_int(t) for t in rec[1:])
+            if any(i < 0 for i in ids):
+                raise FormatError("negative anchor id in %r" % " ".join(rec))
         else:
             raise FormatError("bad regions record %r" % " ".join(rec))
     flush()

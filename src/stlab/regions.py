@@ -14,7 +14,9 @@ attach to each a region that is a union of boxes: its shifted copy
 (out-degree zero), or the core it shares with that copy plus either a
 prism below the cube over the chosen lateral cell (case (a)) or the
 shifted copy cut at a coordinate plane between that cell and the
-successor's footprint (case (b)).
+successor's footprint (case (b)).  The anchors never leave their
+frame: the cover's boxes go back through the inverse axis map to count
+them, and each region is built straight in the anchor coordinates.
 The two crossings of a pair p, q with exactly orthogonal flats are
 antipodal on the sphere with diameter pq, which pins at least one of
 them deep inside the cube; small direction tilts displace a crossing
@@ -32,7 +34,7 @@ from .covering import (
     CoveringError,
     IntBox,
     InvalidParams,
-    SignedPermutation,
+    _face_cells,
     _on_grid,
     _shift_graph,
     box_intersection,
@@ -147,16 +149,6 @@ class CombineDetail:
     waived_precondition: bool = False
 
 
-def _lateral_cells(lat_q1: IntBox, lat_q2: IntBox) -> List[IntBox]:
-    """Partition of the footprint of Q1 by the face planes of the
-    footprint of Q2: at most 27 full-dimensional boxes."""
-    segs = []
-    for (ql, qh), (bl, bh) in zip(lat_q1, lat_q2):
-        cuts = sorted({ql, qh, *(x for x in (bl, bh) if ql < x < qh)})
-        segs.append(list(zip(cuts, cuts[1:])))
-    return [tuple(combo) for combo in itertools.product(*segs)]
-
-
 def _clip_shift(shifted: IntBox, cell: IntBox, lat_q2: IntBox) -> IntBox:
     """Cut shifted at the coordinate plane in the middle of the gap
     between the lateral cell and the successor footprint, keeping the
@@ -188,11 +180,13 @@ def combine(
 ) -> List[RegionAssignment]:
     """Build region assignments for a near-orthogonal bundle.
 
-    Runs the covering at parameter 27r with kappa 1 in the normalized
-    frame and maps the regions back, so the output is exact rational
-    geometry in the anchor coordinates.  The formal hypothesis
-    r <= 1e-8 * n is waived at desk scale (27r <= n is what the
-    construction actually needs); the detail record notes the waiver.
+    Runs the covering at parameter 27r with kappa 1 on the normalized
+    anchors and builds each region straight in the anchor coordinates,
+    exact rational geometry.  A signed permutation and a positive
+    scaling take open boxes to open boxes, so counting the anchors there
+    gives what counting the moved points in the cover's frame would.
+    The formal hypothesis r <= 1e-8 * n is waived at desk scale (27r <= n
+    is what the construction needs); the detail record notes the waiver.
     """
     if r < 1:
         raise InvalidParams("r must be at least 1")
@@ -204,17 +198,19 @@ def combine(
     cover = run_covering(normalized, 4, 1, 27 * r)
     if not cover.K:
         raise TooFewPoints("covering produced no usable cube")
-    amap = cover.axis_map
-    work_pts = [amap.apply_point(p) for p in normalized]
-
+    back = cover.axis_map.inverse()
     grid = _on_grid(cover.K, 1)
     graph = _shift_graph(grid)
     out_deg = graph.out_degrees()
     succ: Dict[int, int] = {a: b for a, b in graph.edges}
 
+    def to_anchors(box: IntBox) -> Box:
+        corners = zip(*back.apply_box(box))  # the lower one, then the upper
+        return tuple(zip(*[tr.invert([Fraction(x, grid.scale) for x in c]) for c in corners]))
+
     assignments: List[RegionAssignment] = []
     n0 = n1 = 0
-    bott_pts = points_in_boxes(work_pts, grid.botts, grid.scale)
+    bott_pts = points_in_boxes(normalized, [back.apply_box(b) for b in grid.botts], grid.scale)
     for qi, (qbox, shifted) in enumerate(zip(grid.boxes, grid.shifts)):
         if out_deg[qi] > 1:
             continue
@@ -226,10 +222,9 @@ def combine(
         else:
             q2box = grid.boxes[succ[qi]]
             lat_q2 = q2box[1:]
-            cells = _lateral_cells(qbox[1:], lat_q2)
-            hits = points_in_boxes(
-                [work_pts[i] for i in inside], [qbox[:1] + cell for cell in cells], grid.scale
-            )
+            cells = _face_cells(qbox[1:], lat_q2)
+            columns = [back.apply_box(qbox[:1] + cell) for cell in cells]
+            hits = points_in_boxes([normalized[i] for i in inside], columns, grid.scale)
             best_cell = None
             best_ids: List[int] = []
             for cell, ks in zip(cells, hits):
@@ -249,41 +244,18 @@ def combine(
                 boxes = (core, _clip_shift(shifted, best_cell, lat_q2))
             pool = best_ids
             n1 += 1
-        region = Region(
-            tuple(tuple((Fraction(lo, grid.scale), Fraction(hi, grid.scale)) for lo, hi in b)
-                  for b in boxes)
-        )
-        interior = [
-            i for i in pool if region.contains_interior(work_pts[i])
-        ]
+        region = Region(tuple(map(to_anchors, boxes)))
+        interior = [i for i in pool if region.contains_interior(pts[i])]
         chosen = (interior if len(interior) >= r else pool)[:r]
         assignments.append(RegionAssignment(region, tuple(chosen)))
 
-    mapped = [_map_back(asg, amap, tr) for asg in assignments]
     if detail is not None:
         detail.cover_k = len(cover.K)
-        detail.kept = len(mapped)
+        detail.kept = len(assignments)
         detail.out_degree0 = n0
         detail.out_degree1 = n1
         detail.waived_precondition = Fraction(r) > Fraction(n, 10**8)
-    return mapped
-
-
-def _map_back(
-    asg: RegionAssignment, amap: SignedPermutation, tr
-) -> RegionAssignment:
-    """Pull a work-frame region back into the anchor frame."""
-    inv = amap.inverse()
-    boxes = []
-    for b in asg.region.boxes:
-        back = inv.apply_box(b)
-        boxes.append(
-            tuple(
-                ((lo - tr.offset) / tr.scale, (hi - tr.offset) / tr.scale)
-                for lo, hi in back
-            )
-        )
-    return RegionAssignment(Region(tuple(boxes)), asg.point_ids)
+    return assignments
 
 
 # -- verification ------------------------------------------------------------
@@ -292,9 +264,10 @@ def _map_back(
 @dataclass
 class RegionCheck:
     region_index: int
-    size_ok: bool
+    size_ok: bool  # exactly r distinct anchor ids
     outside_anchor: Optional[int]  # first anchor id outside the interior
     pair_failures: List[Tuple[int, int]] = field(default_factory=list)
+    repeated_anchor: Optional[int] = None  # first anchor id named twice
 
     @property
     def interior_ok(self) -> bool:
@@ -340,13 +313,18 @@ def verify_regions(
     """Exact check of the structural region guarantees.
 
     Regions must be pairwise non-overlapping and carry exactly r
-    anchors in their interiors, and for every anchor pair p, q of a
-    region all crossings of at least one of the two mixed families
+    distinct anchors in their interiors, and for every anchor pair p, q
+    of a region all crossings of at least one of the two mixed families
     must lie in the open region (margin relative to box side, and
-    non-negative).
+    non-negative).  An anchor id outside the bundle is bad input.
     """
     if margin < 0:
         raise GeometryError("margin must be non-negative, got %s" % margin)
+    n = len(bundle.anchors)
+    for idx, asg in enumerate(assignments):
+        for i in asg.point_ids:
+            if not 0 <= i < n:
+                raise GeometryError("region %d names anchor %d of %d" % (idx, i, n))
     overlap_witness = None
     for i in range(len(assignments)):
         for j in range(i + 1, len(assignments)):
@@ -359,14 +337,14 @@ def verify_regions(
     checks: List[RegionCheck] = []
     for idx, asg in enumerate(assignments):
         inside = asg.region.contains_interior
+        ids = asg.point_ids
+        repeated = next((i for k, i in enumerate(ids) if i in ids[:k]), None)
         chk = RegionCheck(
             idx,
-            size_ok=len(asg.point_ids) == r,
-            outside_anchor=next(
-                (i for i in asg.point_ids if not inside(bundle.anchors[i], margin)), None
-            ),
+            size_ok=len(ids) == r and repeated is None,
+            outside_anchor=next((i for i in ids if not inside(bundle.anchors[i], margin)), None),
+            repeated_anchor=repeated,
         )
-        ids = asg.point_ids
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 p, q = ids[a], ids[b]

@@ -4,6 +4,7 @@ Argument lists are built from ``cli.build_parser()``'s own option table
 and run in-process through ``cli.main``.  Whatever the tokens, the exit
 code is 0, 1 or 2; only argparse's own ``SystemExit(2)`` may escape;
 and an exit 2 that ``main`` returns prints exactly one stderr line.
+Regions files with fuzzed anchor ids keep the same contract.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from stlab import cli, fileio
 from stlab.covering import normalize_points, run_covering
 from stlab.generators import gen_bundle_fixture, gen_erdos
-from stlab.regions import combine
+from stlab.regions import RegionAssignment, combine
 
 F = Fraction
 FILE_DESTS = {"infile", "bundle", "regions", "cover", "system"}
@@ -107,3 +108,24 @@ def test_cli_argv_fuzz_exit_contract(files, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.lists(st.integers(-3, 30), max_size=4), min_size=1, max_size=4))
+def test_cli_verify_regions_anchor_id_fuzz(files, ids):
+    # negative, past the 27 anchors and repeated ids: a verdict or one
+    # error line, never a traceback
+    root, _ = files
+    asgs, r = fileio.loads((root / "regions.txt").read_text(), fileio.load_regions)
+    fuzzed = [RegionAssignment(asgs[k % len(asgs)].region, tuple(i)) for k, i in enumerate(ids)]
+    path = root / "fuzzed-regions.txt"
+    path.write_text(fileio.dump_regions(fuzzed, r))
+    argv = ["verify", "--regions", str(path), "--bundle", str(root / "bundle.txt")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    if any(i < 0 for row in ids for i in row):
+        assert code == 2 and "negative anchor id" in err.getvalue()

@@ -533,6 +533,40 @@ def test_shift_graph_blocked_corridor():
     assert (0, 1) in g_gap.edges
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_shift_graph_corridor_touching_cases(d):
+    # q1 = [0, 1]^d; the big q2 above it reaches down into bott(q1) after
+    # its shift, so the corridor runs from the bottom of bott(q1), x0 = 0,
+    # to the top of q2, x0 = 32, over bott(q1)'s lateral [1/3, 2/3]^(d-1).
+    # A cube whose closed box touches the corridor is a blocker; touching
+    # it at an end covers the whole base, along an edge only its boundary
+    def cube(x0, lat, side):
+        return FreeCube((F(x0),) + (F(lat),) * (d - 1), F(side))
+
+    q1, q2 = cube(0, 0, 1), cube(2, -10, 30)
+    families = [
+        # a first-axis face exactly at either end of the segment
+        ([cube(32, 0, 1)], False),
+        ([cube(-1, 0, 1)], False),
+        ([cube(F(321, 10), 0, 1)], True),
+        ([cube(F(-11, 10), 0, 1)], True),
+        # meeting the corridor only along a lateral edge
+        ([cube(1, F(2, 3), F(1, 3))], True),
+        ([cube(1, 0, F(1, 3))], True),
+        # two tiles meeting on the plane lateral = 1/2 close it at d = 2 (at
+        # d = 3 they cover two of the base's four quarters); an edge touch
+        # beside one tile leaves the slab between them open
+        ([cube(F(3, 2), 0, F(1, 2)), cube(1, F(1, 2), F(1, 3))], d > 2),
+        ([cube(F(3, 2), 0, F(1, 2)), cube(1, F(2, 3), F(1, 3))], True),
+    ]
+    assert build_shift_graph([q1, q2], kappa=1).edges == [(0, 1)]
+    for blockers, open_ in families:
+        cubes = [q1, q2] + blockers
+        edges = build_shift_graph(cubes, kappa=1).edges
+        assert edges == oracle_shift_graph(cubes, 1)
+        assert ((0, 1) in edges) == open_
+
+
 def test_shift_graph_rejects_overlap():
     with pytest.raises(OverlappingInput):
         build_shift_graph([fc((0, 0), 2), fc((1, 1), 2)], kappa=1)

@@ -219,6 +219,8 @@ def test_cli_verify_regions_prints_witness(tmp_path, capsys):
         "regions witness: regions 0 and 2 overlap")
     assert verify([far, both], [(2,), (0, 1)], 1) == (
         "regions witness: region 1 does not hold exactly r=1 anchors")
+    assert verify([both, far], [(0, 0), (2,)], 2) == (
+        "regions witness: region 0 names anchor 0 twice")
     assert verify([far, both], [(2,), (2,)], 1) == (
         "regions witness: region 1: anchor 2 lies outside its interior")
     assert verify([both, far], [(0, 1), (2, 1)], 2) == (
@@ -376,6 +378,10 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["verify", "--cover", "CR"], "repeated r record"),
         (["verify", "--cover", "CAXIS"], "repeated axismap record"),
         (["verify", "--regions", "RR", "--bundle", "BUN"], "repeated r record"),
+        (["verify", "--regions", "RNEG", "--bundle", "BUN"], "negative anchor id"),
+        (["verify", "--regions", "RFAR", "--bundle", "BUN"], "names anchor 999 of 27"),
+        (["verify", "--regions", "-", "--bundle", "-"], "--regions and --bundle"),
+        (["verify", "--cover", "-", "--system", "-"], "--cover and --system"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
@@ -384,7 +390,8 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         "c-rich-nan", "margin-zero-denominator", "margin-negative",
         "halfspace-record", "delta-too-many-centers", "cover-dim-mismatch",
         "regions-r-zero", "points-repeated-dim", "cover-repeated-kappa", "cover-repeated-r",
-        "cover-repeated-axismap", "regions-repeated-r",
+        "cover-repeated-axismap", "regions-repeated-r", "regions-negative-id",
+        "regions-id-past-anchors", "two-stdin-inputs", "two-stdin-cover-system",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
@@ -403,6 +410,8 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
         "CR": "stlab cover 1\n" + COVER_HEAD + "r 2\n",
         "CAXIS": "stlab cover 1\n" + COVER_HEAD + "axismap 1 0 1 1\n",
         "RR": fileio.dump_regions([], 1) + "r 2\n",
+        "RNEG": fileio.dump_regions([], 1) + "region\npoints -1\n",
+        "RFAR": fileio.dump_regions([], 1) + "region\npoints 999\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

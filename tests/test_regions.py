@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from stlab.directions import gr_dist_deg
-from stlab.covering import CoveringError, FreeCube, boxes_overlap_interior
+from stlab.covering import (
+    CoveringError,
+    FreeCube,
+    NormalizeTransform,
+    SignedPermutation,
+    _face_cells,
+    boxes_overlap_interior,
+    points_in_boxes,
+)
 from stlab.exact import Flat2, FlatMeet, GeometryError, RVector4, flat_intersect
 from stlab.fileio import dump_regions
 from stlab.generators import gen_bundle_fixture
@@ -18,7 +27,6 @@ from stlab.regions import (
     RegionAssignment,
     TooFewPoints,
     _clip_shift,
-    _lateral_cells,
     canonical_flat,
     canonical_frame,
     combine,
@@ -258,6 +266,82 @@ def test_verify_regions_rejects_negative_margin():
         verify_regions([far], exact_bundle([p, q]), 1, F(-20))
 
 
+def test_verify_regions_needs_distinct_anchor_ids():
+    bundle = exact_bundle([(F(0),) * 4, (F(20),) * 4, (F(40),) * 4])
+    box = ((F(-1), F(1)),) * 4
+    rep = verify_regions([RegionAssignment(Region((box,)), (0, 0))], bundle, 2)
+    chk = rep.checks[0]
+    assert not rep.all_ok and not chk.size_ok and chk.repeated_anchor == 0
+    assert chk.interior_ok and chk.pair_failures == []
+    # the first id named a second time is the witness
+    rep = verify_regions([RegionAssignment(Region((box,)), (0, 1, 2, 1, 0))], bundle, 5)
+    assert rep.checks[0].repeated_anchor == 1
+    rep = verify_regions([RegionAssignment(Region((box,)), (0,))], bundle, 1)
+    assert rep.all_ok and rep.checks[0].repeated_anchor is None
+
+
+@pytest.mark.parametrize("bad", [3, 999, -1])
+def test_verify_regions_rejects_unknown_anchor_ids(bad):
+    bundle = exact_bundle([(F(0),) * 4, (F(20),) * 4, (F(40),) * 4])
+    box = ((F(-1), F(1)),) * 4
+    asg = [RegionAssignment(Region((box,)), (0,)), RegionAssignment(Region((box,)), (bad,))]
+    with pytest.raises(GeometryError, match="region 1 names anchor %d of 3" % bad):
+        verify_regions(asg, bundle, 1)
+
+
+def test_boxes_moved_back_match_points_moved_forward():
+    # combine relies on this: counting points in boxes moved back through
+    # the inverse axis map, and testing anchors against regions built
+    # through it and the inverse scaling, answers as moving every point
+    # into the cover's frame would, for all 384 signed permutations of
+    # R^4, boundary points and points on a face two boxes share included
+    rng = random.Random(20)
+    scale = 6
+    on_face = shared_face = 0
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((-1, 1), repeat=4):
+            amap = SignedPermutation(perm, signs)
+            back = amap.inverse()
+            tr = NormalizeTransform(F(rng.randint(1, 9)), F(1, rng.choice((2, 3, 5))))
+            b1 = tuple(tuple(sorted(rng.sample(range(-12, 13), 2))) for _ in range(4))
+            ax = rng.randrange(4)
+            b2 = tuple(
+                (hi, hi + rng.randint(1, 6)) if i == ax else (lo + rng.randint(-2, 2), hi)
+                for i, (lo, hi) in enumerate(b1)
+            )
+            b2 = tuple((min(lo, hi - 1), hi) for lo, hi in b2)
+
+            def coord(i):
+                (lo, hi), (lo2, hi2) = b1[i], b2[i]
+                if rng.random() < 0.5:  # a face of either box
+                    return F(rng.choice((lo, hi, lo2, hi2)), scale)
+                return F(rng.randint(7 * lo - 7, 7 * max(hi, hi2) + 7), 7 * scale)
+
+            work = [tuple(map(coord, range(4))) for _ in range(24)]
+            pts = [back.apply_point(w) for w in work]
+            moved = [amap.apply_point(p) for p in pts]
+            want = points_in_boxes(moved, [b1], scale)
+            assert points_in_boxes(pts, [back.apply_box(b1)], scale) == want
+            on_face += sum(
+                1 for i in want[0] if any(x * scale in side for x, side in zip(moved[i], b1))
+            )
+
+            def in_anchors(box):
+                lo, hi = zip(*back.apply_box(box))
+                return tuple(zip(*[tr.invert([F(x, scale) for x in xs]) for xs in (lo, hi)]))
+
+            union = Region(
+                tuple(tuple((F(lo, scale), F(hi, scale)) for lo, hi in b) for b in (b1, b2))
+            )
+            anchored = Region((in_anchors(b1), in_anchors(b2)))
+            for p, w in zip(pts, moved):
+                inside = union.contains_interior(w)
+                assert anchored.contains_interior(tr.invert(p)) == inside
+                if inside and w[ax] == F(b1[ax][1], scale):
+                    shared_face += 1
+    assert on_face >= 1000 and shared_face >= 20
+
+
 # -- case (b): shift(Q1) cut at a coordinate plane ------------------------------
 
 # on the grid of step 1/40: faces are multiples of 10 steps, as on the
@@ -306,7 +390,7 @@ def test_clip_shift_property_on_lateral_cells():
         q2 = FreeCube(tuple(F(rng.randint(-8, 12), 4) for _ in range(4)), F(rng.randint(1, 12), 4))
         shifted = on_grid(shift_cube(q1).box())
         lat_q1, lat_q2 = on_grid(q1.box()[1:]), on_grid(q2.box()[1:])
-        for cell in _lateral_cells(lat_q1, lat_q2):
+        for cell in _face_cells(lat_q1, lat_q2):
             if boxes_overlap_interior(cell, lat_q2):
                 continue
             got = _clip_shift(shifted, cell, lat_q2)
