@@ -39,11 +39,14 @@ from .incidence import (
 from .regions import CombineDetail, combine, verify_regions
 
 
-def _number(tok: str, flag: str, kind=float):
-    try:
-        return kind(tok)
-    except (ValueError, ZeroDivisionError):
-        raise fileio.FormatError("bad %s value %r" % (flag, tok)) from None
+def _number(tok: str, flag: str, kinds=(Fraction, float)):
+    # exact where it can be; nan and inf stay floats for the range checks to name
+    for kind in kinds:
+        try:
+            return kind(tok)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise fileio.FormatError("bad %s value %r" % (flag, tok))
 
 
 def _parse_direction(tok: str) -> Direction:
@@ -242,7 +245,7 @@ def cmd_verify(args) -> int:
     stdin = ["--" + f for f in ("cover", "regions", "bundle", "system") if getattr(args, f) == "-"]
     if len(stdin) > 1:
         raise fileio.FormatError("%s cannot both read stdin" % " and ".join(stdin))
-    margin = _number(args.margin, "--margin", Fraction).limit_denominator(10**12)
+    margin = _number(args.margin, "--margin", (Fraction,)).limit_denominator(10**12)
     failures = 0
     if args.cover:
         cf = _load(args.cover, fileio.load_cover)

@@ -19,10 +19,12 @@ of each phase.  Only occupied or label-carrying cells are ever
 materialized, so dimension 4 stays affordable.  A phase visits only the
 busy cells, those with at least r surviving points or a labelled
 subcell; any other cell would come out A1 and change nothing, so it is
-counted as A1 without a visit.  The run holds the surviving point ids
-grouped by cell and the per-axis hull of all input points' cells; a
-phase lifts both once, so it costs O(occupied cells) and touches no
-point unless a busy cell needs its coordinates.
+counted as A1 without a visit.  The run keys each cell by one int, its
+digits over the per-axis hull of all input points' cells, and holds the
+surviving point ids by key.  A phase lifts every key and the hull at
+once over plain ints, so it costs O(occupied cells) and touches no point
+unless a busy cell needs its coordinates; boxes are built only where a
+cell's outcome reads them.
 
 Everything geometric is exact and works in Python ints.  The run uses
 one grid in units of the level-0 cell side 1/rho and places a point by
@@ -57,6 +59,7 @@ from .exact import Rational, _frac
 
 Point = Tuple[Fraction, ...]
 IntBox = Tuple[Tuple[int, int], ...]  # per-axis closed [lo, hi] on an integer grid
+Cell = Tuple[int, ...]  # per-axis index of a grid cell
 
 
 class CoveringError(ValueError):
@@ -135,23 +138,12 @@ def _encapsulate(r: IntBox, qbox: IntBox, mid_axes: Set[int]) -> IntBox:
     """
     lens = [hi - lo for lo, hi in r]
     q = max(lens)
-    axis = None
-    for i, ln in enumerate(lens):
-        if i not in mid_axes and ln == q:
-            axis = i
-            break
+    axis = next((i for i, ln in enumerate(lens) if i not in mid_axes and ln == q), None)
     if axis is None:
         raise CoveringError("dissection box has no extreme non-middle axis")
-    cube = []
-    for i, (lo, hi) in enumerate(r):
-        if i == axis:
-            cube.append((lo, hi))
-            continue
-        ql, qh = qbox[i]
-        new_lo = min(lo, qh - q)
-        if new_lo < ql:
-            new_lo = ql
-        cube.append((new_lo, new_lo + q))
+    starts = [max(ql, min(lo, qh - q)) for (lo, _), (ql, qh) in zip(r, qbox)]
+    cube = [(x, x + q) for x in starts]
+    cube[axis] = r[axis]
     return tuple(cube)
 
 
@@ -274,9 +266,6 @@ class SignedPermutation:
     def identity(cls, d: int) -> "SignedPermutation":
         return cls(tuple(range(d)), (1,) * d)
 
-    def apply_point(self, p: Sequence[Rational]) -> Point:
-        return tuple(self.signs[i] * _frac(p[self.perm[i]]) for i in range(len(self.perm)))
-
     def apply_box(self, b: IntBox) -> IntBox:
         """The image box; any ordered coordinates will do."""
         out = []
@@ -365,17 +354,43 @@ class CoverResult:
     stats: CoverStats
 
 
+def _unpack(key: int, lo: Cell, hi: Cell) -> Cell:
+    """The cell with the given key over the hull (lo, hi)."""
+    cell = []
+    for low, high in zip(lo[::-1], hi[::-1]):
+        key, digit = divmod(key, high - low + 1)
+        cell.append(low + digit)
+    return tuple(cell[::-1])
+
+
+def _lift(keys: List[int], lo: Cell, hi: Cell, shift: Cell, rho: int) -> List[int]:
+    """The keys of the parents (c - shift) // rho of the cells keyed over
+    the hull (lo, hi), over the parents' hull.  On an axis with corner lo
+    the digit k lifts to (k + b) // rho, b = (lo - t) mod rho."""
+    digits = []
+    for low, high in zip(lo[:0:-1], hi[:0:-1]):
+        w = high - low + 1
+        digits.append([k % w for k in keys])
+        keys = [k // w for k in keys]
+    b = [(x - t) % rho for x, t in zip(lo, shift)]
+    keys = [(k + b[0]) // rho for k in keys]
+    for col, bi, low, high in zip(digits[::-1], b[1:], lo[1:], hi[1:]):
+        w = (high - low + bi) // rho + 1
+        keys = [key * w + (k + bi) // rho for key, k in zip(keys, col)]
+    return keys
+
+
 class _CoverRun:
     """One covering run.  Lengths are ints in units of 1/rho, so a
     level-L cell has side rho^L; points keep their input units and are
     scaled by rho only where they are compared with a box.
 
-    The run keeps two things per level: the ids of the surviving points
-    grouped by their cell, and the per-axis hull (lo, hi) of the cells
-    of all input points, deleted or not.  Each phase lifts the groups
-    and the hull to the next level and visits only the cells with at
-    least r surviving points or a labelled subcell, counting the rest as
-    A1, so a phase costs O(occupied cells) and no per-point work."""
+    A cell's key is its digits c - lo in mixed radix over the hull
+    (lo, hi), axis 0 most significant, so sorted keys run in
+    lexicographic cell order.  The run keeps the surviving point ids by
+    key and the last phase's labelled cells, each with its tuple; a
+    visited cell takes its tuple from a labelled subcell, or else turns
+    A2 and is decoded from its key."""
 
     def __init__(self, points: Sequence[Sequence[Rational]], d: int, kappa: int, r: int):
         self.d = d
@@ -384,42 +399,46 @@ class _CoverRun:
         self.rho = rho = 4 * kappa + 1
         self.m = rho**d
         self.points = points
-        # surviving point ids by current cell; a cell leaves when it empties.
-        # The same pass validates: a non-rational raises _frac's TypeError,
-        # then dimension, duplicate (same level-0 cell) and integer checks run
-        self.groups: Dict[Tuple[int, ...], List[int]] = {}
-        integral = False
+        # level-0 cells column by column.  The same pass validates: a
+        # non-rational raises _frac's TypeError, then dimension, duplicate
+        # (same level-0 cell) and integer checks run
         try:
-            for pid, p in enumerate(points):
-                cell = tuple([(x.numerator * rho) // x.denominator for x in p])
-                integral = integral or 1 in [x.denominator for x in p]
-                self.groups.setdefault(cell, []).append(pid)
+            cols = [[x.numerator * rho // x.denominator for x in col] for col in zip(*points)]
+            integral = 1 in {x.denominator for p in points for x in p}
         except AttributeError:
             [_frac(x) for p in points for x in p]  # raises its TypeError
             raise
-        if any(len(cell) != d for cell in self.groups):
+        if any(len(p) != d for p in points):
             raise InvalidParams("point dimension mismatch")
+        # per-axis least and greatest cell of all input points; lifting is
+        # monotone per axis, so the hull lifts by the same formula as a cell
+        cols = cols or [[]] * d
+        self.lo: Cell = tuple([min(col, default=0) for col in cols])
+        self.hi: Cell = tuple([max(col, default=0) for col in cols])
+        # surviving point ids by cell key; a cell leaves when it empties
+        keys = [0] * len(points)
+        for col, low, high in zip(cols, self.lo, self.hi):
+            keys = [k * (high - low + 1) + c - low for k, c in zip(keys, col)]
+        self.groups: Dict[int, List[int]] = {}
+        for pid, key in enumerate(keys):
+            self.groups.setdefault(key, []).append(pid)
         for ids in self.groups.values():
             if len(ids) > 1 and len({tuple(points[i]) for i in ids}) < len(ids):
                 raise DuplicatePoints("points must be distinct")
         if integral:
             raise InvalidParams("integer coordinate: input is not normalized")
-        # per-axis least and greatest cell of all input points; lifting is
-        # monotone per axis, so the hull lifts by the same formula as a cell
-        axes = list(zip(*self.groups)) or [(0,)] * d
-        self.lo: Tuple[int, ...] = tuple(map(min, axes))
-        self.hi: Tuple[int, ...] = tuple(map(max, axes))
-        self.origin: Tuple[int, ...] = (0,) * d  # corner of the current grid
+        # corners of the current grid and of the one below it
+        self.origin = self.below = (0,) * d
         # offset of the next level's blocks in current-level cell units
-        self.shift: Tuple[int, ...] = (0,) * d
-        self.states: Dict[Tuple[int, ...], _CellInfo] = {}  # non-A1 cells, last phase
+        self.shift: Cell = (0,) * d
+        self.states: Dict[int, Tuple[Cell, _CellInfo]] = {}  # non-A1 cells of the last phase
         self.selected: List[Tuple[IntBox, Tuple[int, int]]] = []
         self.stats = CoverStats()
         self.level = 0
 
     # cell geometry ---------------------------------------------------------
 
-    def cell_box(self, idx: Tuple[int, ...], level: int, origin: Tuple[int, ...]) -> IntBox:
+    def cell_box(self, idx: Cell, level: int, origin: Cell) -> IntBox:
         side = self.rho**level
         return tuple((o + k * side, o + (k + 1) * side) for k, o in zip(idx, origin))
 
@@ -433,7 +452,7 @@ class _CoverRun:
         # deletions silence counting but pending labels must still ripen
         while True:
             done = self.lo == self.hi
-            pending = any(info.state in _YELLOW_STATES for info in self.states.values())
+            pending = any(info.state in _YELLOW_STATES for _, info in self.states.values())
             if done and not pending:
                 break
             self.level += 1
@@ -442,28 +461,30 @@ class _CoverRun:
     def run_phase(self, level: int) -> None:
         ps = PhaseStats(level=level)
         rho, shift = self.rho, self.shift
-        child_origin = self.origin
-        self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(child_origin, shift))
+        self.below = self.origin
+        self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(self.origin, shift))
 
         # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
-        def up(c: Tuple[int, ...]) -> Tuple[int, ...]:
+        def up(c: Cell) -> Cell:
             return tuple([(ci - t) // rho for ci, t in zip(c, shift)])
 
+        keys = _lift(list(self.groups) + list(self.states), self.lo, self.hi, shift, rho)
         self.lo, self.hi = up(self.lo), up(self.hi)
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for child, ids in self.groups.items():
-            cell = up(child)
-            merged = groups.get(cell)
+        groups: Dict[int, List[int]] = {}
+        for key, ids in zip(keys, self.groups.values()):
+            merged = groups.get(key)
             if merged is None:
-                groups[cell] = ids
+                groups[key] = ids
             else:
                 merged += ids
+        # the labelled subcells of each parent, with the parent's cell
+        parent_specials: Dict[int, Tuple[Cell, List[Tuple[Cell, _CellInfo]]]] = {}
+        for key, special in zip(keys[len(self.groups) :], self.states.values()):
+            entry = parent_specials.get(key)
+            if entry is None:
+                entry = parent_specials[key] = (up(special[0]), [])
+            entry[1].append(special)
         self.groups = groups
-        parent_specials: Dict[Tuple[int, ...], List[Tuple[IntBox, _CellInfo]]] = {}
-        for child, info in self.states.items():
-            parent_specials.setdefault(up(child), []).append(
-                (self.cell_box(child, level - 1, child_origin), info)
-            )
         # a cell with fewer than r points and no labelled subcell is A1 and
         # changes nothing, so only the busy cells are visited
         busy = {c for c, ids in groups.items() if len(ids) >= self.r}
@@ -471,45 +492,46 @@ class _CoverRun:
         ps.processed = len(groups.keys() | parent_specials.keys())
         if ps.processed > len(busy):
             ps.assigned[CubeState.A1] = ps.processed - len(busy)
-        new_states: Dict[Tuple[int, ...], _CellInfo] = {}
-        yellows: List[Tuple[int, ...]] = []
-        new_blues: Set[Tuple[int, ...]] = set()
-        for cell in sorted(busy):
-            pts = groups.get(cell, [])
-            info = self.process_cell(cell, level, pts, parent_specials.get(cell, []))
+        new_states: Dict[int, Tuple[Cell, _CellInfo]] = {}
+        yellows: List[int] = []
+        for key in sorted(busy):
+            pts = groups.get(key, [])
+            cell, specials = parent_specials.get(key, (None, []))
+            info = self.process_cell(cell, level, pts, specials)
             ps.assigned[info.state] = ps.assigned.get(info.state, 0) + 1
-            new_states[cell] = info
+            if cell is None:  # no labelled subcell, so the cell is A2
+                cell = _unpack(key, self.lo, self.hi)
+            new_states[key] = (cell, info)
             if info.state in _YELLOW_STATES:
-                yellows.append(cell)
-            if info.state in (CubeState.A5, CubeState.A6):
-                new_blues.add(cell)
+                yellows.append(key)
             self._assert_state(info, len(pts))
         ps.yellows = len(yellows)
         # step 3: next-level offset by the central-position pigeonhole
-        t = self.choose_offset(yellows)
+        t = self.choose_offset([new_states[key][0] for key in yellows])
         self.shift = t
-        # step 4: permanent deletion inside yellow and newly blue cells
-        for cell in set(yellows) | new_blues:
-            ps.deleted += len(groups.pop(cell, ()))
+        # step 4: permanent deletion inside yellow and newly blue cells, that
+        # is in every visited cell but the A4 ones
+        for key, (_, info) in new_states.items():
+            if info.state != CubeState.A4:
+                ps.deleted += len(groups.pop(key, ()))
         # step 5: unlabel yellows that did not land in central position
-        for cell in yellows:
+        for key in yellows:
+            cell, info = new_states[key]
             if all((c - ti - 2 * self.kappa) % self.rho == 0 for c, ti in zip(cell, t)):
                 ps.central += 1
-                continue
-            info = new_states[cell]
-            if info.state == CubeState.A2:
-                del new_states[cell]
+            elif info.state == CubeState.A2:
+                del new_states[key]
             else:  # A3 -> A4, the enclosed blue stays
                 info.state = CubeState.A4
                 info.green = None
         self.states = new_states
         self.stats.phases.append(ps)
 
-    def choose_offset(self, yellows: List[Tuple[int, ...]]) -> Tuple[int, ...]:
+    def choose_offset(self, yellows: List[Cell]) -> Cell:
         if yellows:
             # each yellow is central for exactly one offset; some offset
             # therefore meets the 1/rho^d quota, pick the smallest such
-            votes: Dict[Tuple[int, ...], int] = {}
+            votes: Dict[Cell, int] = {}
             for cell in yellows:
                 t = tuple((c - 2 * self.kappa) % self.rho for c in cell)
                 votes[t] = votes.get(t, 0) + 1
@@ -521,97 +543,75 @@ class _CoverRun:
 
     def process_cell(
         self,
-        cell: Tuple[int, ...],
+        cell: Optional[Cell],
         level: int,
         pts: List[int],
-        specials: List[Tuple[IntBox, _CellInfo]],
+        specials: List[Tuple[Cell, _CellInfo]],
     ) -> _CellInfo:
-        """Label one busy cell; specials pairs each labelled subcell's box with its info."""
-        yellow = [(b, i) for b, i in specials if i.state in _YELLOW_STATES]
-        carriers = [b for b, i in specials if i.state in _CARRIER_STATES]
-        if len(yellow) > 1:
-            raise CoveringError("two yellow subcells in one cell; offsets broken")
-        n = len(pts)
-        r = self.r
+        """Label one busy cell; specials pairs each labelled subcell with
+        its info.  Boxes are built only in the branches that read them."""
+        n, r = len(pts), self.r
         if not specials:  # busy, so n >= r
             self.stats.g += 1
             return _CellInfo(CubeState.A2)
-        qbox = self.cell_box(cell, level, self.origin)
-        if yellow and yellow[0][1].state == CubeState.A2:
-            gbox = yellow[0][0]
-            if not carriers:
-                self._place_selected(qbox, gbox, avoid=None)
-                self.stats.b += 1
-                self.stats.s += 1
-                return _CellInfo(CubeState.A5)
-            if len(carriers) == 1:
-                self._place_selected(qbox, gbox, avoid=carriers[0])
-                self.stats.b += 2
-                self.stats.s += 1
-                return _CellInfo(CubeState.A6)
+        yellow = [(c, i) for c, i in specials if i.state in _YELLOW_STATES]
+        carriers = [c for c, i in specials if i.state in _CARRIER_STATES]
+        if len(yellow) > 1:
+            raise CoveringError("two yellow subcells in one cell; offsets broken")
+        if not yellow and len(carriers) == 1 and n < (3**self.d - 1) * r:
+            return _CellInfo(CubeState.A4)  # a lone carrier, too few points for a green
+        if len(carriers) > 1 or (carriers and yellow and yellow[0][1].state == CubeState.A3):
             self.stats.b += 1
             return _CellInfo(CubeState.A6)
-        if yellow:  # the A3 case
-            yinfo = yellow[0][1]
-            if not carriers:
+        qbox = self.cell_box(cell, level, self.origin)
+        dbox = self.cell_box(carriers[0], level - 1, self.below) if carriers else None
+        if yellow:
+            ychild, yinfo = yellow[0]
+            if yinfo.state == CubeState.A3:  # no carrier beside it
                 self._place_selected(qbox, yinfo.green, avoid=yinfo.avoid)
                 self.stats.b += 2
                 self.stats.s += 1
                 return _CellInfo(CubeState.A6)
-            self.stats.b += 1
-            return _CellInfo(CubeState.A6)
-        if len(carriers) >= 2:
-            self.stats.b += 1
-            return _CellInfo(CubeState.A6)
-        # exactly one carrier subcell, no yellow
-        if n >= (3**self.d - 1) * r:
-            dbox = carriers[0]
-            # lo <= cell < hi iff lo <= x rho < hi, for int lo and hi
-            cells = [[x.numerator * self.rho // x.denominator for x in self.points[i]] for i in pts]
-            for cand in _complement_cubes(qbox, dbox):
-                cnt = sum(1 for c in cells if all(lo <= x < hi for x, (lo, hi) in zip(c, cand)))
-                if cnt >= r:
-                    self.stats.g += 1
-                    return _CellInfo(CubeState.A3, green=cand, avoid=dbox)
-            # no complement cube is r-heavy (points hide in the carrier):
-            # fall back to the unlabeled state
+            # A5 around the yellow, or A6 around it and the one carrier
+            self._place_selected(qbox, self.cell_box(ychild, level - 1, self.below), avoid=dbox)
+            self.stats.b += 1 if dbox is None else 2
+            self.stats.s += 1
+            return _CellInfo(CubeState.A5 if dbox is None else CubeState.A6)
+        # a lone carrier and at least (3^d - 1) r points:
+        # lo <= cell < hi iff lo <= x rho < hi, for int lo and hi
+        cells = [[x.numerator * self.rho // x.denominator for x in self.points[i]] for i in pts]
+        for cand in _complement_cubes(qbox, dbox):
+            cnt = sum(1 for c in cells if all(lo <= x < hi for x, (lo, hi) in zip(c, cand)))
+            if cnt >= r:
+                self.stats.g += 1
+                return _CellInfo(CubeState.A3, green=cand, avoid=dbox)
+        # no complement cube is r-heavy (points hide in the carrier): fall
+        # back to the unlabeled state
         return _CellInfo(CubeState.A4)
 
     def _place_selected(self, qbox: IntBox, gbox: IntBox, avoid: Optional[IntBox]) -> None:
-        """Select the cube inside qbox whose kappa-side-cube is the green gbox."""
+        """Select the cube inside qbox whose kappa-side-cube is the green
+        gbox: of the 2d orientations that fit in qbox clear of avoid, the
+        one leaving the widest margin in qbox past the cube's face away
+        from gbox, then the least (axis, sign)."""
         gside = gbox[0][1] - gbox[0][0]
         big = (2 * self.kappa + 1) * gside
-        best = None
+        options = []
         for axis in range(self.d):
             for sign in (-1, 1):
-                corner = []
-                ok = True
-                for i in range(self.d):
-                    lo, hi = gbox[i]
-                    if i == axis:
-                        c = lo if sign < 0 else hi - big
-                    else:
-                        c = lo - self.kappa * gside
-                    if c < qbox[i][0] or c + big > qbox[i][1]:
-                        ok = False
-                        break
-                    corner.append(c)
-                if not ok:
-                    continue
+                corner = [lo - self.kappa * gside for lo, _ in gbox]
+                corner[axis] = gbox[axis][0] if sign < 0 else gbox[axis][1] - big
                 cand = tuple((c, c + big) for c in corner)
+                if any(c < ql or c + big > qh for c, (ql, qh) in zip(corner, qbox)):
+                    continue
                 if avoid is not None and boxes_overlap_interior(cand, avoid):
                     continue
-                if sign < 0:
-                    clearance = qbox[axis][1] - cand[axis][1]
-                else:
-                    clearance = cand[axis][0] - qbox[axis][0]
-                key = (-clearance, axis, sign)
-                if best is None or key < best[0]:
-                    best = (key, corner, (axis, sign))
-        if best is None:
+                (ql, qh), (lo, hi) = qbox[axis], cand[axis]
+                options.append(((-(qh - hi if sign < 0 else lo - ql), axis, sign), cand))
+        if not options:
             raise CoveringError("no room for a selected cube; geometry broken")
-        _, corner, orientation = best
-        self.selected.append((tuple((c, c + big) for c in corner), orientation))
+        (_, axis, sign), cand = min(options)
+        self.selected.append((cand, (axis, sign)))
 
     def _assert_state(self, info: _CellInfo, n: int) -> None:
         m, r = self.m, self.r

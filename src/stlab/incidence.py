@@ -18,6 +18,7 @@ integers grow with the bit length of L.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -43,9 +44,9 @@ class IncidenceReport:
     I: int
     n: int
     e: int
-    st_bound: float  # C * n^(2/3) e^(2/3) + 3n + 3e
+    st_bound: float  # C * n^(2/3) e^(2/3) + 3n + 3e, for display
     ratio: float  # I / st_bound, 0 when the bound degenerates
-    violated: bool
+    violated: bool  # decided exactly, by _exceeds_st_bound
 
 
 @dataclass(frozen=True)
@@ -163,21 +164,28 @@ def count_indexed(points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]) 
     return sum(map(len, incident_lines(points, lines)))
 
 
+def _exceeds_st_bound(count: int, n: int, e: int, C: Fraction) -> bool:
+    """count > C n^(2/3) e^(2/3) + 3n + 3e, exactly: the excess over
+    3n + 3e is positive and its cube exceeds C^3 n^2 e^2."""
+    excess = count - 3 * n - 3 * e
+    return excess > 0 and excess**3 > C**3 * (n * e) ** 2
+
+
 def count_incidences(
     points: Sequence[ComplexPoint],
     lines: Sequence[ComplexLine],
-    C: float = 1e70,
+    C: float | Fraction = 10**70,
 ) -> IncidenceReport:
     """Exact incidence count of a duplicate-free system, plus the bound."""
-    if not 0 <= C < math.inf:  # also rejects nan
-        raise GeometryError("C must be finite and non-negative, got %r" % C)
+    if not 0 <= C <= sys.float_info.max:  # also rejects nan; st_bound is a float
+        raise GeometryError("C must be finite and non-negative, got %s" % C)
     _check_unique(points, "point")
     _check_unique(lines, "line")
     count = count_indexed(points, lines)
     n, e = len(points), len(lines)
-    bound = C * (n ** (2.0 / 3.0)) * (e ** (2.0 / 3.0)) + 3.0 * n + 3.0 * e
+    bound = float(C) * (n ** (2.0 / 3.0)) * (e ** (2.0 / 3.0)) + 3.0 * n + 3.0 * e
     ratio = count / bound if bound > 0 else 0.0
-    return IncidenceReport(count, n, e, bound, ratio, violated=count > bound)
+    return IncidenceReport(count, n, e, bound, ratio, _exceeds_st_bound(count, n, e, Fraction(C)))
 
 
 def _rich_pairs(
@@ -285,17 +293,17 @@ class RichBoundReport:
     t: int
     n: int
     rich_count: int
-    bound: float  # c * (n^2/t^3 + n/t)
-    violated: bool
+    bound: float  # c * (n^2/t^3 + n/t), for display
+    violated: bool  # decided exactly, in Fractions
 
 
-def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float) -> RichBoundReport:
-    if not 0 <= c < math.inf:  # also rejects nan
-        raise GeometryError("c must be finite and non-negative, got %r" % c)
+def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float | Fraction) -> RichBoundReport:
+    if not 0 <= c <= sys.float_info.max:  # also rejects nan; bound is a float
+        raise GeometryError("c must be finite and non-negative, got %s" % c)
     rich_count = len(_rich_pairs(points, t)[2])
     n = len(points)
-    bound = c * (n * n / t**3 + n / t)
-    return RichBoundReport(t, n, rich_count, bound, violated=rich_count > bound)
+    bound = Fraction(c) * (Fraction(n * n, t**3) + Fraction(n, t))
+    return RichBoundReport(t, n, rich_count, float(bound), violated=rich_count > bound)
 
 
 def beck_stats(points: Sequence[ComplexPoint]) -> Tuple[int, int]:

@@ -299,11 +299,6 @@ def crossing_points(f1s: Sequence[Flat2], f2s: Sequence[Flat2]) -> List[RVector4
     return out
 
 
-def count_crossings(f1s: Sequence[Flat2], f2s: Sequence[Flat2]) -> int:
-    """Number of pairs meeting in exactly one point, exact."""
-    return len(crossing_points(f1s, f2s))
-
-
 def verify_regions(
     assignments: Sequence[RegionAssignment],
     bundle: FlatBundle,

@@ -20,6 +20,7 @@ import numpy as np
 
 from stlab.covering import FreeCube, boxes_overlap_interior
 from stlab.directions import DIR_INF, Direction, _angle_deg, to_sphere
+from stlab.regions import crossing_points
 
 F = Fraction
 
@@ -27,6 +28,16 @@ F = Fraction
 def shift_cube(q):
     """q translated by -(side/10) along the first axis."""
     return FreeCube((q.corner[0] - q.side / 10,) + q.corner[1:], q.side)
+
+
+def apply_point(amap, p):
+    """The image of point p under the signed permutation amap, in Fractions."""
+    return tuple(amap.signs[i] * F(p[amap.perm[i]]) for i in range(len(amap.perm)))
+
+
+def count_crossings(f1s, f2s):
+    """Number of pairs of flats meeting in exactly one point, exact."""
+    return len(crossing_points(f1s, f2s))
 
 
 def point_in_box_closed(p, box):

@@ -26,8 +26,10 @@ from stlab.covering import (
     _CellInfo,
     _CoverRun,
     _complement_cubes,
+    _lift,
     _on_grid,
     _overlap_candidates,
+    _unpack,
     boxes_overlap_interior,
     build_shift_graph,
     normalize_points,
@@ -40,6 +42,7 @@ from _oracles import (
     IN_DEGREE_TWO,
     IN_DEGREE_TWO_POINTS,
     KNOWN_DEFECT_WITNESSES,
+    apply_point,
     clustered_cover_input,
     oracle_bott,
     oracle_separating_scale,
@@ -114,7 +117,7 @@ def test_a3_count_is_half_open():
     # half-open count keeps it out of [0, 2]; the point at 5x = 7/2 makes
     # [3, 5] the green.
     run = _CoverRun([(F(1, 2),), (F(7, 10),)], 1, 1, 1)
-    info = run.process_cell((0,), 1, [0, 1], [(((2, 3),), _CellInfo(CubeState.A4))])
+    info = run.process_cell((0,), 1, [0, 1], [((2,), _CellInfo(CubeState.A4))])
     assert (info.state, info.green, info.avoid) == (CubeState.A3, ((3, 5),), ((2, 3),))
 
 
@@ -398,7 +401,7 @@ def test_two_point_cluster_d1():
     for cube in res.K:
         inside = sum(
             1 for p in norm if point_in_box_closed(
-                tuple(res.axis_map.apply_point(p)), oracle_bott(cube, 1).box())
+                tuple(apply_point(res.axis_map, p)), oracle_bott(cube, 1).box())
         )
         assert inside >= 1
 
@@ -474,6 +477,80 @@ def test_cover_output_pinned(seed, n, d, r, kappa, digest, reaches_a3):
     res = run_covering(norm, d, kappa, r)
     assert _cover_digest(res) == digest
     assert any("A3" in p.assigned for p in res.stats.phases) == reaches_a3
+
+
+# the same kind of inputs moved off the origin, digests recorded before
+# cells were keyed by hull-relative ints: mirrored through 0, shifted by
+# -10^6, or shifted by half their span so that the hull straddles 0
+OFF_ORIGIN_COVERS = [
+    (41, 800, 1, 1, 1, "mirror", "bfca727c61e0f904", False),
+    (42, 1200, 1, 4, 1, "shift", "09d0e26a758f8ba7", False),
+    (0, 800, 1, 2, 1, "shift", "f5c4e7c415a92503", True),
+    (43, 800, 2, 2, 1, "straddle", "1f61829c5b82d7d4", False),
+    (44, 1000, 2, 1, 2, "mirror", "3c34872b5b849548", False),
+    (1, 800, 2, 2, 2, "mirror", "5e8f68c69aa192e3", True),
+    (45, 600, 3, 1, 1, "shift", "5910a6c8daa4d93b", False),
+    (46, 800, 3, 4, 2, "mirror", "50a288ea358ab0f7", False),
+    (47, 800, 4, 2, 1, "shift", "d81976254d4ba14e", False),
+    (48, 1000, 4, 4, 1, "straddle", "db00726d31767842", False),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,n,d,r,kappa,move,digest,reaches_a3",
+    OFF_ORIGIN_COVERS,
+    ids=["%d-%d-%d-%d-%s" % (s, n, d, r, m) for s, n, d, r, _, m, _, _ in OFF_ORIGIN_COVERS],
+)
+def test_cover_output_pinned_off_origin(seed, n, d, r, kappa, move, digest, reaches_a3):
+    span = int(3 * n ** (1 / d))
+    pts = random_rational_points(n, d, span, seed)
+    if move == "mirror":
+        pts = [tuple(-x for x in p) for p in pts]
+    else:
+        off = -(10**6) if move == "shift" else -(span // 2)
+        pts = [tuple(x + off for x in p) for p in pts]
+    norm, _ = normalize_points(pts)
+    # the hull's low corner is negative; only the straddling hull reaches past 0
+    assert all(x < 0 for x in map(min, zip(*norm)))
+    assert all(x > 0 for x in map(max, zip(*norm))) == (move == "straddle")
+    res = run_covering(norm, d, kappa, r)
+    assert _cover_digest(res) == digest
+    assert any("A3" in p.assigned for p in res.stats.phases) == reaches_a3
+
+
+def test_cell_keys_round_trip_in_lexicographic_order():
+    # random hulls with negative corners: the run keys each level-0 cell
+    # by its digits c - lo over the hull, _unpack gives the cell back,
+    # sorted keys run in lexicographic cell order, and _lift keys the
+    # parents (c - t) // rho over the lifted hull
+    def pack(cell, lo, hi):
+        key = 0
+        for x, low, high in zip(cell, lo, hi):
+            key = key * (high - low + 1) + x - low
+        return key
+
+    rng = random.Random(7)
+    for _ in range(300):
+        d, kappa = rng.randint(1, 4), rng.choice((1, 2))
+        rho = 4 * kappa + 1
+        lo = tuple(rng.randint(-(10 ** rng.randint(1, 12)), 3) for _ in range(d))
+        hi = tuple(x + rng.randint(0, 10 ** rng.randint(0, 4)) for x in lo)
+        cells = {tuple(rng.randint(a, b) for a, b in zip(lo, hi)) for _ in range(40)}
+        cells = sorted(cells | {lo, hi})
+        rng.shuffle(cells)
+        run = _CoverRun([tuple(F(2 * x + 1, 2 * rho) for x in c) for c in cells], d, kappa, 1)
+        keys = list(run.groups)
+        assert (run.lo, run.hi) == (lo, hi)
+        assert [run.groups[k] for k in keys] == [[i] for i in range(len(cells))]
+        assert keys == [pack(c, lo, hi) for c in cells]
+        assert [_unpack(k, lo, hi) for k in keys] == cells
+        assert [_unpack(k, lo, hi) for k in sorted(keys)] == sorted(cells)
+        t = tuple(rng.randrange(rho) for _ in range(d))
+
+        def up(c):
+            return tuple((x - s) // rho for x, s in zip(c, t))
+
+        assert _lift(keys, lo, hi, t, rho) == [pack(up(c), up(lo), up(hi)) for c in cells]
 
 
 def test_covering_deterministic():
@@ -610,7 +687,7 @@ def test_verify_cover_flags_bad_inputs():
     amap = SignedPermutation.sending_to_bottom((1, 1), 2)
     assert amap == SignedPermutation((1, 0), (-1, 1))
     on_face, outside = (F(3, 2), F(-1)), (F(3, 2), F(-1001, 1000))
-    assert amap.apply_point(on_face) == (F(1), F(3, 2))
+    assert apply_point(amap, on_face) == (F(1), F(3, 2))
     res = CoverResult([fc((0, 0), 3)], amap, CoverStats())
     rep = verify_cover([outside, on_face], res, 1, 1)
     assert rep.bott_ok
@@ -662,11 +739,11 @@ def test_verify_cover_bott_failures_match_brute_force():
                     y = tuple(
                         rng.choice((lo, hi, (lo + hi) / 2, lo - tiny, hi + tiny)) for lo, hi in b
                     )
-                    pts.add(back.apply_point(y))
+                    pts.add(apply_point(back, y))
             pts = sorted(pts)
             res = CoverResult(cubes, amap, CoverStats())
             counts = [
-                sum(point_in_box_closed(amap.apply_point(p), b) for p in pts) for b in botts
+                sum(point_in_box_closed(apply_point(amap, p), b) for p in pts) for b in botts
             ]
             for r in (1, 2, 3):
                 rep = verify_cover(pts, res, 2, r)
@@ -751,8 +828,8 @@ def test_signed_permutation_inverse_round_trip():
             for signs in itertools.product((-1, 1), repeat=d):
                 sp = SignedPermutation(perm, signs)
                 inv = sp.inverse()
-                assert inv.apply_point(sp.apply_point(p)) == p
-                assert sp.apply_point(inv.apply_point(p)) == p
+                assert apply_point(inv, apply_point(sp, p)) == p
+                assert apply_point(sp, apply_point(inv, p)) == p
                 assert inv.apply_box(sp.apply_box(box)) == box
                 assert inv.inverse() == sp
 

@@ -14,6 +14,7 @@ from stlab.incidence import (
     RichLine,
     TooSmallPattern,
     ZeroElement,
+    _exceeds_st_bound,
     _scaled,
     beck_stats,
     check_rich_bound,
@@ -338,6 +339,48 @@ def test_check_bounds_erdos():
         [ComplexPoint(GR(0), GR(0))], [ComplexLine.slanted(GR(1), GR(0))], C=1e70
     )
     assert one.I == 1 and not one.violated
+
+
+def st_tie_system():
+    """8 x 162 grid points and the 972 lines y = s x + t, s < 12, t < 81,
+    each through 8 of them: n = 1296, e = 972, I = 7776 and n e = 108^3,
+    so C = 1/12 puts the ST bound exactly at I."""
+    pts = [ComplexPoint(GR(x), GR(y)) for x in range(8) for y in range(162)]
+    return pts, [ComplexLine.slanted(GR(s), GR(t)) for s in range(12) for t in range(81)]
+
+
+def test_st_bound_tie_is_not_violated():
+    # C = 1, n = e = 27: the bound is exactly 243, which floats read as
+    # 242.99999999999997
+    assert 27 ** (2 / 3) * 27 ** (2 / 3) + 162 < 243
+    assert not _exceeds_st_bound(243, 27, 27, Fraction(1))
+    assert _exceeds_st_bound(244, 27, 27, Fraction(1))
+    # count_incidences decides through the same helper; here the float
+    # bound reads 7775.999999999999
+    pts, lines = st_tie_system()
+    rep = count_incidences(pts, lines, C=Fraction(1, 12))
+    assert (rep.I, rep.violated) == (7776, False) and rep.st_bound < 7776
+    assert count_incidences(pts, lines, C=Fraction(1, 12) - Fraction(1, 10**30)).violated
+
+
+def test_rich_bound_tie_is_not_violated():
+    pts = grid_points(6, 6)
+    n = len(pts)
+    for t in (2, 3, 6):
+        count = check_rich_bound(pts, t, 1).rich_count
+        c = count / (Fraction(n * n, t**3) + Fraction(n, t))
+        rep = check_rich_bound(pts, t, c)
+        assert (rep.violated, rep.bound) == (False, float(count))
+        assert check_rich_bound(pts, t, c - Fraction(1, 10**30)).violated
+
+
+def test_cli_bounds_reads_constants_exactly(tmp_path, capsys):
+    path = tmp_path / "tie.txt"
+    path.write_text(fileio.dump_system(*st_tie_system()))
+    assert main(["bounds", "--in", str(path), "--C", "1/12"]) == 0
+    assert "I=7776 bound=7776 ratio=1 violated=False" in capsys.readouterr().out
+    assert main(["bounds", "--in", str(path), "--C", "0.0833"]) == 1
+    assert "violated=True" in capsys.readouterr().out
 
 
 def test_rich_bound_shape():

@@ -30,11 +30,10 @@ from stlab.regions import (
     canonical_flat,
     canonical_frame,
     combine,
-    count_crossings,
     verify_regions,
 )
 
-from _oracles import shift_cube
+from _oracles import apply_point, count_crossings, shift_cube
 
 F = Fraction
 
@@ -318,8 +317,8 @@ def test_boxes_moved_back_match_points_moved_forward():
                 return F(rng.randint(7 * lo - 7, 7 * max(hi, hi2) + 7), 7 * scale)
 
             work = [tuple(map(coord, range(4))) for _ in range(24)]
-            pts = [back.apply_point(w) for w in work]
-            moved = [amap.apply_point(p) for p in pts]
+            pts = [apply_point(back, w) for w in work]
+            moved = [apply_point(amap, p) for p in pts]
             want = points_in_boxes(moved, [b1], scale)
             assert points_in_boxes(pts, [back.apply_box(b1)], scale) == want
             on_face += sum(
