@@ -238,9 +238,6 @@ class RVector4:
         k = _frac(k)
         return RVector4(self.x1 * k, self.x2 * k, self.x3 * k, self.x4 * k)
 
-    def dot(self, o: "RVector4") -> Fraction:
-        return self.x1 * o.x1 + self.x2 * o.x2 + self.x3 * o.x3 + self.x4 * o.x4
-
 
 def _row_reduce(rows, ncols: int):
     """Fraction-exact Gauss-Jordan elimination on the first ``ncols``

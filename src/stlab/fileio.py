@@ -6,18 +6,20 @@ starts a comment.  Every file opens with the header line
 
     stlab <kind> 1
 
-with kind one of system, points, bundle, cover, regions.  Files are
-written atomically (temp file then rename).
+with kind one of system, points, bundle, cover, regions.  One reader,
+``_records``, checks that header and yields the records; one writer,
+``_line``, prints every record of rationals.  Files are written
+atomically (temp file then rename) with the mode a plain open would
+give them.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .covering import CoverResult, CoverStats, FreeCube, SignedPermutation
 from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4
@@ -37,11 +39,9 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(tok: str) -> Fraction:
+    num, slash, den = tok.partition("/")
     try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError("bad rational %r" % tok) from exc
 
@@ -74,28 +74,51 @@ def _header(kind: str) -> str:
     return "stlab %s %d" % (kind, FORMAT_VERSION)
 
 
-def _parse_header(line: str, expect: Optional[str] = None) -> str:
+def _parse_header(line: str, kind: str) -> None:
     parts = line.split()
     if len(parts) != 3 or parts[0] != "stlab" or parts[2] != str(FORMAT_VERSION):
         raise FormatError("bad header %r" % line)
-    if expect is not None and parts[1] != expect:
-        raise FormatError("expected kind %r, found %r" % (expect, parts[1]))
-    return parts[1]
+    if parts[1] != kind:
+        raise FormatError("expected kind %r, found %r" % (kind, parts[1]))
 
 
-def _records(stream: TextIO) -> Iterable[List[str]]:
-    for raw in stream:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line.split()
+def _records(stream: TextIO, kind: str) -> Iterator[List[str]]:
+    """The records of a <kind> file, comments stripped, after its header
+    line is checked; the only code that reads the stream."""
+    try:
+        _parse_header(stream.readline(), kind)
+        for raw in stream:
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield line.split()
+    except UnicodeDecodeError as exc:
+        raise FormatError("input is not valid text: %s" % exc) from exc
+
+
+def _line(name: str, values: Iterable[Fraction]) -> str:
+    """The record "<name> <v1> <v2> ..." of rationals."""
+    return " ".join([name, *map(format_rational, values)])
+
+
+def _point(rec: List[str], d: Optional[int]) -> Tuple[Fraction, ...]:
+    """The coordinates of a "p" record of a points or cover file."""
+    if d is None or len(rec) != d + 1:
+        raise FormatError("point record before dim or wrong arity")
+    return tuple(map(parse_rational, rec[1:]))
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename; the file
+    gets the mode open(path, "w") would give it."""
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stlab-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -108,43 +131,31 @@ def write_atomic(path: str, text: str) -> None:
 
 def dump_system(points: Sequence[ComplexPoint], lines: Sequence[ComplexLine]) -> str:
     out = [_header("system")]
-    for p in points:
-        out.append(
-            "p %s %s %s %s"
-            % tuple(format_rational(v) for v in (p.z1.re, p.z1.im, p.z2.re, p.z2.im))
-        )
+    out.extend(_line("p", (p.z1.re, p.z1.im, p.z2.re, p.z2.im)) for p in points)
     for l in lines:
         if l.is_vertical:
-            out.append(
-                "l V %s %s" % (format_rational(l.b.re), format_rational(l.b.im))
-            )
+            out.append(_line("l V", (l.b.re, l.b.im)))
         else:
-            out.append(
-                "l S %s %s %s %s"
-                % tuple(format_rational(v) for v in (l.a.re, l.a.im, l.b.re, l.b.im))
-            )
+            out.append(_line("l S", (l.a.re, l.a.im, l.b.re, l.b.im)))
     return "\n".join(out) + "\n"
 
 
+def _gaussians(tokens: List[str]) -> List[GaussianRational]:
+    """The Gaussian rationals of consecutive (re, im) token pairs."""
+    vals = [parse_rational(t) for t in tokens]
+    return [GaussianRational(re, im) for re, im in zip(vals[::2], vals[1::2])]
+
+
 def load_system(stream: TextIO) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
-    first = stream.readline()
-    _parse_header(first, "system")
     points: List[ComplexPoint] = []
     lines: List[ComplexLine] = []
-    for rec in _records(stream):
+    for rec in _records(stream, "system"):
         if rec[0] == "p" and len(rec) == 5:
-            vals = [parse_rational(t) for t in rec[1:]]
-            points.append(
-                ComplexPoint(GaussianRational(vals[0], vals[1]), GaussianRational(vals[2], vals[3]))
-            )
+            points.append(ComplexPoint(*_gaussians(rec[1:])))
         elif rec[:2] == ["l", "V"] and len(rec) == 4:
-            vals = [parse_rational(t) for t in rec[2:]]
-            lines.append(ComplexLine.vertical(GaussianRational(vals[0], vals[1])))
+            lines.append(ComplexLine.vertical(*_gaussians(rec[2:])))
         elif rec[:2] == ["l", "S"] and len(rec) == 6:
-            vals = [parse_rational(t) for t in rec[2:]]
-            lines.append(
-                ComplexLine.slanted(GaussianRational(vals[0], vals[1]), GaussianRational(vals[2], vals[3]))
-            )
+            lines.append(ComplexLine.slanted(*_gaussians(rec[2:])))
         else:
             raise FormatError("bad system record %r" % " ".join(rec))
     return points, lines
@@ -155,23 +166,19 @@ def load_system(stream: TextIO) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
 
 def dump_points(points: Sequence[Sequence[Fraction]], d: int) -> str:
     out = [_header("points"), "dim %d" % d]
-    for p in points:
-        out.append("p " + " ".join(format_rational(x) for x in p))
+    out.extend(_line("p", p) for p in points)
     return "\n".join(out) + "\n"
 
 
 def load_points(stream: TextIO) -> Tuple[List[Tuple[Fraction, ...]], int]:
-    _parse_header(stream.readline(), "points")
     d = None
     pts: List[Tuple[Fraction, ...]] = []
-    for rec in _records(stream):
+    for rec in _records(stream, "points"):
         if rec[0] == "dim":
             _once(rec, d)
             d = _int_record(rec)
         elif rec[0] == "p":
-            if d is None or len(rec) != d + 1:
-                raise FormatError("point record before dim or wrong arity")
-            pts.append(tuple(parse_rational(t) for t in rec[1:]))
+            pts.append(_point(rec, d))
         else:
             raise FormatError("bad points record %r" % " ".join(rec))
     if d is None:
@@ -184,46 +191,34 @@ def load_points(stream: TextIO) -> Tuple[List[Tuple[Fraction, ...]], int]:
 
 def dump_bundle(bundle: FlatBundle) -> str:
     out = [_header("bundle")]
-    for a in bundle.anchors:
-        out.append("anchor " + " ".join(format_rational(x) for x in a))
+    out.extend(_line("anchor", a) for a in bundle.anchors)
     for fam, groups in ((1, bundle.family1), (2, bundle.family2)):
         for pid, flats in enumerate(groups):
             for f in flats:
                 coords = f.base.as_tuple() + f.dir1.as_tuple() + f.dir2.as_tuple()
-                out.append(
-                    "flat %d %d " % (fam, pid)
-                    + " ".join(format_rational(x) for x in coords)
-                )
+                out.append(_line("flat %d %d" % (fam, pid), coords))
     return "\n".join(out) + "\n"
 
 
 def load_bundle(stream: TextIO) -> FlatBundle:
-    _parse_header(stream.readline(), "bundle")
     anchors: List[Tuple[Fraction, ...]] = []
-    fam1: Dict[int, List[Flat2]] = {}
-    fam2: Dict[int, List[Flat2]] = {}
-    for rec in _records(stream):
+    families: Dict[int, Dict[int, List[Flat2]]] = {1: {}, 2: {}}
+    for rec in _records(stream, "bundle"):
         if rec[0] == "anchor" and len(rec) == 5:
-            anchors.append(tuple(parse_rational(t) for t in rec[1:]))
+            anchors.append(tuple(map(parse_rational, rec[1:])))
         elif rec[0] == "flat" and len(rec) == 15:
             fam, pid = _parse_int(rec[1]), _parse_int(rec[2])
-            if fam not in (1, 2) or pid < 0:
+            if fam not in families or pid < 0:
                 raise FormatError("bad flat family or point id in %r" % " ".join(rec))
             vals = [parse_rational(t) for t in rec[3:]]
-            flat = Flat2(
-                RVector4.of(vals[0:4]), RVector4.of(vals[4:8]), RVector4.of(vals[8:12])
-            )
-            (fam1 if fam == 1 else fam2).setdefault(pid, []).append(flat)
+            flat = Flat2(*(RVector4.of(vals[i : i + 4]) for i in (0, 4, 8)))
+            families[fam].setdefault(pid, []).append(flat)
         else:
             raise FormatError("bad bundle record %r" % " ".join(rec))
     n = len(anchors)
-    if any(pid >= n for fam in (fam1, fam2) for pid in fam):
+    if any(pid >= n for fam in families.values() for pid in fam):
         raise FormatError("flat point id outside the %d anchors" % n)
-    return FlatBundle(
-        anchors,
-        [fam1.get(i, []) for i in range(n)],
-        [fam2.get(i, []) for i in range(n)],
-    )
+    return FlatBundle(anchors, *([fam.get(i, []) for i in range(n)] for fam in families.values()))
 
 
 # -- cover results ------------------------------------------------------------------
@@ -237,21 +232,10 @@ def dump_cover(
     r: int,
 ) -> str:
     out = [_header("cover"), "dim %d" % d, "kappa %d" % kappa, "r %d" % r]
-    out.append(
-        "axismap "
-        + " ".join(str(i) for i in result.axis_map.perm)
-        + " "
-        + " ".join(str(s) for s in result.axis_map.signs)
-    )
-    for p in points:
-        out.append("p " + " ".join(format_rational(x) for x in p))
-    for c in result.K:
-        out.append(
-            "cube "
-            + " ".join(format_rational(x) for x in c.corner)
-            + " "
-            + format_rational(c.side)
-        )
+    amap = result.axis_map
+    out.append(" ".join(["axismap", *map(str, (*amap.perm, *amap.signs))]))
+    out.extend(_line("p", p) for p in points)
+    out.extend(_line("cube", c.corner + (c.side,)) for c in result.K)
     return "\n".join(out) + "\n"
 
 
@@ -265,21 +249,15 @@ class CoverFile:
 
 
 def load_cover(stream: TextIO) -> CoverFile:
-    _parse_header(stream.readline(), "cover")
-    d = kappa = r = None
+    head: Dict[str, Optional[int]] = dict.fromkeys(("dim", "kappa", "r"))
     amap: Optional[SignedPermutation] = None
     pts: List[Tuple[Fraction, ...]] = []
     cubes: List[FreeCube] = []
-    for rec in _records(stream):
-        if rec[0] == "dim":
-            _once(rec, d)
-            d = _int_record(rec)
-        elif rec[0] == "kappa":
-            _once(rec, kappa)
-            kappa = _int_record(rec)
-        elif rec[0] == "r":
-            _once(rec, r)
-            r = _int_record(rec)
+    for rec in _records(stream, "cover"):
+        d = head["dim"]
+        if rec[0] in head:
+            _once(rec, head[rec[0]])
+            head[rec[0]] = _int_record(rec)
         elif rec[0] == "axismap":
             _once(rec, amap)
             if d is None or len(rec) != 2 * d + 1:
@@ -290,9 +268,7 @@ def load_cover(stream: TextIO) -> CoverFile:
                 raise FormatError("axismap is not a signed permutation")
             amap = SignedPermutation(perm, signs)
         elif rec[0] == "p":
-            if d is None or len(rec) != d + 1:
-                raise FormatError("point record before dim or wrong arity")
-            pts.append(tuple(parse_rational(t) for t in rec[1:]))
+            pts.append(_point(rec, d))
         elif rec[0] == "cube":
             if d is None or len(rec) != d + 2:
                 raise FormatError("cube record before dim or wrong arity")
@@ -300,9 +276,9 @@ def load_cover(stream: TextIO) -> CoverFile:
             cubes.append(FreeCube(tuple(vals[:-1]), vals[-1]))
         else:
             raise FormatError("bad cover record %r" % " ".join(rec))
-    if d is None or kappa is None or r is None or amap is None:
+    if None in head.values() or amap is None:
         raise FormatError("incomplete cover file")
-    return CoverFile(pts, CoverResult(cubes, amap, CoverStats()), d, kappa, r)
+    return CoverFile(pts, CoverResult(cubes, amap, CoverStats()), *head.values())
 
 
 # -- regions ------------------------------------------------------------------------
@@ -317,14 +293,12 @@ def dump_regions(assignments: Sequence[RegionAssignment], r: int) -> str:
     for asg in assignments:
         out.append("region")
         for box in asg.region.boxes:
-            flat = [v for lo_hi in box for v in lo_hi]
-            out.append("box " + " ".join(format_rational(x) for x in flat))
+            out.append(_line("box", [v for lo_hi in box for v in lo_hi]))
         out.append("points " + " ".join(str(i) for i in asg.point_ids))
     return "\n".join(out) + "\n"
 
 
 def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
-    _parse_header(stream.readline(), "regions")
     r = None
     out: List[RegionAssignment] = []
     boxes: List = []
@@ -338,16 +312,17 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
             out.append(RegionAssignment(Region(tuple(boxes)), ids))
         boxes, ids = [], None
 
-    for rec in _records(stream):
+    for rec in _records(stream, "regions"):
         if rec[0] == "r":
             _once(rec, r)
             r = _int_record(rec)
-        elif rec[0] == "region":
+        elif rec == ["region"]:
             flush()
         elif rec[0] == "box" and len(rec) == 9:
             vals = [parse_rational(t) for t in rec[1:]]
-            boxes.append(tuple((vals[2 * i], vals[2 * i + 1]) for i in range(4)))
+            boxes.append(tuple(zip(vals[::2], vals[1::2])))
         elif rec[0] == "points":
+            _once(rec, ids)
             ids = tuple(_parse_int(t) for t in rec[1:])
             if any(i < 0 for i in ids):
                 raise FormatError("negative anchor id in %r" % " ".join(rec))
@@ -357,7 +332,3 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
     if r is None:
         raise FormatError("missing r record")
     return out, r
-
-
-def loads(text: str, loader):
-    return loader(io.StringIO(text))

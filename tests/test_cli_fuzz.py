@@ -116,7 +116,7 @@ def test_cli_verify_regions_anchor_id_fuzz(files, ids):
     # negative, past the 27 anchors and repeated ids: a verdict or one
     # error line, never a traceback
     root, _ = files
-    asgs, r = fileio.loads((root / "regions.txt").read_text(), fileio.load_regions)
+    asgs, r = fileio.load_regions(io.StringIO((root / "regions.txt").read_text()))
     fuzzed = [RegionAssignment(asgs[k % len(asgs)].region, tuple(i)) for k, i in enumerate(ids)]
     path = root / "fuzzed-regions.txt"
     path.write_text(fileio.dump_regions(fuzzed, r))

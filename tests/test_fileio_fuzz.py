@@ -5,6 +5,7 @@ any record text may make a loader raise only the errors that
 ``cli.main`` turns into one stderr line and exit code 2.
 """
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -36,13 +37,13 @@ def real_points(d, max_size=8):
 
 @given(st.lists(points, max_size=8), st.lists(lines, max_size=8))
 def test_system_roundtrip_exact(pts, lns):
-    assert fileio.loads(fileio.dump_system(pts, lns), fileio.load_system) == (pts, lns)
+    assert fileio.load_system(io.StringIO(fileio.dump_system(pts, lns))) == (pts, lns)
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), real_points(d))))
 def test_points_roundtrip_exact(case):
     d, pts = case
-    assert fileio.loads(fileio.dump_points(pts, d), fileio.load_points) == (pts, d)
+    assert fileio.load_points(io.StringIO(fileio.dump_points(pts, d))) == (pts, d)
 
 
 @st.composite
@@ -58,7 +59,7 @@ def covers(draw):
 @given(covers())
 def test_cover_roundtrip_exact(case):
     pts, result, d, kappa, r = case
-    cf = fileio.loads(fileio.dump_cover(pts, result, d, kappa, r), fileio.load_cover)
+    cf = fileio.load_cover(io.StringIO(fileio.dump_cover(pts, result, d, kappa, r)))
     assert (cf.points, cf.d, cf.kappa, cf.r) == (pts, d, kappa, r)
     assert cf.result.K == result.K and cf.result.axis_map == result.axis_map
 
@@ -79,7 +80,7 @@ def bundles(draw):
 
 @given(bundles())
 def test_bundle_roundtrip_exact(bundle):
-    got = fileio.loads(fileio.dump_bundle(bundle), fileio.load_bundle)
+    got = fileio.load_bundle(io.StringIO(fileio.dump_bundle(bundle)))
     assert got.anchors == bundle.anchors
     assert flat_fields((got.family1, got.family2)) == flat_fields((bundle.family1, bundle.family2))
 
@@ -94,7 +95,7 @@ assignments = st.builds(
 
 @given(st.lists(assignments, max_size=4), st.integers(1, 9))
 def test_regions_roundtrip_exact(asgs, r):
-    assert fileio.loads(fileio.dump_regions(asgs, r), fileio.load_regions) == (asgs, r)
+    assert fileio.load_regions(io.StringIO(fileio.dump_regions(asgs, r))) == (asgs, r)
 
 
 # -- arbitrary record text ----------------------------------------------------
@@ -153,6 +154,6 @@ def test_loader_errors_map_to_exit_2(kind, inserts, drop):
     for pos, rec in inserts:
         lines.insert(pos % (len(lines) + 1), rec)
     try:
-        fileio.loads("\n".join(lines) + "\n", LOADERS[kind])
+        LOADERS[kind](io.StringIO("\n".join(lines) + "\n"))
     except EXIT_2:
         pass

@@ -27,7 +27,7 @@ def test_rational_format_roundtrip():
 def test_system_roundtrip():
     pts, lines = gen_random_system(12, 15, 3)
     text = fileio.dump_system(pts, lines)
-    pts2, lines2 = fileio.loads(text, fileio.load_system)
+    pts2, lines2 = fileio.load_system(io.StringIO(text))
     assert pts2 == pts and lines2 == lines
     assert text.startswith("stlab system 1\n")
 
@@ -35,14 +35,14 @@ def test_system_roundtrip():
 def test_points_roundtrip():
     pts = [(F(1, 3), F(-2)), (F(5), F(7, 11))]
     text = fileio.dump_points(pts, 2)
-    pts2, d = fileio.loads(text, fileio.load_points)
+    pts2, d = fileio.load_points(io.StringIO(text))
     assert pts2 == pts and d == 2
 
 
 def test_bundle_roundtrip():
     _, bundle = gen_bundle_fixture(5, 2, 4.0, seed=9)
     text = fileio.dump_bundle(bundle)
-    b2 = fileio.loads(text, fileio.load_bundle)
+    b2 = fileio.load_bundle(io.StringIO(text))
     assert b2.anchors == bundle.anchors
     assert b2.family1 == bundle.family1 and b2.family2 == bundle.family2
 
@@ -52,7 +52,7 @@ def test_cover_roundtrip(tmp_path):
     norm, _ = normalize_points(pts)
     res = run_covering(norm, 2, 1, 1)
     text = fileio.dump_cover(norm, res, 2, 1, 1)
-    cf = fileio.loads(text, fileio.load_cover)
+    cf = fileio.load_cover(io.StringIO(text))
     assert cf.points == norm
     assert cf.result.K == res.K
     assert cf.result.axis_map == res.axis_map
@@ -63,7 +63,7 @@ def test_regions_roundtrip():
     anchors, bundle = gen_bundle_fixture(27, 1, 0.0, seed=2)
     asg = combine(anchors, bundle, 1)
     text = fileio.dump_regions(asg, 1)
-    asg2, r = fileio.loads(text, fileio.load_regions)
+    asg2, r = fileio.load_regions(io.StringIO(text))
     assert r == 1 and len(asg2) == len(asg)
     for a, b in zip(asg, asg2):
         assert a.region == b.region and a.point_ids == b.point_ids
@@ -75,6 +75,20 @@ def test_atomic_write(tmp_path):
     assert path.read_text() == "hello\n"
     fileio.write_atomic(str(path), "again\n")
     assert path.read_text() == "again\n"
+
+
+def test_atomic_write_mode_follows_umask(tmp_path):
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("old\n")
+    old.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        fileio.write_atomic(str(new), "new\n")
+        fileio.write_atomic(str(old), "again\n")
+    finally:
+        os.umask(umask)
+    assert new.stat().st_mode & 0o777 == 0o644
+    assert old.stat().st_mode & 0o777 == 0o644 and old.read_text() == "again\n"
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -301,6 +315,7 @@ def test_cli_beck_and_bounds(tmp_path, capsys):
 
 COVER_HEAD = "dim 2\nkappa 1\nr 1\naxismap 0 1 1 1\n"
 # a valid 27-anchor bundle without its header, so combine --r 1 runs
+BOX = "box 0 1 0 1 0 1 0 1\n"
 BUNDLE_27 = fileio.dump_bundle(gen_bundle_fixture(27, 1, 0.0, seed=2)[1]).split("\n", 1)[1]
 UNIT_FLAT = " 0 0 0 0 0 0 1 0 0 0 0 1\n"  # the (x3, x4)-plane
 
@@ -382,6 +397,9 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         (["verify", "--regions", "RFAR", "--bundle", "BUN"], "names anchor 999 of 27"),
         (["verify", "--regions", "-", "--bundle", "-"], "--regions and --bundle"),
         (["verify", "--cover", "-", "--system", "-"], "--cover and --system"),
+        (["cover", "--dim", "1", "--in", "LATIN"], "not valid text"),
+        (["verify", "--regions", "RPTS", "--bundle", "BUN"], "repeated points record"),
+        (["verify", "--regions", "RTOK", "--bundle", "BUN"], "bad regions record 'region 5'"),
     ],
     ids=[
         "C-word", "c-rich-word", "regions-without-bundle", "margin-word", "delta-nan",
@@ -392,6 +410,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
         "regions-r-zero", "points-repeated-dim", "cover-repeated-kappa", "cover-repeated-r",
         "cover-repeated-axismap", "regions-repeated-r", "regions-negative-id",
         "regions-id-past-anchors", "two-stdin-inputs", "two-stdin-cover-system",
+        "not-utf8", "regions-repeated-points", "regions-record-tokens",
     ],
 )
 def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
@@ -412,9 +431,14 @@ def test_cli_bad_argument_exits_2(tmp_path, capsys, argv, needle):
         "RR": fileio.dump_regions([], 1) + "r 2\n",
         "RNEG": fileio.dump_regions([], 1) + "region\npoints -1\n",
         "RFAR": fileio.dump_regions([], 1) + "region\npoints 999\n",
+        # the byte 0xff, which no UTF-8 text holds
+        "LATIN": "stlab points 1\ndim 1\np \udcff\n",
+        # a second points record would merge two blocks' boxes into one region
+        "RPTS": fileio.dump_regions([], 1) + "region\n%spoints 0\n%spoints 1\n" % (BOX, BOX),
+        "RTOK": fileio.dump_regions([], 1) + "region 5\n%spoints 0\n" % BOX,
     }
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8", errors="surrogateescape")
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
