@@ -26,21 +26,21 @@ once over plain ints, so it costs O(occupied cells) and touches no point
 unless a busy cell needs its coordinates; boxes are built only where a
 cell's outcome reads them.
 
-Everything geometric is exact and works in Python ints.  The run uses
-one grid in units of the level-0 cell side 1/rho and places a point by
-its cell floor(x rho); Fractions appear only where a selected cube is
-emitted as a FreeCube.  The shift graph and the verifier scale the cube
-list once onto one grid of step 1/D, D = 10 (2 kappa + 1) times the lcm
-of its denominators, and compare int boxes there.  One sweep over
-first-axis faces shortlists the box pairs that meet; a point enters it
-by its cell floor(x0 D) and is then tested against a box by
-cross-multiplying.  The same sweep, over the corridor prisms against
-the cubes, finds every shift-graph corridor's blockers at once; and
-_face_cells cuts a box by the faces of another, for the A3 complement
-cubes and combine's lateral cells.  normalize_points reads the points
-once as ints over the lcm of their denominators and finds their exact
-nearest pair on a sampled grid keyed on its four widest axes.  The one float is
-VerificationReport.count_bound, a printed copy of the exact bound.
+Everything geometric is exact and works in Python ints.  Points are one
+PointSet, int columns over their least common denominator, from the
+loaders through normalize_points (which finds the exact nearest pair on
+a sampled grid keyed on the four widest axes) to the run, the verifier
+and the dumps; Fraction tuples exist only at the public edge.  The run
+places a point by its cell floor(x rho) on the grid of level-0 side
+1/rho, prunes on its own int boxes, and emits the selected cubes as
+FreeCubes.  The shift graph and the verifier scale a cube list onto the
+grid of step 1/D, D = 10 (2 kappa + 1) times the lcm of its
+denominators, and compare int boxes there.  One sweep over first-axis
+faces shortlists the box pairs that meet, and a point enters it by its
+cell floor(x0 D).  The same sweep, over the corridor prisms against the
+cubes, finds every shift-graph corridor's blockers at once; _face_cells
+cuts a box by the faces of another, for the A3 complement cubes and
+combine's lateral cells.  The one float is VerificationReport.count_bound.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .exact import Rational, _frac
 
@@ -78,6 +78,54 @@ class OverlappingInput(CoveringError):
     def __init__(self, pair: Tuple[int, int]):
         super().__init__("cubes %d and %d overlap" % pair)
         self.pair = pair
+
+
+# -- point sets --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PointSet(Sequence[Point]):
+    """n points of R^d as d int columns over one denominator, the least, so
+    equal sets compare equal: point i is (cols[0][i], ..., cols[d-1][i]) /
+    den.  A set without points has no columns.  Items are Fraction tuples."""
+
+    den: int
+    cols: Tuple[Tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, points: Sequence[Sequence[Rational]], d: Optional[int] = None) -> "PointSet":
+        """points as a PointSet (a PointSet comes back as it is).  Raises
+        TypeError for a non-rational, then InvalidParams for a dimension."""
+        if not isinstance(points, PointSet):
+            types = {type(x) for p in points for x in p}
+            if not all(issubclass(t, (int, Fraction)) for t in types):
+                [_frac(x) for p in points for x in p]  # raises its TypeError
+            if len(dims := {len(p) for p in points}) > 1 or 0 in dims:
+                msg = "point dimension mismatch" if d else "points need one dimension d >= 1"
+                raise InvalidParams(msg)
+            den = math.lcm(*{x.denominator for p in points for x in p})
+            cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*points)]
+            points = cls.over(den, cols)
+        if d is not None and len(points.cols) not in (0, d):
+            raise InvalidParams("point dimension mismatch")
+        return points
+
+    @classmethod
+    def over(cls, den: int, cols: Sequence[Sequence[int]]) -> "PointSet":
+        """The int columns cols over den > 0, reduced to the least denominator."""
+        g = math.gcd(den, *(math.gcd(*col) for col in cols))
+        if g > 1:
+            den, cols = den // g, [[a // g for a in col] for col in cols]
+        return cls(den, tuple(map(tuple, cols)) if cols and cols[0] else ())
+
+    def __len__(self) -> int:
+        return len(self.cols[0]) if self.cols else 0
+
+    def __getitem__(self, i: int) -> Point:
+        return tuple(Fraction(col[i], self.den) for col in self.cols)
+
+    def __iter__(self) -> Iterator[Point]:
+        return (tuple(Fraction(a, self.den) for a in row) for row in zip(*self.cols))
 
 
 # -- basic box algebra -------------------------------------------------------
@@ -106,10 +154,6 @@ class FreeCube:
         object.__setattr__(self, "side", _frac(self.side))
         if self.side <= 0:
             raise InvalidParams("cube side must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.corner)
 
     def box(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         return tuple((c, c + self.side) for c in self.corner)
@@ -171,7 +215,7 @@ class NormalizeTransform:
         return tuple((_frac(x) - self.offset) / self.scale for x in p)
 
 
-def _least_square_distance(cols: List[List[int]]) -> int:
+def _least_square_distance(cols: Sequence[Sequence[int]]) -> int:
     """The exact least squared distance among n >= 2 int points, given
     per axis as cols; a repeated point raises DuplicatePoints.
 
@@ -222,33 +266,24 @@ def _least_square_distance(cols: List[List[int]]) -> int:
     return m
 
 
-def normalize_points(
-    points: Sequence[Sequence[Rational]],
-) -> Tuple[List[Point], NormalizeTransform]:
+def normalize_points(points: Sequence[Sequence[Rational]]) -> Tuple[PointSet, NormalizeTransform]:
     """Similarity making the minimal distance exceed the unit-cube diameter.
 
-    Reads the points once as ints x L, L the lcm of all their
-    denominators; the ints grow with the bit length of L.  With m > 0
-    their least squared distance, it scales by k = isqrt(d L^2 // m) + 1,
-    the least integer with k^2 |p - q|^2 > d for every pair, then shifts
-    by 1/p for the first prime p that leaves no coordinate an integer.
+    Works on the int columns over the points' denominator L, ints that grow
+    with the bit length of L.  With m > 0 their least squared distance, it
+    scales by k = isqrt(d L^2 // m) + 1, the least integer with
+    k^2 |p - q|^2 > d for every pair, then shifts by 1/p for the first
+    prime p that leaves no coordinate an integer: ints k p a + L over p L.
     """
-    if not all(issubclass(t, (int, Fraction)) for t in {type(x) for p in points for x in p}):
-        [_frac(x) for p in points for x in p]  # raises its TypeError
-    if not points:
-        return [], NormalizeTransform(Fraction(1), Fraction(1, 2))
-    d = len(points[0])
-    if d == 0 or any(len(p) != d for p in points):
-        raise InvalidParams("points need one dimension d >= 1")
-    L = math.lcm(*{x.denominator for p in points for x in p})
-    cols = [[x.numerator * (L // x.denominator) for x in col] for col in zip(*points)]
-    k = math.isqrt(d * L * L // _least_square_distance(cols)) + 1 if len(points) > 1 else 1
+    ps = PointSet.of(points)
+    L, cols = ps.den, ps.cols
+    k = math.isqrt(len(cols) * L * L // _least_square_distance(cols)) + 1 if len(ps) > 1 else 1
     for prime in _PRIMES:
-        # k x + 1/p is an integer iff p L divides p k x L + L
+        # k x + 1/p = (k p a + L) / (p L) is an integer iff p L divides its numerator
         step, den = k * prime, prime * L
-        if all([(step * a + L) % den for col in cols for a in col]):
-            shifted = [[Fraction(step * a + L, den) for a in col] for col in cols]
-            return list(zip(*shifted)), NormalizeTransform(Fraction(k), Fraction(1, prime))
+        shifted = [[step * a + L for a in col] for col in cols]
+        if all(all(map(den.__rmod__, col)) for col in shifted):
+            return PointSet.over(den, shifted), NormalizeTransform(Fraction(k), Fraction(1, prime))
     raise CoveringError("no shift candidate avoided the integer lattice")
 
 
@@ -382,8 +417,8 @@ def _lift(keys: List[int], lo: Cell, hi: Cell, shift: Cell, rho: int) -> List[in
 
 class _CoverRun:
     """One covering run.  Lengths are ints in units of 1/rho, so a
-    level-L cell has side rho^L; points keep their input units and are
-    scaled by rho only where they are compared with a box.
+    level-L cell has side rho^L; a point enters only by its level-0 cell
+    floor(x rho), kept per axis in cells.
 
     A cell's key is its digits c - lo in mixed radix over the hull
     (lo, hi), axis 0 most significant, so sorted keys run in
@@ -398,21 +433,12 @@ class _CoverRun:
         self.r = r
         self.rho = rho = 4 * kappa + 1
         self.m = rho**d
-        self.points = points
-        # level-0 cells column by column.  The same pass validates: a
-        # non-rational raises _frac's TypeError, then dimension, duplicate
-        # (same level-0 cell) and integer checks run
-        try:
-            cols = [[x.numerator * rho // x.denominator for x in col] for col in zip(*points)]
-            integral = 1 in {x.denominator for p in points for x in p}
-        except AttributeError:
-            [_frac(x) for p in points for x in p]  # raises its TypeError
-            raise
-        if any(len(p) != d for p in points):
-            raise InvalidParams("point dimension mismatch")
+        # types and dimension, level-0 cells, then duplicates and integers
+        points = PointSet.of(points, d)
+        den, coords = points.den, points.cols
+        self.cells = cols = [[a * rho // den for a in col] for col in coords] or [[]] * d
         # per-axis least and greatest cell of all input points; lifting is
         # monotone per axis, so the hull lifts by the same formula as a cell
-        cols = cols or [[]] * d
         self.lo: Cell = tuple([min(col, default=0) for col in cols])
         self.hi: Cell = tuple([max(col, default=0) for col in cols])
         # surviving point ids by cell key; a cell leaves when it empties
@@ -423,9 +449,9 @@ class _CoverRun:
         for pid, key in enumerate(keys):
             self.groups.setdefault(key, []).append(pid)
         for ids in self.groups.values():
-            if len(ids) > 1 and len({tuple(points[i]) for i in ids}) < len(ids):
+            if len(ids) > 1 and len({tuple([c[i] for c in coords]) for i in ids}) < len(ids):
                 raise DuplicatePoints("points must be distinct")
-        if integral:
+        if not all(all(map(den.__rmod__, col)) for col in coords):
             raise InvalidParams("integer coordinate: input is not normalized")
         # corners of the current grid and of the one below it
         self.origin = self.below = (0,) * d
@@ -579,7 +605,7 @@ class _CoverRun:
             return _CellInfo(CubeState.A5 if dbox is None else CubeState.A6)
         # a lone carrier and at least (3^d - 1) r points:
         # lo <= cell < hi iff lo <= x rho < hi, for int lo and hi
-        cells = [[x.numerator * self.rho // x.denominator for x in self.points[i]] for i in pts]
+        cells = list(zip(*[[col[i] for i in pts] for col in self.cells]))
         for cand in _complement_cubes(qbox, dbox):
             cnt = sum(1 for c in cells if all(lo <= x < hi for x, (lo, hi) in zip(c, cand)))
             if cnt >= r:
@@ -634,21 +660,21 @@ class _CoverRun:
             return CoverResult([], SignedPermutation.identity(self.d), self.stats)
         best = max(sorted(counts), key=counts.__getitem__)
         amap = SignedPermutation.sending_to_bottom(best, self.d)
-        K = []
-        for box, o in self.selected:
-            if o == best:
-                box = amap.apply_box(box)
-                side = Fraction(box[0][1] - box[0][0], self.rho)
-                K.append(FreeCube(tuple(Fraction(lo, self.rho) for lo, _ in box), side))
+        boxes = [amap.apply_box(box) for box, o in self.selected if o == best]
         # drop every cube of in-degree >= 2 until none is left, since a drop
         # can open a corridor
         while True:
-            in_deg = _shift_graph(_on_grid(K, self.kappa)).in_degrees()
+            in_deg = _shift_graph(_grid(boxes, self.rho, self.kappa)).in_degrees()
             full = {j for j, deg in enumerate(in_deg) if deg > 1}
             if not full:
-                return CoverResult(K, amap, self.stats)
+                break
             self.stats.dropped += len(full)
-            K = [c for t, c in enumerate(K) if t not in full]
+            boxes = [b for t, b in enumerate(boxes) if t not in full]
+        K = []
+        for box in boxes:
+            side = Fraction(box[0][1] - box[0][0], self.rho)
+            K.append(FreeCube(tuple(Fraction(lo, self.rho) for lo, _ in box), side))
+        return CoverResult(K, amap, self.stats)
 
 
 def run_covering(
@@ -684,23 +710,29 @@ class _Grid(NamedTuple):
 
 
 def _on_grid(cubes: Sequence[FreeCube], kappa: int) -> _Grid:
-    """Scale the cubes onto the grid of step 1/scale, scale = 10 (2 kappa + 1)
-    times the lcm of all their denominators: side/10, the bott side h =
-    side/(2 kappa + 1), its lateral offset kappa*h and h/10 are whole steps,
-    and box and bott faces, all a corridor test sees, are multiples of 10."""
+    """The cubes on the grid of step 1/scale, scale = 10 (2 kappa + 1) times
+    the lcm of all their denominators; see _grid."""
+    step = (2 * kappa + 1) * math.lcm(*(x.denominator for c in cubes for x in (c.side, *c.corner)))
+    ints = [[x.numerator * (step // x.denominator) for x in (c.side, *c.corner)] for c in cubes]
+    return _grid([tuple([(x, x + s) for x in lo]) for s, *lo in ints], step, kappa)
+
+
+def _grid(boxes: List[IntBox], step: int, kappa: int) -> _Grid:
+    """Cubes as int boxes on the grid of step 1/step, sides multiples of
+    2 kappa + 1, moved ten times finer: side/10, the bott side h =
+    side/(2 kappa + 1), kappa*h and h/10 are whole steps, and box and bott
+    faces, all a corridor test sees, are multiples of 10."""
     w = 2 * kappa + 1
-    scale = 10 * w * math.lcm(*(x.denominator for c in cubes for x in (c.side, *c.corner)))
-    grid = _Grid(scale, [], [], [], [])
-    for c in cubes:
-        s = c.side.numerator * (scale // c.side.denominator)
-        lo = [x.numerator * (scale // x.denominator) for x in c.corner]
+    grid = _Grid(10 * step, [], [], [], [])
+    for box in boxes:
+        box = tuple([(10 * lo, 10 * hi) for lo, hi in box])
+        x0, s = box[0][0], box[0][1] - box[0][0]
         h = s // w
-        box = tuple([(x, x + s) for x in lo])
-        lat = tuple([(x + kappa * h, x + (kappa + 1) * h) for x in lo[1:]])
+        lat = tuple([(x + kappa * h, x + (kappa + 1) * h) for x, _ in box[1:]])
         grid.boxes.append(box)
-        grid.botts.append(((lo[0], lo[0] + h),) + lat)
-        grid.shifted_botts.append(((lo[0] - h // 10, lo[0] + h - h // 10),) + lat)
-        grid.shifts.append(((lo[0] - s // 10, lo[0] + s - s // 10),) + box[1:])
+        grid.botts.append(((x0, x0 + h),) + lat)
+        grid.shifted_botts.append(((x0 - h // 10, x0 + h - h // 10),) + lat)
+        grid.shifts.append(((x0 - s // 10, x0 + s - s // 10),) + box[1:])
     return grid
 
 
@@ -738,16 +770,15 @@ def points_in_boxes(
 
     A point enters the sweep as the degenerate interval of its cell
     k = floor(x0 scale), which lies in [lo, hi] whenever x0 scale does;
-    each candidate is then checked exactly, lo*den <= num*scale <= hi*den
-    on every axis.
+    each candidate x = a/den is then checked exactly, lo*den <= a*scale
+    <= hi*den on every axis.
     """
-    keys = [p[0].numerator * scale // p[0].denominator for p in points]
+    ps = PointSet.of(points)
+    den, cols = ps.den, ps.cols
+    keys = [a * scale // den for a in cols[0]] if cols else []
     inside: List[List[int]] = [[] for _ in boxes]
     for i, j in _sweep(boxes, keys, keys):
-        if all(
-            lo * x.denominator <= x.numerator * scale <= hi * x.denominator
-            for x, (lo, hi) in zip(points[j], boxes[i])
-        ):
+        if all(lo * den <= col[j] * scale <= hi * den for col, (lo, hi) in zip(cols, boxes[i])):
             inside[i].append(j)
     for ids in inside:
         ids.sort()
@@ -879,7 +910,7 @@ def verify_cover(
     """
     n = len(points)
     K = result.K
-    d = len(points[0]) if points else (K[0].d if K else 1)
+    d = len(points[0]) if points else (len(K[0].corner) if K else 1)
     rho = 4 * kappa + 1
 
     grid = _on_grid(K, kappa)

@@ -26,7 +26,6 @@ from .exact import (
     ComplexPoint,
     GaussianRational,
     GeometryError,
-    line_through,
 )
 from .directions import (
     DIR_ONE,
@@ -96,23 +95,6 @@ class SystemView:
 
     def directions(self) -> List[Direction]:
         return [direction_of(l) for l in self.lines]
-
-
-def apply_map_system(sys: SystemView, m: ComplexLinearMap) -> SystemView:
-    """Image system under an invertible linear map; incidences are
-    preserved, so the index carries over unchanged."""
-    pts = [ComplexPoint(*m.apply_vector(p.z1, p.z2)) for p in sys.points]
-    lines = []
-    for l in sys.lines:
-        if l.is_vertical:
-            p0, p1 = ComplexPoint(l.b, GaussianRational(0)), ComplexPoint(l.b, GaussianRational(1))
-        else:
-            p0 = ComplexPoint(GaussianRational(0), l.b)
-            p1 = ComplexPoint(GaussianRational(1), l.a + l.b)
-        q0 = ComplexPoint(*m.apply_vector(p0.z1, p0.z2))
-        q1 = ComplexPoint(*m.apply_vector(p1.z1, p1.z2))
-        lines.append(line_through(q0, q1))
-    return SystemView(pts, lines, [list(ls) for ls in sys.incident_lines])
 
 
 # -- parameters and arcs -------------------------------------------------------

@@ -185,14 +185,6 @@ class ComplexLinearMap:
         # adjugate; determinant scalar is irrelevant to the direction action
         return ComplexLinearMap(self.m22, -self.m12, -self.m21, self.m11)
 
-    def apply_vector(
-        self, z1: GaussianRational, z2: GaussianRational
-    ) -> Tuple[GaussianRational, GaussianRational]:
-        return (
-            self.m11 * z1 + self.m12 * z2,
-            self.m21 * z1 + self.m22 * z2,
-        )
-
 
 def _ints(a: GaussianRational) -> Tuple[int, int, int]:
     """a as (x + iy) / n with ints x, y and n = re.den * im.den > 0."""

@@ -1,9 +1,8 @@
 """Exact geometric kernel.
 
 Points and lines of the complex plane with Gaussian-rational
-coordinates, their incidence and intersection predicates, and the
-identification of the complex plane with real 4-space that turns a
-complex line into an affine 2-flat.
+coordinates and their incidence predicate, and the affine 2-flats of
+real 4-space with their exact intersection.
 
 Every predicate here is exact: coordinates are Fractions and nothing in
 this module touches floating point.  Incidence is an equality test, so
@@ -23,10 +22,6 @@ RationalLike = Union[Fraction, int]
 
 class GeometryError(ValueError):
     """Contract violation in the exact kernel."""
-
-
-class IdenticalLines(GeometryError):
-    pass
 
 
 class EqualPoints(GeometryError):
@@ -176,25 +171,6 @@ def incident(p: ComplexPoint, l: ComplexLine) -> bool:
     return p.z2 == l.a * p.z1 + l.b
 
 
-def intersect_lines(l1: ComplexLine, l2: ComplexLine) -> Optional[ComplexPoint]:
-    """Common point of two distinct complex lines, or None when parallel.
-
-    Raises IdenticalLines when the canonical forms coincide.
-    """
-    if l1 == l2:
-        raise IdenticalLines("lines coincide")
-    if l1.is_vertical and l2.is_vertical:
-        return None  # distinct verticals are parallel
-    if l1.is_vertical:
-        return ComplexPoint(l1.b, l2.a * l1.b + l2.b)
-    if l2.is_vertical:
-        return ComplexPoint(l2.b, l1.a * l2.b + l1.b)
-    if l1.a == l2.a:
-        return None  # equal slopes, distinct intercepts
-    z1 = (l2.b - l1.b) / (l1.a - l2.a)
-    return ComplexPoint(z1, l1.a * z1 + l1.b)
-
-
 def line_through(p: ComplexPoint, q: ComplexPoint) -> ComplexLine:
     """The unique complex line incident to two distinct points."""
     if p == q:
@@ -306,31 +282,6 @@ class Flat2:
         return self.same_direction(other) and self.contains(other.base)
 
     __hash__ = None  # geometric equality is incompatible with field hashing
-
-
-def embed_r4(p: ComplexPoint) -> RVector4:
-    """tau: (z1, z2) -> (Re z1, Im z1, Re z2, Im z2)."""
-    return RVector4(p.z1.re, p.z1.im, p.z2.re, p.z2.im)
-
-
-def embed_flat(l: ComplexLine) -> Flat2:
-    """Image of a complex line under the identification with R^4.
-
-    A point lies on the flat iff the corresponding complex point is
-    incident to the line.
-    """
-    if l.is_vertical:
-        return Flat2(
-            RVector4(l.b.re, l.b.im, Fraction(0), Fraction(0)),
-            RVector4(0, 0, 1, 0),
-            RVector4(0, 0, 0, 1),
-        )
-    a = l.a
-    return Flat2(
-        RVector4(Fraction(0), Fraction(0), l.b.re, l.b.im),
-        RVector4(Fraction(1), Fraction(0), a.re, a.im),
-        RVector4(Fraction(0), Fraction(1), -a.im, a.re),
-    )
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,23 @@ starts a comment.  Every file opens with the header line
     stlab <kind> 1
 
 with kind one of system, points, bundle, cover, regions.  One reader,
-``_records``, checks that header and yields the records; one writer,
-``_line``, prints every record of rationals.  Files are written
+``_records``, checks that header and yields the records; ``_line``
+prints every record of rationals but "p", which goes between text and a
+covering.PointSet with no Fraction per coordinate.  Files are written
 atomically (temp file then rename) with the mode a plain open would
 give them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .covering import CoverResult, CoverStats, FreeCube, SignedPermutation
+from .covering import CoverResult, CoverStats, FreeCube, PointSet, SignedPermutation
 from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4
 from .regions import FlatBundle, Region, RegionAssignment
 
@@ -33,9 +35,13 @@ class FormatError(ValueError):
 
 
 def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(a: int, den: int) -> str:
+    """a/den in lowest terms, the "/1" of an integer dropped."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else "%d/%d" % (a // g, den // g)
 
 
 def parse_rational(tok: str) -> Fraction:
@@ -88,9 +94,9 @@ def _records(stream: TextIO, kind: str) -> Iterator[List[str]]:
     try:
         _parse_header(stream.readline(), kind)
         for raw in stream:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield line.split()
+            rec = raw.partition("#")[0].split()
+            if rec:
+                yield rec
     except UnicodeDecodeError as exc:
         raise FormatError("input is not valid text: %s" % exc) from exc
 
@@ -100,11 +106,39 @@ def _line(name: str, values: Iterable[Fraction]) -> str:
     return " ".join([name, *map(format_rational, values)])
 
 
-def _point(rec: List[str], d: Optional[int]) -> Tuple[Fraction, ...]:
-    """The coordinates of a "p" record of a points or cover file."""
+def _point(rec: List[str], d: Optional[int]) -> List[str]:
+    """The coordinate tokens of a "p" record of a points or cover file."""
     if d is None or len(rec) != d + 1:
         raise FormatError("point record before dim or wrong arity")
-    return tuple(map(parse_rational, rec[1:]))
+    return rec[1:]
+
+
+def _point_set(toks: List[str], d: int) -> PointSet:
+    """The points of the "p" records' tokens, d to a point; the first bad
+    token raises what parse_rational would."""
+    if not toks:
+        return PointSet(1, ())
+    nums, dens = [], []
+    for tok in toks:
+        num, slash, den = tok.partition("/")
+        nums.append(num)
+        dens.append(den if slash else "1")
+    try:
+        nums, dens = list(map(int, nums)), list(map(int, dens))
+    except ValueError:
+        dens = [0]
+    if 0 in dens:
+        list(map(parse_rational, toks))  # raises the first bad token's error
+    den = math.lcm(*map(abs, set(dens)))
+    scaled = [a * (den // q) for a, q in zip(nums, dens)]  # den // q has the sign of q
+    return PointSet.over(den, [scaled[axis::d] for axis in range(d)])
+
+
+def _point_lines(points: Sequence[Sequence[Fraction]]) -> List[str]:
+    """The "p" records of the points."""
+    ps = PointSet.of(points)
+    texts = [[_ratio_text(a, ps.den) for a in col] for col in ps.cols]
+    return [" ".join(("p",) + row) for row in zip(*texts)]
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -165,25 +199,27 @@ def load_system(stream: TextIO) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
 
 
 def dump_points(points: Sequence[Sequence[Fraction]], d: int) -> str:
-    out = [_header("points"), "dim %d" % d]
-    out.extend(_line("p", p) for p in points)
-    return "\n".join(out) + "\n"
+    return "\n".join([_header("points"), "dim %d" % d, *_point_lines(points)]) + "\n"
 
 
-def load_points(stream: TextIO) -> Tuple[List[Tuple[Fraction, ...]], int]:
+def load_points(stream: TextIO) -> Tuple[PointSet, int]:
     d = None
-    pts: List[Tuple[Fraction, ...]] = []
-    for rec in _records(stream, "points"):
-        if rec[0] == "dim":
-            _once(rec, d)
-            d = _int_record(rec)
-        elif rec[0] == "p":
-            pts.append(_point(rec, d))
-        else:
-            raise FormatError("bad points record %r" % " ".join(rec))
+    toks: List[str] = []
+    try:
+        for rec in _records(stream, "points"):
+            if rec[0] == "dim":
+                _once(rec, d)
+                d = _int_record(rec)
+            elif rec[0] == "p":
+                toks += _point(rec, d)
+            else:
+                raise FormatError("bad points record %r" % " ".join(rec))
+    except ValueError:
+        _point_set(toks, d)  # a bad token before the fault comes first
+        raise
     if d is None:
         raise FormatError("missing dim record")
-    return pts, d
+    return _point_set(toks, d), d
 
 
 # -- flat bundles ------------------------------------------------------------------
@@ -234,14 +270,14 @@ def dump_cover(
     out = [_header("cover"), "dim %d" % d, "kappa %d" % kappa, "r %d" % r]
     amap = result.axis_map
     out.append(" ".join(["axismap", *map(str, (*amap.perm, *amap.signs))]))
-    out.extend(_line("p", p) for p in points)
+    out.extend(_point_lines(points))
     out.extend(_line("cube", c.corner + (c.side,)) for c in result.K)
     return "\n".join(out) + "\n"
 
 
 @dataclass
 class CoverFile:
-    points: List[Tuple[Fraction, ...]]
+    points: PointSet
     result: CoverResult
     d: int
     kappa: int
@@ -251,33 +287,38 @@ class CoverFile:
 def load_cover(stream: TextIO) -> CoverFile:
     head: Dict[str, Optional[int]] = dict.fromkeys(("dim", "kappa", "r"))
     amap: Optional[SignedPermutation] = None
-    pts: List[Tuple[Fraction, ...]] = []
+    toks: List[str] = []
     cubes: List[FreeCube] = []
-    for rec in _records(stream, "cover"):
-        d = head["dim"]
-        if rec[0] in head:
-            _once(rec, head[rec[0]])
-            head[rec[0]] = _int_record(rec)
-        elif rec[0] == "axismap":
-            _once(rec, amap)
-            if d is None or len(rec) != 2 * d + 1:
-                raise FormatError("axismap before dim or wrong arity")
-            perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
-            signs = tuple(_parse_int(t) for t in rec[d + 1 :])
-            if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
-                raise FormatError("axismap is not a signed permutation")
-            amap = SignedPermutation(perm, signs)
-        elif rec[0] == "p":
-            pts.append(_point(rec, d))
-        elif rec[0] == "cube":
-            if d is None or len(rec) != d + 2:
-                raise FormatError("cube record before dim or wrong arity")
-            vals = [parse_rational(t) for t in rec[1:]]
-            cubes.append(FreeCube(tuple(vals[:-1]), vals[-1]))
-        else:
-            raise FormatError("bad cover record %r" % " ".join(rec))
+    try:
+        for rec in _records(stream, "cover"):
+            d = head["dim"]
+            if rec[0] in head:
+                _once(rec, head[rec[0]])
+                head[rec[0]] = _int_record(rec)
+            elif rec[0] == "axismap":
+                _once(rec, amap)
+                if d is None or len(rec) != 2 * d + 1:
+                    raise FormatError("axismap before dim or wrong arity")
+                perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
+                signs = tuple(_parse_int(t) for t in rec[d + 1 :])
+                if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
+                    raise FormatError("axismap is not a signed permutation")
+                amap = SignedPermutation(perm, signs)
+            elif rec[0] == "p":
+                toks += _point(rec, d)
+            elif rec[0] == "cube":
+                if d is None or len(rec) != d + 2:
+                    raise FormatError("cube record before dim or wrong arity")
+                vals = [parse_rational(t) for t in rec[1:]]
+                cubes.append(FreeCube(tuple(vals[:-1]), vals[-1]))
+            else:
+                raise FormatError("bad cover record %r" % " ".join(rec))
+    except ValueError:
+        _point_set(toks, head["dim"])  # a bad token before the fault comes first
+        raise
     if None in head.values() or amap is None:
         raise FormatError("incomplete cover file")
+    pts = _point_set(toks, head["dim"])
     return CoverFile(pts, CoverResult(cubes, amap, CoverStats()), *head.values())
 
 

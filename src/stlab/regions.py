@@ -34,6 +34,7 @@ from .covering import (
     CoveringError,
     IntBox,
     InvalidParams,
+    PointSet,
     _face_cells,
     _on_grid,
     _shift_graph,
@@ -190,7 +191,7 @@ def combine(
     """
     if r < 1:
         raise InvalidParams("r must be at least 1")
-    pts = [tuple(_frac(x) for x in p) for p in anchors]
+    pts = PointSet.of(anchors)
     n = len(pts)
     if 27 * r > n:
         raise TooFewPoints("need at least 27*r anchors, got %d" % n)
@@ -224,7 +225,8 @@ def combine(
             lat_q2 = q2box[1:]
             cells = _face_cells(qbox[1:], lat_q2)
             columns = [back.apply_box(qbox[:1] + cell) for cell in cells]
-            hits = points_in_boxes([normalized[i] for i in inside], columns, grid.scale)
+            bott = [[col[i] for i in inside] for col in normalized.cols]
+            hits = points_in_boxes(PointSet.over(normalized.den, bott), columns, grid.scale)
             best_cell = None
             best_ids: List[int] = []
             for cell, ks in zip(cells, hits):

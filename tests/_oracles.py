@@ -8,7 +8,10 @@ arithmetic independent both of the float search in
 ``separate_to_orthogonal`` and of the integer route of ``apply_mobius``.
 The principal-angle and cover-gap oracles are the numpy routes that the
 library's plain-float closed forms replaced.
-Hand-built fixtures that more than one module checks live here too.
+Hand-built fixtures that more than one module checks live here too, and
+the exact routes that only tests call: the meet of two complex lines,
+tau (the identification of C^2 with R^4, on points and on lines) and
+the image of a system under a linear map.
 """
 
 import itertools
@@ -19,7 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from stlab.covering import FreeCube, boxes_overlap_interior
+from stlab.diagnostics import SystemView
 from stlab.directions import DIR_INF, Direction, _angle_deg, to_sphere
+from stlab.exact import ComplexPoint, Flat2, GaussianRational, GeometryError, RVector4, line_through
 from stlab.regions import crossing_points
 
 F = Fraction
@@ -38,6 +43,73 @@ def apply_point(amap, p):
 def count_crossings(f1s, f2s):
     """Number of pairs of flats meeting in exactly one point, exact."""
     return len(crossing_points(f1s, f2s))
+
+
+class IdenticalLines(GeometryError):
+    pass
+
+
+def intersect_lines(l1, l2):
+    """Common point of two distinct complex lines, or None when parallel.
+
+    Raises IdenticalLines when the canonical forms coincide.
+    """
+    if l1 == l2:
+        raise IdenticalLines("lines coincide")
+    if l1.is_vertical and l2.is_vertical:
+        return None  # distinct verticals are parallel
+    if l1.is_vertical:
+        return ComplexPoint(l1.b, l2.a * l1.b + l2.b)
+    if l2.is_vertical:
+        return ComplexPoint(l2.b, l1.a * l2.b + l1.b)
+    if l1.a == l2.a:
+        return None  # equal slopes, distinct intercepts
+    z1 = (l2.b - l1.b) / (l1.a - l2.a)
+    return ComplexPoint(z1, l1.a * z1 + l1.b)
+
+
+def embed_r4(p):
+    """tau: (z1, z2) -> (Re z1, Im z1, Re z2, Im z2)."""
+    return RVector4(p.z1.re, p.z1.im, p.z2.re, p.z2.im)
+
+
+def embed_flat(l):
+    """Image of a complex line under the identification with R^4.
+
+    A point lies on the flat iff the corresponding complex point is
+    incident to the line.
+    """
+    if l.is_vertical:
+        return Flat2(
+            RVector4(l.b.re, l.b.im, Fraction(0), Fraction(0)),
+            RVector4(0, 0, 1, 0),
+            RVector4(0, 0, 0, 1),
+        )
+    a = l.a
+    return Flat2(
+        RVector4(Fraction(0), Fraction(0), l.b.re, l.b.im),
+        RVector4(Fraction(1), Fraction(0), a.re, a.im),
+        RVector4(Fraction(0), Fraction(1), -a.im, a.re),
+    )
+
+
+def apply_map_system(sys, m):
+    """Image system under an invertible linear map; incidences are
+    preserved, so the index carries over unchanged."""
+
+    def image(z1, z2):
+        return ComplexPoint(m.m11 * z1 + m.m12 * z2, m.m21 * z1 + m.m22 * z2)
+
+    pts = [image(p.z1, p.z2) for p in sys.points]
+    lines = []
+    for l in sys.lines:
+        if l.is_vertical:
+            p0, p1 = ComplexPoint(l.b, GaussianRational(0)), ComplexPoint(l.b, GaussianRational(1))
+        else:
+            p0 = ComplexPoint(GaussianRational(0), l.b)
+            p1 = ComplexPoint(GaussianRational(1), l.a + l.b)
+        lines.append(line_through(image(p0.z1, p0.z2), image(p1.z1, p1.z2)))
+    return SystemView(pts, lines, [list(ls) for ls in sys.incident_lines])
 
 
 def point_in_box_closed(p, box):

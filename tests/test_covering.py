@@ -21,6 +21,7 @@ from stlab.covering import (
     InvalidParams,
     NormalizeTransform,
     OverlappingInput,
+    PointSet,
     ShiftGraph,
     SignedPermutation,
     _CellInfo,
@@ -165,7 +166,7 @@ def test_normalize_points():
     far = [(F(10**400, 3),), (F(1, 7),)]
     got, tr = normalize_points(far)
     assert tr == NormalizeTransform(F(1), F(1, 2))
-    assert got == [(F(10**400, 3) + F(1, 2),), (F(9, 14),)]
+    assert list(got) == [(F(10**400, 3) + F(1, 2),), (F(9, 14),)]
     assert [tr.invert(p) for p in got] == far
     # a close pair far from 0
     got, _ = normalize_points([(F(10**400) + F(1, 2),), (F(10**400) + F(3, 2),)])
@@ -209,7 +210,7 @@ def test_normalize_points_keys_the_widest_axes():
     # the brute-force oracle needs about 45 s for all 2,000 points; every
     # prefix of two or more has the same least squared distance, 1
     assert tr.scale == oracle_separating_scale(pts[:300])
-    assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
+    assert list(got) == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
 
 
 def test_normalize_points_keys_the_axes_with_most_cells():
@@ -222,7 +223,7 @@ def test_normalize_points_keys_the_axes_with_most_cells():
     assert time.perf_counter() - start < 1
     # least squared distance (2/1000)^2, from i to i + 2 on the fifth axis
     assert tr.scale == math.isqrt(5 * 1000**2 // 4) + 1 == oracle_separating_scale(pts[:200])
-    assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
+    assert list(got) == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +233,7 @@ def test_normalize_points_least_scale_matches_oracle(seed, d):
     pts = random_clustered_points(rng, d, rng.randint(2, 40))
     got, tr = normalize_points(pts)
     assert tr.scale == oracle_separating_scale(pts)
-    assert got == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
+    assert list(got) == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
     assert all(x.denominator != 1 for p in got for x in p)
     # the same point again, once as ints where it has them
     twin = tuple(int(x) if x.denominator == 1 else x for x in rng.choice(pts))
@@ -263,6 +264,19 @@ def test_covering_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+coordinates = st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**12))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[coordinates] * d), max_size=6)))
+def test_point_set_holds_the_points_over_the_least_denominator(pts):
+    ps = PointSet.of(pts)
+    assert list(ps) == [tuple(map(Fraction, p)) for p in pts]
+    assert len(ps) == len(pts) and PointSet.of(ps) is ps
+    assert math.gcd(ps.den, *(a for col in ps.cols for a in col)) == 1
+    assert ps == PointSet.over(6 * ps.den, [[6 * a for a in col] for col in ps.cols])
+    assert (ps.cols == ()) == (not pts)
 
 
 # exact outputs, so a wrong reduction or prime choice cannot pass: 1/2 and
@@ -297,7 +311,7 @@ PINNED_NORMALIZE = {
 def test_normalize_points_pinned(name):
     pts, want, (scale, offset) = PINNED_NORMALIZE[name]
     got, tr = normalize_points(pts)
-    assert got == want
+    assert list(got) == want
     assert (tr.scale, tr.offset) == (scale, offset)
     assert [tr.invert(p) for p in got] == pts
 

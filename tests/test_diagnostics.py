@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from _oracles import oracle_cluster_stats
+from _oracles import apply_map_system, oracle_cluster_stats
 
 from stlab.diagnostics import (
     _FIX_MAPS,
@@ -23,7 +23,6 @@ from stlab.diagnostics import (
     Unbalanceable,
     _bisecting_constant,
     _project,
-    apply_map_system,
     balance_lambda,
     classify_points,
     hemisphere_split,

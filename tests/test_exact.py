@@ -13,15 +13,13 @@ from stlab.exact import (
     Flat2,
     FlatMeet,
     GaussianRational,
-    IdenticalLines,
     RVector4,
-    embed_flat,
-    embed_r4,
     flat_intersect,
     incident,
-    intersect_lines,
     line_through,
 )
+
+from _oracles import IdenticalLines, embed_flat, embed_r4, intersect_lines
 
 GR = GaussianRational
 I = GR(0, 1)

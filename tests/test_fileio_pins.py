@@ -10,8 +10,10 @@ import pytest
 
 from stlab import fileio
 from stlab.covering import CoverResult, CoverStats, FreeCube, SignedPermutation
-from stlab.exact import ComplexLine, ComplexPoint, GaussianRational as GR, embed_flat
+from stlab.exact import ComplexLine, ComplexPoint, GaussianRational as GR
 from stlab.regions import FlatBundle, Region, RegionAssignment
+
+from _oracles import embed_flat
 
 BIG = 2**200 + 7  # numerators and denominators above 2^200
 

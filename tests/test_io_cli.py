@@ -36,7 +36,7 @@ def test_points_roundtrip():
     pts = [(F(1, 3), F(-2)), (F(5), F(7, 11))]
     text = fileio.dump_points(pts, 2)
     pts2, d = fileio.load_points(io.StringIO(text))
-    assert pts2 == pts and d == 2
+    assert list(pts2) == pts and d == 2
 
 
 def test_bundle_roundtrip():

@@ -74,14 +74,10 @@ def test_cli_runs_without_numpy(tmp_path):
 # public names that nothing in src/, tests/test_acceptance.py or perfbench/
 # uses, each with the reason it stays in src/
 UNCALLED = {
-    "diagnostics.apply_map_system": "image of a system under a linear map; unit tests only",
     "diagnostics.is_gamma_point": "the per-point gamma predicate; unit tests only",
     "diagnostics.refine_step": "the refinement round, a step of the paper; unit tests only",
     "diagnostics.SparseInvariant.initial": "starts the refinement round's invariant",
     "directions.DIR_I": "the direction i, named beside DIR_ZERO, DIR_ONE and DIR_INF",
-    "exact.intersect_lines": "meet of two complex lines; unit tests only",
-    "exact.embed_r4": "tau, the identification of C^2 with R^4; unit tests only",
-    "exact.embed_flat": "tau of a complex line, a flat of R^4; unit tests only",
     "covering.FreeCube.box": "a cube's intervals as Fractions, which the test oracles read",
     "fileio.dump_points": "writer of the points format, for round-trip tests",
     "regions.FlatBundle.check_alignment": "the 10-degree hypothesis of combine, not yet reported",

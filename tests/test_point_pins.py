@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from stlab import fileio
-from stlab.covering import normalize_points, run_covering
+from stlab.covering import PointSet, normalize_points, run_covering
 
 BIG = 2**200 + 7
 
@@ -78,3 +78,16 @@ def test_point_layer_pinned(seed, n, d, r, points_sha, norm_sha, cover_sha):
     assert _sha(repr((_rows(norm), tr.scale, tr.offset))) == norm_sha
     res = run_covering(norm, d, 1, r)
     assert _sha(fileio.dump_cover(norm, res, d, 1, r)) == cover_sha
+
+
+@pytest.mark.parametrize(
+    "seed,n,d,r", [row[:4] for row in PINNED], ids=["%d-%d-%d-%d" % row[:4] for row in PINNED]
+)
+def test_cover_file_round_trips_the_point_set(seed, n, d, r):
+    # the cover benchmark's round-trip check compares point sets with ==
+    pts = pipeline_points(seed, n, d)
+    assert list(PointSet.of(pts)) == [tuple(map(F, p)) for p in pts]
+    norm, _ = normalize_points(pts)
+    text = fileio.dump_cover(norm, run_covering(norm, d, 1, r), d, 1, r)
+    assert fileio.load_cover(io.StringIO(text)).points == norm
+    assert fileio.load_points(io.StringIO(fileio.dump_points(pts, d)))[0] == PointSet.of(pts)
