@@ -21,6 +21,7 @@ from stlab.incidence import (
     count_incidences,
     count_indexed,
     count_naive,
+    incident_lines,
     rich_lines,
     similar_copies,
     sum_product,
@@ -325,6 +326,46 @@ def test_beck_and_rich_bound_count_like_rich_lines(which):
         rep = check_rich_bound(pts, t, 8.0)
         assert rep.rich_count == len(rich_lines(pts, t))
         assert rep.violated == (rep.rich_count > rep.bound)
+
+
+def mixed_lines(pts, seed):
+    # lines through seeded point pairs (verticals among them), then free lines
+    rng = random.Random("mixed-lines:%d" % seed)
+    lines = {line_through(*rng.sample(pts, 2)): None for _ in range(30)}
+    for _ in range(10):
+        c = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(4)]
+        lines[ComplexLine.slanted(GR(c[0], c[1]), GR(c[2], c[3]))] = None
+    return list(lines)
+
+
+def pinned_system(kind, seed):
+    if kind == "random":
+        return gen_random_system(30 + 10 * seed, 50, seed)
+    pts = mixed_system(seed)
+    return pts, mixed_lines(pts, seed)
+
+
+# (kind, seed) -> sha256 prefix of repr(incident_lines), beck_stats and
+# check_rich_bound(..., t, 1).rich_count for t = 2..5, recorded before the
+# pair sweep of _rich_pairs bucketed each unordered pair once
+PINNED_SYSTEMS = {
+    ("mixed", 1): ("6cf674fc67fbc9db", (727, 6), (727, 5, 4, 4)),
+    ("mixed", 2): ("e2492b2406cec4d8", (749, 6), (749, 5, 4, 1)),
+    ("mixed", 3): ("995cb235a19c0173", (751, 6), (751, 5, 2, 2)),
+    ("mixed", 4): ("763e389b09796838", (741, 6), (741, 5, 4, 3)),
+    ("random", 1): ("96170994f439472e", (780, 2), (780, 0, 0, 0)),
+    ("random", 2): ("4db375ffe392b6cf", (1225, 2), (1225, 0, 0, 0)),
+    ("random", 3): ("fc596818b2249cbf", (1770, 2), (1770, 0, 0, 0)),
+    ("random", 4): ("c52df783c108bfb1", (2415, 2), (2415, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(PINNED_SYSTEMS))
+def test_incidence_routes_pinned(kind, seed):
+    pts, lines = pinned_system(kind, seed)
+    digest = hashlib.sha256(repr(incident_lines(pts, lines)).encode()).hexdigest()[:16]
+    rich = tuple(check_rich_bound(pts, t, 1).rich_count for t in range(2, 6))
+    assert (digest, beck_stats(pts), rich) == PINNED_SYSTEMS[kind, seed]
 
 
 def test_check_bounds_erdos():
