@@ -6,13 +6,15 @@ each line becomes an integer slope key and an integer intercept, so the
 predicate is a pure-int equality.  Over that form the engine keeps two
 routes to the same number: the full point-by-line sweep
 ``count_naive``, and ``incident_lines``, which groups lines by slope
-and intercept and makes one pass over the points per distinct slope.
+and intercept and makes one pass over the points per distinct slope,
+probing the real part of a point's key before the full keyed lookup.
 The sweep is the baseline the keyed route is checked against; both are
 checked against the Fraction predicate ``exact.incident`` in the tests.
-Rich lines come from the same form: ``_rich_pairs`` buckets points by
-reduced integer slope key, and ``rich_lines`` builds each line once
-from its key and sorts float-first with exact tie-breaks.  The scaled
-integers grow with the bit length of L.
+Rich lines come from the same form: ``_rich_pairs`` buckets each
+unordered point pair once by reduced integer slope key, and
+``rich_lines`` orders the lines on ints within a slope, compares floats
+(with exact tie-breaks) only between slopes, and builds each line once
+after the sort.  The scaled integers grow with the bit length of L.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exact import ComplexLine, ComplexPoint, GaussianRational, GeometryError
@@ -57,10 +58,10 @@ class RichLine:
 
 def _check_unique(items: Iterable, what: str) -> None:
     seen = set()
-    for it in items:
-        if it in seen:
+    for k, it in enumerate(items, 1):
+        seen.add(it)  # hashes each item once: a repeat leaves the size short
+        if len(seen) < k:
             raise DuplicateInput("duplicate %s: %r" % (what, it))
-        seen.add(it)
 
 
 # Slope key of a vertical line x = c: with D = 0 and A = -1 the slanted
@@ -70,6 +71,7 @@ _VERTICAL = (0, -1, 0)
 _LineKey = Tuple[Tuple[int, int, int], Tuple[int, int]]
 _Scaled = Tuple[int, int, int, int]
 _SlopeKey = Optional[Tuple[int, int, int]]  # reduced (nr, ni, den); None is vertical
+_RichRow = Tuple[int, _SlopeKey, int, int, int]  # (i, key, count, br, bi)
 
 
 def _scaled_points(points: Sequence[ComplexPoint]) -> Tuple[List[_Scaled], int]:
@@ -141,7 +143,9 @@ def incident_lines(
     (D, A) the key of a point is D*X2 - A*X1, and a line carries
     exactly the points whose key equals its intercept, so the cost is
     one pass over the points per distinct slope: O(n * #slopes + e)
-    instead of O(n * e).
+    instead of O(n * e).  The real part of the key is probed first,
+    against the set of that slope's real intercepts; the imaginary part
+    and the keyed lookup are computed only when it hits.
     """
     pts, keys = _scaled(points, lines)
     by_slope: Dict[Tuple[int, int, int], Dict[Tuple[int, int], List[int]]] = {}
@@ -150,10 +154,13 @@ def incident_lines(
             by_slope.setdefault(key[0], {}).setdefault(key[1], []).append(li)
     index: List[List[int]] = [[] for _ in pts]
     for (d, ar, ai), table in by_slope.items():
+        real = {br for br, _ in table}
         for mine, (x1r, x1i, x2r, x2i) in zip(index, pts):
-            ids = table.get((d * x2r - ar * x1r + ai * x1i, d * x2i - ar * x1i - ai * x1r))
-            if ids:
-                mine.extend(ids)
+            kr = d * x2r - ar * x1r + ai * x1i
+            if kr in real:
+                ids = table.get((kr, d * x2i - ar * x1i - ai * x1r))
+                if ids:
+                    mine.extend(ids)
     for mine in index:
         mine.sort()
     return index
@@ -188,49 +195,55 @@ def count_incidences(
     return IncidenceReport(count, n, e, bound, ratio, _exceeds_st_bound(count, n, e, Fraction(C)))
 
 
-def _rich_pairs(
-    points: Sequence[ComplexPoint], t: int
-) -> Tuple[List[_Scaled], int, List[Tuple[int, _SlopeKey, int]]]:
+def _rich_pairs(points: Sequence[ComplexPoint], t: int) -> Tuple[int, List[_RichRow]]:
     """The lines through at least t input points, t >= 2, in integer form.
 
-    Returns the scaled points, their common denominator L and one row
-    (i, key, count) per line.  Per-point slope bucketing over the scaled
-    integers: for each point i, every other point is bucketed by the
-    reduced slope key (nr, ni, den) of the line joining them, slope
-    (nr + i*ni)/den, or None for a vertical line, so a bucket of size
-    c is a line with c + 1 points.  Each line is listed once, from its
-    lowest-index point i.
+    Returns the common denominator L of the scaled points and one row
+    (i, key, count, br, bi) per line.  Each point i buckets only the
+    points j > i, by the reduced slope key (nr, ni, den) of the line
+    joining them, slope (nr + i*ni)/den, or None for a vertical line,
+    so each unordered pair is reduced once and a bucket of size c is a
+    line with c + 1 points from i on.  A line is reported from its
+    lowest-index point i, the only one that sees all its other points.
+    Its exact identity is the key and the intercept ints
+    br + i*bi = den*X2 - (nr + i*ni)*X1 of i (the intercept times
+    den*L), or X1 = L*z1 for a vertical; a later point of a line that
+    was reported with more than t points finds it in ``reported``.
     """
     if t < 2:
         raise GeometryError("t must be at least 2")
     _check_unique(points, "point")
     pts, L = _scaled_points(points)
     gcd = math.gcd
-    rows: List[Tuple[int, _SlopeKey, int]] = []
+    rows: List[_RichRow] = []
+    reported: Set[Tuple[_SlopeKey, int, int]] = set()
     for i, (x1r, x1i, x2r, x2i) in enumerate(pts):
-        first: Dict[_SlopeKey, int] = {}
         size: Dict[_SlopeKey, int] = {}
-        for j, (y1r, y1i, y2r, y2i) in enumerate(pts):
-            if j == i:
-                continue
+        for y1r, y1i, y2r, y2i in pts[i + 1 :]:
             dr, di = y1r - x1r, y1i - x1i
-            if dr == 0 and di == 0:
-                key = None  # vertical
-            else:
+            if dr or di:
                 # slope (y2 - x2) / (y1 - x1) = (er + i*ei) * conj(dr + i*di) / den
                 er, ei = y2r - x2r, y2i - x2i
                 nr, ni, den = er * dr + ei * di, ei * dr - er * di, dr * dr + di * di
                 g = gcd(nr, ni, den)
                 key = (nr // g, ni // g, den // g)
-            if key in size:
-                size[key] += 1
             else:
-                size[key] = 1
-                first[key] = j
+                key = None  # vertical
+            size[key] = size.get(key, 0) + 1
         for key, c in size.items():
-            if first[key] > i and c + 1 >= t:
-                rows.append((i, key, c + 1))
-    return pts, L, rows
+            if c + 1 < t:
+                continue
+            if key is None:
+                br, bi = x1r, x1i
+            else:
+                nr, ni, den = key
+                br, bi = den * x2r - nr * x1r + ni * x1i, den * x2i - nr * x1i - ni * x1r
+            line = (key, br, bi)
+            if line not in reported:
+                if c >= t:  # a later point of the line can still show t - 1 partners
+                    reported.add(line)
+                rows.append((i, key, c + 1, br, bi))
+    return L, rows
 
 
 def _float(num: int, den: int) -> float:
@@ -255,37 +268,32 @@ def rich_lines(points: Sequence[ComplexPoint], t: int) -> List[RichLine]:
     """Every complex line incident to at least t input points, t >= 2.
 
     Output is sorted by ``ComplexLine.sort_key``, so it is
-    deterministic.  Each line is built from its integer slope key and
-    its lowest-index point's scaled coordinates X: the slope is
-    a = (nr + i*ni)/den and the intercept is
-    (den*X2 - (nr + i*ni)*X1) / (den*L).  Each Fraction is made once
-    from ints, and all lines with one slope share its GaussianRational
-    and its sort key.  The sort puts a float before each exact
-    coordinate, so Fractions are compared only where the floats tie.
+    deterministic, and the rows of ``_rich_pairs`` are sorted on ints
+    before any line is built.  Only the distinct slopes are compared
+    as numbers: each gets its GaussianRational once and they are ranked
+    by the float-first sort key, which compares Fractions only where
+    the floats tie; the verticals rank after them.  All lines of one
+    slope a = (nr + i*ni)/den share the intercept denominator den*L,
+    and all verticals share L, so (rank, br, bi) orders the lines.
+    Each intercept's Fractions are made once from its ints.
     """
-    pts, L, rows = _rich_pairs(points, t)
-    slopes: Dict[Tuple[int, int, int], Tuple[GaussianRational, tuple]] = {}
-    keyed = []
-    for i, key, c in rows:
-        x1r, x1i, x2r, x2i = pts[i]
-        if key is None:
+    L, rows = _rich_pairs(points, t)
+    slopes = []
+    for nr, ni, den in {key for _, key, _, _, _ in rows} - {None}:
+        a = GaussianRational(Fraction(nr, den), Fraction(ni, den))
+        slopes.append((_exact_key(nr, ni, den, a), (nr, ni, den), a, den * L))
+    slopes.sort()  # distinct slopes differ in the sort key, so a is never compared
+    rank: Dict[_SlopeKey, int] = {key: r for r, (_, key, _, _) in enumerate(slopes)}
+    rank[None] = len(slopes)  # verticals sort after every slanted line
+    out = []
+    for r, br, bi, c, i in sorted((rank[key], br, bi, c, i) for i, key, c, br, bi in rows):
+        if r == len(slopes):
             line = ComplexLine(None, points[i].z1)
-            sort_key = (1,) + _exact_key(x1r, x1i, L, line.b)
         else:
-            nr, ni, den = key
-            if key not in slopes:
-                a = GaussianRational(Fraction(nr, den), Fraction(ni, den))
-                slopes[key] = a, _exact_key(nr, ni, den, a)
-            a, a_key = slopes[key]
-            dl = den * L
-            br = den * x2r - nr * x1r + ni * x1i
-            bi = den * x2i - nr * x1i - ni * x1r
-            b = GaussianRational(Fraction(br, dl), Fraction(bi, dl))
-            line = ComplexLine(a, b)
-            sort_key = (0, a_key) + _exact_key(br, bi, dl, b)
-        keyed.append((sort_key, RichLine(line, c)))
-    keyed.sort(key=itemgetter(0))
-    return [r for _, r in keyed]
+            _, _, a, dl = slopes[r]
+            line = ComplexLine(a, GaussianRational(Fraction(br, dl), Fraction(bi, dl)))
+        out.append(RichLine(line, c))
+    return out
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,7 @@ class RichBoundReport:
 def check_rich_bound(points: Sequence[ComplexPoint], t: int, c: float | Fraction) -> RichBoundReport:
     if not 0 <= c <= sys.float_info.max:  # also rejects nan; bound is a float
         raise GeometryError("c must be finite and non-negative, got %s" % c)
-    rich_count = len(_rich_pairs(points, t)[2])
+    rich_count = len(_rich_pairs(points, t)[1])
     n = len(points)
     bound = Fraction(c) * (Fraction(n * n, t**3) + Fraction(n, t))
     return RichBoundReport(t, n, rich_count, float(bound), violated=rich_count > bound)
@@ -310,7 +318,7 @@ def beck_stats(points: Sequence[ComplexPoint]) -> Tuple[int, int]:
     """(number of connecting lines, max point count on one of them)."""
     if len(points) < 2:
         raise GeometryError("need at least 2 points")
-    counts = [c for _, _, c in _rich_pairs(points, 2)[2]]
+    counts = [row[2] for row in _rich_pairs(points, 2)[1]]
     return len(counts), max(counts)
 
 

@@ -88,6 +88,45 @@ def test_duplicate_input_rejected():
     l = ComplexLine.vertical(GR(1))
     with pytest.raises(DuplicateInput):
         count_incidences([], [l, l])
+    # the message names the first item that repeats an earlier one
+    q = ComplexPoint(GR(2), GR(Fraction(1, 3)))
+    with pytest.raises(DuplicateInput) as err:
+        count_incidences([p, q, q, p], [])
+    assert str(err.value) == "duplicate point: %r" % (q,)
+
+
+def probe_miss_system():
+    """Lines of one slope a that share the real intercept and differ in
+    the imaginary one, plus points that meet only the real part: their
+    z2 - a*z1 has the shared real part and an imaginary part no line has."""
+    F = Fraction
+    a, b = GR(F(2, 3), F(-1, 2)), F(5, 7)
+    lines = [ComplexLine.slanted(a, GR(b, F(k, 3))) for k in range(-2, 3)]
+    lines += [ComplexLine.slanted(GR(1), GR(b, 0)), ComplexLine.vertical(GR(F(1, 2), 1))]
+    xs = [GR(F(j, 2), F(j * j % 5, 3)) for j in range(-3, 4)]
+    pts = {}
+    for x in xs:
+        for k in (-2, 0, 2, 4, 7):  # 4 and 7 meet only the real part
+            pts[ComplexPoint(x, a * x + GR(b, F(k, 3)))] = None
+    pts[ComplexPoint(GR(F(1, 2), 1), GR(b, 5))] = None
+    return list(pts), lines
+
+
+def test_probe_miss_on_shared_real_intercept():
+    pts, lines = probe_miss_system()
+    expect = oracle_count(pts, lines)
+    assert count_naive(pts, lines) == count_indexed(pts, lines) == expect
+    assert incident_lines(pts, lines) == [
+        [li for li, l in enumerate(lines) if incident(p, l)] for p in pts
+    ]
+    # the system reaches the miss: the real part matches, the point is off the line
+    misses = [
+        (p, l)
+        for p in pts
+        for l in lines[:5]
+        if (p.z2 - l.a * p.z1 - l.b).re == 0 and not incident(p, l)
+    ]
+    assert len(misses) >= 2 * len(pts) and expect > 0
 
 
 def test_indexed_equals_naive_on_random_systems():
@@ -193,6 +232,24 @@ def test_rich_lines_order_matches_line_through_route(seed):
         assert rich_lines(pts, t) == expect
         assert rich_lines(shuffled, t) == expect
     assert any(r.line.is_vertical and r.count >= 3 for r in expect)
+
+
+@pytest.mark.parametrize("seed", range(102, 106))
+def test_rich_lines_independent_of_point_order(seed):
+    # a line is reported from its lowest-index point, whichever that is
+    coordinate = lambda rng: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+    pts = collinear_runs(seed, coordinate, 32)
+    expect = {t: oracle_rich_lines(pts, t) for t in range(2, 7)}
+    counts = {r.count for r in expect[2]}
+    assert counts == {2, 3, 4, 5, 6}
+    assert any(r.line.is_vertical and r.count >= 3 for r in expect[2])
+    rng = random.Random(seed)
+    for _ in range(20):
+        order = rng.sample(pts, len(pts))
+        assert beck_stats(order) == (len(expect[2]), max(counts))
+        for t, want in expect.items():
+            assert rich_lines(order, t) == want
+            assert check_rich_bound(order, t, 1).rich_count == len(want)
 
 
 EPS = Fraction(1, 2**60)
