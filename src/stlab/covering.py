@@ -28,9 +28,10 @@ cell's outcome reads them.
 
 Everything geometric is exact and works in Python ints.  Points are one
 PointSet, int columns over their least common denominator, from the
-loaders through normalize_points (which finds the exact nearest pair on
-a sampled grid keyed on the four widest axes) to the run, the verifier
-and the dumps; Fraction tuples exist only at the public edge.  The run
+loaders through normalize_points (which finds the exact nearest pair by
+one sort at d = 1, else on a sampled grid keyed on the four axes with
+the most distinct cells) to the run, the verifier and the dumps;
+Fraction tuples exist only at the public edge.  The run
 places a point by its cell floor(x rho) on the grid of level-0 side
 1/rho, prunes on its own int boxes, and emits the selected cubes as
 FreeCubes.  The shift graph and the verifier scale a cube list onto the
@@ -219,12 +220,14 @@ def _least_square_distance(cols: Sequence[Sequence[int]]) -> int:
     """The exact least squared distance among n >= 2 int points, given
     per axis as cols; a repeated point raises DuplicatePoints.
 
-    Rabin's sampled grid: the least m over n seeded random pairs bounds
-    it, and any closer pair lies in the same or adjacent cells of side
-    ceil(sqrt(m)).  The sample sets the running time, never the answer.
-    The grid keys on the four axes with the most distinct cells (all of
-    them when d <= 4), so a cell has at most 80 neighbours; a closer
-    pair is adjacent on every axis, so also on those four.
+    At d = 1 the nearest pair is adjacent in sorted order, so one sort
+    of the column finds it.  For d >= 2, Rabin's sampled grid: the least
+    m over n seeded random pairs bounds it, and any closer pair lies in
+    the same or adjacent cells of side ceil(sqrt(m)).  The sample sets
+    the running time, never the answer.  The grid keys on the four axes
+    with the most distinct cells (all of them when d <= 4), so a cell
+    has at most 80 neighbours; a closer pair is adjacent on every axis,
+    so also on those four.
     """
     def squares(I: Sequence[int], J: Sequence[int]) -> List[int]:
         total = [0] * len(I)
@@ -233,34 +236,39 @@ def _least_square_distance(cols: Sequence[Sequence[int]]) -> int:
             total = list(map(operator.add, total, map(operator.mul, diff, diff)))
         return total
 
-    n = len(cols[0])
-    # each point against a random other one, 1 to n - 1 places ahead
-    ahead = random.Random(0).choices(range(1, n), k=n)
-    m = min(squares(range(n), [(i + t) % n for i, t in enumerate(ahead)]))
-    if m:
-        s = math.isqrt(m - 1) + 1
-        # cell c has the key sum c_i w^i; digits stay below w/2 in size, so
-        # c + e, e in {-1, 0, 1}^d, has key c + key e; forward e have key e > 0
-        grid = cols
-        if len(cols) > 4:
-            busiest = sorted(range(len(cols)), key=lambda i: len({a // s for a in cols[i]}))[-4:]
-            grid = [cols[i] for i in sorted(busiest)]
-        w = 2 * max([max(map(abs, col)) // s for col in grid]) + 5
-        keys = [0] * n
-        for col in reversed(grid):
-            keys = [key * w + a // s for key, a in zip(keys, col)]
-        cells: Dict[int, List[int]] = {}
-        for i, key in enumerate(keys):
-            cells.setdefault(key, []).append(i)
-        axes = [(-(w**i), 0, w**i) for i in range(len(grid))]
-        steps = [t for t in map(sum, itertools.product(*axes)) if t > 0]
-        I, J = [], []
-        for key, ids in cells.items():
-            near = ids + [j for t in steps for j in cells.get(key + t, ())]
-            for a in range(len(ids)):
-                I += [ids[a]] * (len(near) - a - 1)
-                J += near[a + 1 :]
-        m = min(squares(I, J) + [m])
+    if len(cols) == 1:
+        # on a line the nearest pair is adjacent in sorted order
+        xs = sorted(cols[0])
+        m = min(map(operator.sub, itertools.islice(xs, 1, None), xs)) ** 2
+    else:
+        n = len(cols[0])
+        # each point against a random other one, 1 to n - 1 places ahead
+        ahead = random.Random(0).choices(range(1, n), k=n)
+        m = min(squares(range(n), [(i + t) % n for i, t in enumerate(ahead)]))
+        if m:
+            s = math.isqrt(m - 1) + 1
+            # cell c has the key sum c_i w^i; digits stay below w/2 in size, so
+            # c + e, e in {-1, 0, 1}^d, has key c + key e; forward e have key e > 0
+            grid = cols
+            if len(cols) > 4:
+                busiest = sorted(range(len(cols)), key=lambda i: len({a // s for a in cols[i]}))[-4:]
+                grid = [cols[i] for i in sorted(busiest)]
+            w = 2 * max([max(map(abs, col)) // s for col in grid]) + 5
+            keys = [0] * n
+            for col in reversed(grid):
+                keys = [key * w + a // s for key, a in zip(keys, col)]
+            cells: Dict[int, List[int]] = {}
+            for i, key in enumerate(keys):
+                cells.setdefault(key, []).append(i)
+            axes = [(-(w**i), 0, w**i) for i in range(len(grid))]
+            steps = [t for t in map(sum, itertools.product(*axes)) if t > 0]
+            I, J = [], []
+            for key, ids in cells.items():
+                near = ids + [j for t in steps for j in cells.get(key + t, ())]
+                for a in range(len(ids)):
+                    I += [ids[a]] * (len(near) - a - 1)
+                    J += near[a + 1 :]
+            m = min(squares(I, J) + [m])
     if m == 0:
         raise DuplicatePoints("points must be pairwise distinct")
     return m

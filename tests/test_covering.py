@@ -151,8 +151,14 @@ def test_normalize_points():
     # transform is invertible
     back = [tr.invert(p) for p in pts]
     assert back == [(F(0), F(0)), (F(3), F(0))]
-    with pytest.raises(DuplicatePoints):
-        normalize_points([(F(1),), (F(1),)])
+    # a repeat, on the line (not adjacent in input order) and in the plane
+    for dup in (
+        [(F(1),), (F(1),)],
+        [(F(1, 3),), (F(-5),), (F(7, 2),), (F(1, 3),)],
+        [(F(1), F(2)), (F(3), F(4)), (F(1), F(2))],
+    ):
+        with pytest.raises(DuplicatePoints, match="pairwise distinct"):
+            normalize_points(dup)
     # the type comes first, then the dimension: zip would cut (1, 2) to (1,)
     with pytest.raises(TypeError):
         normalize_points([(F(1), 0.5), (F(1),)])
@@ -231,6 +237,11 @@ def test_normalize_points_keys_the_axes_with_most_cells():
 def test_normalize_points_least_scale_matches_oracle(seed, d):
     rng = random.Random(seed)
     pts = random_clustered_points(rng, d, rng.randint(2, 40))
+    if d == 1:
+        # the sorted route: up to five clustered draws, at most 200 points, shuffled
+        pts = list(dict.fromkeys(pts + [p for _ in range(rng.randint(0, 4))
+                                        for p in random_clustered_points(rng, 1, 40)]))
+        rng.shuffle(pts)
     got, tr = normalize_points(pts)
     assert tr.scale == oracle_separating_scale(pts)
     assert list(got) == [tuple(tr.scale * x + tr.offset for x in p) for p in pts]
