@@ -132,3 +132,18 @@ def test_format_error_message_pinned(kind, text, message):
     with pytest.raises(fileio.FormatError) as info:
         LOAD[kind](io.StringIO(text))
     assert type(info.value) is fileio.FormatError and str(info.value) == message
+
+
+# files with two faults: the first in file order decides the message
+TWO_FAULTS = [
+    (COVER_HEAD + "cube 0 x 1\np 1/0 1\n", "bad rational 'x'"),
+    (COVER_HEAD + "p 1/0 1\ncube 0 x 1\n", "bad rational '1/0'"),
+    (COVER_HEAD + "cube 0 x 1\nbox 0 1\n", "bad rational 'x'"),
+]
+
+
+@pytest.mark.parametrize("text,message", TWO_FAULTS, ids=["cube-p", "p-cube", "cube-record"])
+def test_cover_first_fault_pinned(text, message):
+    with pytest.raises(fileio.FormatError) as info:
+        fileio.load_cover(io.StringIO(text))
+    assert type(info.value) is fileio.FormatError and str(info.value) == message
