@@ -30,18 +30,19 @@ Everything geometric is exact and works in Python ints.  Points are one
 PointSet, int columns over their least common denominator, from the
 loaders through normalize_points (which finds the exact nearest pair by
 one sort at d = 1, else on a sampled grid keyed on the four axes with
-the most distinct cells) to the run, the verifier and the dumps;
-Fraction tuples exist only at the public edge.  The run
+the most distinct cells) to the run, the verifier and the dumps; cubes
+are one CubeSet, its rows (corner, side) as int columns the same way.
+Fraction tuples and FreeCubes exist only at the public edge.  The run
 places a point by its cell floor(x rho) on the grid of level-0 side
-1/rho, prunes on its own int boxes, and emits the selected cubes as
-FreeCubes.  The shift graph and the verifier scale a cube list onto the
-grid of step 1/D, D = 10 (2 kappa + 1) times the lcm of its
-denominators, and compare int boxes there.  One sweep over first-axis
-faces shortlists the box pairs that meet, and a point enters it by its
-cell floor(x0 D).  The same sweep, over the corridor prisms against the
-cubes, finds every shift-graph corridor's blockers at once; _face_cells
-cuts a box by the faces of another, for the A3 complement cubes and
-combine's lateral cells.  The one float is VerificationReport.count_bound.
+1/rho and emits the selected cubes as a CubeSet over 1/rho, pruned on
+its own shift graph.  The shift graph and the verifier scale a CubeSet
+onto the grid of step 1/D, D = 10 (2 kappa + 1) times its denominator,
+and compare int boxes there.  One sweep over first-axis faces shortlists
+the box pairs that meet, and a point enters it by its cell floor(x0 D).
+The same sweep, over the corridor prisms against the cubes, finds every
+shift-graph corridor's blockers at once; _face_cells cuts a box by the
+faces of another, for the A3 complement cubes and combine's lateral
+cells.  The one float is VerificationReport.count_bound.
 """
 
 from __future__ import annotations
@@ -156,8 +157,23 @@ class FreeCube:
         if self.side <= 0:
             raise InvalidParams("cube side must be positive")
 
-    def box(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        return tuple((c, c + self.side) for c in self.corner)
+
+class CubeSet(PointSet):
+    """Cubes of R^d as PointSet rows (corner_1, ..., corner_d, side), d + 1
+    int columns over the least denominator.  Items are FreeCubes."""
+
+    @classmethod
+    def of(cls, cubes: Sequence[FreeCube]) -> "CubeSet":
+        """cubes as a CubeSet (a CubeSet comes back equal)."""
+        ps = cubes if isinstance(cubes, cls) else PointSet.of([(*c.corner, c.side) for c in cubes])
+        return cls(ps.den, ps.cols)
+
+    def __getitem__(self, i: int) -> FreeCube:
+        *corner, side = super().__getitem__(i)
+        return FreeCube(tuple(corner), side)
+
+    def __iter__(self) -> Iterator[FreeCube]:
+        return (FreeCube(row[:-1], row[-1]) for row in super().__iter__())
 
 
 # -- complement covers (cube minus nested cube) ------------------------------
@@ -392,7 +408,7 @@ class ShiftGraph:
 
 @dataclass
 class CoverResult:
-    K: List[FreeCube]  # uniform orientation: bott at the bottom
+    K: Sequence[FreeCube]  # a CubeSet from the run; uniform orientation: bott at the bottom
     axis_map: SignedPermutation
     stats: CoverStats
 
@@ -664,25 +680,21 @@ class _CoverRun:
     def result(self) -> CoverResult:
         counts = Counter(orientation for _, orientation in self.selected)
         assert self.stats.b <= 2 * max(self.stats.s, 1)
-        if not self.selected:
-            return CoverResult([], SignedPermutation.identity(self.d), self.stats)
-        best = max(sorted(counts), key=counts.__getitem__)
+        # without a selection, -e0 already faces the bottom: the identity map
+        best = max(sorted(counts), key=counts.__getitem__, default=(0, -1))
         amap = SignedPermutation.sending_to_bottom(best, self.d)
         boxes = [amap.apply_box(box) for box, o in self.selected if o == best]
+        rows = [[lo for lo, _ in box] + [box[0][1] - box[0][0]] for box in boxes]
         # drop every cube of in-degree >= 2 until none is left, since a drop
         # can open a corridor
         while True:
-            in_deg = _shift_graph(_grid(boxes, self.rho, self.kappa)).in_degrees()
+            K = CubeSet.over(self.rho, list(zip(*rows)))
+            in_deg = _shift_graph(_on_grid(K, self.kappa)).in_degrees()
             full = {j for j, deg in enumerate(in_deg) if deg > 1}
             if not full:
-                break
+                return CoverResult(K, amap, self.stats)
             self.stats.dropped += len(full)
-            boxes = [b for t, b in enumerate(boxes) if t not in full]
-        K = []
-        for box in boxes:
-            side = Fraction(box[0][1] - box[0][0], self.rho)
-            K.append(FreeCube(tuple(Fraction(lo, self.rho) for lo, _ in box), side))
-        return CoverResult(K, amap, self.stats)
+            rows = [row for t, row in enumerate(rows) if t not in full]
 
 
 def run_covering(
@@ -718,29 +730,22 @@ class _Grid(NamedTuple):
 
 
 def _on_grid(cubes: Sequence[FreeCube], kappa: int) -> _Grid:
-    """The cubes on the grid of step 1/scale, scale = 10 (2 kappa + 1) times
-    the lcm of all their denominators; see _grid."""
-    step = (2 * kappa + 1) * math.lcm(*(x.denominator for c in cubes for x in (c.side, *c.corner)))
-    ints = [[x.numerator * (step // x.denominator) for x in (c.side, *c.corner)] for c in cubes]
-    return _grid([tuple([(x, x + s) for x in lo]) for s, *lo in ints], step, kappa)
-
-
-def _grid(boxes: List[IntBox], step: int, kappa: int) -> _Grid:
-    """Cubes as int boxes on the grid of step 1/step, sides multiples of
-    2 kappa + 1, moved ten times finer: side/10, the bott side h =
-    side/(2 kappa + 1), kappa*h and h/10 are whole steps, and box and bott
-    faces, all a corridor test sees, are multiples of 10."""
+    """The cubes on the grid of step 1/scale, scale = 10 (2 kappa + 1) den
+    for den their CubeSet's denominator.  There every side is a multiple
+    of 10 (2 kappa + 1), so side/10, the bott side h = side/(2 kappa + 1),
+    kappa*h and h/10 are whole steps, and box and bott faces, all a
+    corridor test sees, are multiples of 10."""
+    K = CubeSet.of(cubes)
     w = 2 * kappa + 1
-    grid = _Grid(10 * step, [], [], [], [])
-    for box in boxes:
-        box = tuple([(10 * lo, 10 * hi) for lo, hi in box])
-        x0, s = box[0][0], box[0][1] - box[0][0]
-        h = s // w
+    grid = _Grid(10 * w * K.den, [], [], [], [])
+    for *lo, s in zip(*K.cols):
+        box = tuple([(10 * w * x, 10 * w * (x + s)) for x in lo])
+        x0, h = box[0][0], 10 * s
         lat = tuple([(x + kappa * h, x + (kappa + 1) * h) for x, _ in box[1:]])
         grid.boxes.append(box)
         grid.botts.append(((x0, x0 + h),) + lat)
-        grid.shifted_botts.append(((x0 - h // 10, x0 + h - h // 10),) + lat)
-        grid.shifts.append(((x0 - s // 10, x0 + s - s // 10),) + box[1:])
+        grid.shifted_botts.append(((x0 - s, x0 + h - s),) + lat)
+        grid.shifts.append(((x0 - w * s, box[0][1] - w * s),) + box[1:])
     return grid
 
 
@@ -864,7 +869,7 @@ def build_shift_graph(k: Sequence[FreeCube], kappa: int = 1) -> ShiftGraph:
     of Q1 meets shift(Q2) in a common interior point and an unblocked
     vertical segment joins bott(Q1) to the top of Q2.
     """
-    return _shift_graph(_on_grid(list(k), kappa))
+    return _shift_graph(_on_grid(k, kappa))
 
 
 # -- verification --------------------------------------------------------------
@@ -917,8 +922,8 @@ def verify_cover(
     records whether it did.
     """
     n = len(points)
-    K = result.K
-    d = len(points[0]) if points else (len(K[0].corner) if K else 1)
+    K = CubeSet.of(result.K)
+    d = len(points[0]) if points else (len(K.cols) - 1 if K else 1)
     rho = 4 * kappa + 1
 
     grid = _on_grid(K, kappa)

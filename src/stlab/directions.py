@@ -70,7 +70,6 @@ class Direction:
 
 DIR_ZERO = Direction.finite(0)
 DIR_ONE = Direction.finite(1)
-DIR_I = Direction.finite(GaussianRational(0, 1))
 DIR_INF = Direction.infinity()
 _UNIT_MAX_DEN = 10**6  # denominator bound of unit_direction_from_angle
 _MAX_COVER_CENTERS = 10**6  # sphere_disk_cover's limit, about 0.4 GB of centers

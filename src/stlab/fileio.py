@@ -8,8 +8,9 @@ starts a comment.  Every file opens with the header line
 
 with kind one of system, points, bundle, cover, regions.  One reader,
 ``_records``, checks that header and yields the records; ``_line``
-prints every record of rationals but "p", which goes between text and a
-covering.PointSet with no Fraction per coordinate.  Files are written
+prints every record of rationals but "p" and "cube", the rows of a
+covering.PointSet or CubeSet, which one row codec reads and writes as
+int columns with no Fraction per coordinate.  Files are written
 atomically (temp file then rename) with the mode a plain open would
 give them.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .covering import CoverResult, CoverStats, FreeCube, PointSet, SignedPermutation
+from .covering import CoverResult, CoverStats, CubeSet, InvalidParams, PointSet, SignedPermutation
 from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4
 from .regions import FlatBundle, Region, RegionAssignment
 
@@ -44,12 +45,20 @@ def _ratio_text(a: int, den: int) -> str:
     return str(a // g) if g == den else "%d/%d" % (a // g, den // g)
 
 
-def parse_rational(tok: str) -> Fraction:
+def _ratio(tok: str) -> Tuple[int, int]:
+    """The numerator and the nonzero denominator of a rational token."""
     num, slash, den = tok.partition("/")
     try:
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("bad rational %r" % tok) from exc
+        q = int(den) if slash else 1
+        if q:
+            return int(num), q
+    except ValueError:
+        pass
+    raise FormatError("bad rational %r" % tok)
+
+
+def parse_rational(tok: str) -> Fraction:
+    return Fraction(*_ratio(tok))
 
 
 def _parse_int(tok: str) -> int:
@@ -106,39 +115,26 @@ def _line(name: str, values: Iterable[Fraction]) -> str:
     return " ".join([name, *map(format_rational, values)])
 
 
-def _point(rec: List[str], d: Optional[int]) -> List[str]:
-    """The coordinate tokens of a "p" record of a points or cover file."""
-    if d is None or len(rec) != d + 1:
-        raise FormatError("point record before dim or wrong arity")
+def _row(rec: List[str], width: Optional[int], name: str = "point") -> List[str]:
+    """The tokens of a "p" or "cube" record, width of them; no width, no dim yet."""
+    if width is None or len(rec) != width + 1:
+        raise FormatError("%s record before dim or wrong arity" % name)
     return rec[1:]
 
 
-def _point_set(toks: List[str], d: int) -> PointSet:
-    """The points of the "p" records' tokens, d to a point; the first bad
-    token raises what parse_rational would."""
-    if not toks:
-        return PointSet(1, ())
-    nums, dens = [], []
-    for tok in toks:
-        num, slash, den = tok.partition("/")
-        nums.append(num)
-        dens.append(den if slash else "1")
-    try:
-        nums, dens = list(map(int, nums)), list(map(int, dens))
-    except ValueError:
-        dens = [0]
-    if 0 in dens:
-        list(map(parse_rational, toks))  # raises the first bad token's error
+def _rows(cls, ratios: Sequence[Tuple[int, int]], width: int):
+    """The (numerator, denominator) pairs, width to a row, as the rows of
+    a cls (PointSet or CubeSet) over their least common denominator."""
+    nums, dens = zip(*ratios) if ratios else ((), ())
     den = math.lcm(*map(abs, set(dens)))
     scaled = [a * (den // q) for a, q in zip(nums, dens)]  # den // q has the sign of q
-    return PointSet.over(den, [scaled[axis::d] for axis in range(d)])
+    return cls.over(den, [scaled[axis::width] for axis in range(width)])
 
 
-def _point_lines(points: Sequence[Sequence[Fraction]]) -> List[str]:
-    """The "p" records of the points."""
-    ps = PointSet.of(points)
-    texts = [[_ratio_text(a, ps.den) for a in col] for col in ps.cols]
-    return [" ".join(("p",) + row) for row in zip(*texts)]
+def _row_lines(name: str, rows: PointSet) -> List[str]:
+    """The "<name>" records of the rows of a PointSet or CubeSet."""
+    texts = [[_ratio_text(a, rows.den) for a in col] for col in rows.cols]
+    return [" ".join((name,) + row) for row in zip(*texts)]
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -199,27 +195,24 @@ def load_system(stream: TextIO) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
 
 
 def dump_points(points: Sequence[Sequence[Fraction]], d: int) -> str:
-    return "\n".join([_header("points"), "dim %d" % d, *_point_lines(points)]) + "\n"
+    lines = [_header("points"), "dim %d" % d, *_row_lines("p", PointSet.of(points))]
+    return "\n".join(lines) + "\n"
 
 
 def load_points(stream: TextIO) -> Tuple[PointSet, int]:
     d = None
-    toks: List[str] = []
-    try:
-        for rec in _records(stream, "points"):
-            if rec[0] == "dim":
-                _once(rec, d)
-                d = _int_record(rec)
-            elif rec[0] == "p":
-                toks += _point(rec, d)
-            else:
-                raise FormatError("bad points record %r" % " ".join(rec))
-    except ValueError:
-        _point_set(toks, d)  # a bad token before the fault comes first
-        raise
+    ratios: List[Tuple[int, int]] = []
+    for rec in _records(stream, "points"):
+        if rec[0] == "dim":
+            _once(rec, d)
+            d = _int_record(rec)
+        elif rec[0] == "p":
+            ratios += map(_ratio, _row(rec, d))
+        else:
+            raise FormatError("bad points record %r" % " ".join(rec))
     if d is None:
         raise FormatError("missing dim record")
-    return _point_set(toks, d), d
+    return _rows(PointSet, ratios, d), d
 
 
 # -- flat bundles ------------------------------------------------------------------
@@ -270,8 +263,8 @@ def dump_cover(
     out = [_header("cover"), "dim %d" % d, "kappa %d" % kappa, "r %d" % r]
     amap = result.axis_map
     out.append(" ".join(["axismap", *map(str, (*amap.perm, *amap.signs))]))
-    out.extend(_point_lines(points))
-    out.extend(_line("cube", c.corner + (c.side,)) for c in result.K)
+    out.extend(_row_lines("p", PointSet.of(points)))
+    out.extend(_row_lines("cube", CubeSet.of(result.K)))
     return "\n".join(out) + "\n"
 
 
@@ -287,8 +280,8 @@ class CoverFile:
 def load_cover(stream: TextIO) -> CoverFile:
     head: Dict[str, Optional[int]] = dict.fromkeys(("dim", "kappa", "r"))
     amap: Optional[SignedPermutation] = None
-    toks: List[str] = []
-    cubes: List[FreeCube] = []
+    toks: List[str] = []  # the "p" records' tokens, parsed after the completeness check
+    ratios: List[Tuple[int, int]] = []  # the "cube" records' rationals
     try:
         for rec in _records(stream, "cover"):
             d = head["dim"]
@@ -305,21 +298,21 @@ def load_cover(stream: TextIO) -> CoverFile:
                     raise FormatError("axismap is not a signed permutation")
                 amap = SignedPermutation(perm, signs)
             elif rec[0] == "p":
-                toks += _point(rec, d)
+                toks += _row(rec, d)
             elif rec[0] == "cube":
-                if d is None or len(rec) != d + 2:
-                    raise FormatError("cube record before dim or wrong arity")
-                vals = [parse_rational(t) for t in rec[1:]]
-                cubes.append(FreeCube(tuple(vals[:-1]), vals[-1]))
+                ratios += map(_ratio, _row(rec, d and d + 1, "cube"))
+                if ratios[-1][0] * ratios[-1][1] <= 0:
+                    raise InvalidParams("cube side must be positive")
             else:
                 raise FormatError("bad cover record %r" % " ".join(rec))
     except ValueError:
-        _point_set(toks, head["dim"])  # a bad token before the fault comes first
+        list(map(_ratio, toks))  # a bad token before the fault comes first
         raise
     if None in head.values() or amap is None:
         raise FormatError("incomplete cover file")
-    pts = _point_set(toks, head["dim"])
-    return CoverFile(pts, CoverResult(cubes, amap, CoverStats()), *head.values())
+    pts = _rows(PointSet, list(map(_ratio, toks)), head["dim"])
+    K = _rows(CubeSet, ratios, head["dim"] + 1)
+    return CoverFile(pts, CoverResult(K, amap, CoverStats()), *head.values())
 
 
 # -- regions ------------------------------------------------------------------------

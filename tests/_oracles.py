@@ -14,6 +14,7 @@ tau (the identification of C^2 with R^4, on points and on lines) and
 the image of a system under a linear map.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -28,6 +29,11 @@ from stlab.exact import ComplexPoint, Flat2, GaussianRational, GeometryError, RV
 from stlab.regions import crossing_points
 
 F = Fraction
+
+
+def box(q):
+    """The closed intervals of the cube q per axis, in Fractions."""
+    return tuple((c, c + q.side) for c in q.corner)
 
 
 def shift_cube(q):
@@ -154,9 +160,9 @@ def oracle_shift_graph(cubes, kappa):
         for j, q2 in enumerate(cubes):
             if i == j:
                 continue
-            a = shift_cube(oracle_bott(q1, kappa)).box()
-            bb = oracle_bott(q1, kappa).box()
-            s2 = shift_cube(q2).box()
+            a = box(shift_cube(oracle_bott(q1, kappa)))
+            bb = box(oracle_bott(q1, kappa))
+            s2 = box(shift_cube(q2))
             inter = tuple(
                 (max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, s2)
             )
@@ -167,21 +173,21 @@ def oracle_shift_graph(cubes, kappa):
             base = []
             ok = True
             for ax in range(1, len(a)):
-                lo = max(bb[ax][0], q2.box()[ax][0])
-                hi = min(bb[ax][1], q2.box()[ax][1])
+                lo = max(bb[ax][0], box(q2)[ax][0])
+                hi = min(bb[ax][1], box(q2)[ax][1])
                 if lo > hi:
                     ok = False
                     break
                 base.append((lo, hi))
             if not ok:
                 continue
-            seg_lo = min(bb[0][0], q2.box()[0][1])
-            seg_hi = max(bb[0][0], q2.box()[0][1])
+            seg_lo = min(bb[0][0], box(q2)[0][1])
+            seg_hi = max(bb[0][0], box(q2)[0][1])
             blockers = []
             for t, c in enumerate(cubes):
                 if t in (i, j):
                     continue
-                cb = c.box()
+                cb = box(c)
                 if cb[0][1] < seg_lo or cb[0][0] > seg_hi:
                     continue
                 lat = [cb[ax] for ax in range(1, len(cb))]
@@ -201,7 +207,7 @@ def random_disjoint_cubes(rng, d, count, tries=400):
         side = F(rng.randint(1, 6), rng.randint(1, 3))
         corner = tuple(F(rng.randint(-12, 12), 2) for _ in range(d))
         cand = FreeCube(corner, side)
-        if all(not boxes_overlap_interior(cand.box(), c.box()) for c in cubes):
+        if all(not boxes_overlap_interior(box(cand), box(c)) for c in cubes):
             cubes.append(cand)
     return cubes
 
@@ -231,7 +237,7 @@ def random_mixed_cubes(rng, d, count, kappa, tries=400):
             den = rng.choice(MIXED_DENOMINATORS)
             side = F(rng.randint(1, 6 * den), rng.choice(MIXED_DENOMINATORS))
             cand = FreeCube(tuple(F(rng.randint(-12 * den, 12 * den), den) for _ in range(d)), side)
-        if all(not boxes_overlap_interior(cand.box(), c.box()) for c in cubes):
+        if all(not boxes_overlap_interior(box(cand), box(c)) for c in cubes):
             cubes.append(cand)
     return cubes
 
@@ -284,16 +290,33 @@ def clustered_cover_input(seed):
     return pts, d, kappa, r
 
 
+def _union_size(boxes):
+    """The number of points in the union of product sets, each a list of
+    per-axis sets: per value on the first axis, the union of the rest of
+    the sets that hold it, with the values grouped by those sets."""
+    if not boxes[0]:
+        return 1
+    values = set().union(*(b[0] for b in boxes))
+    holders = collections.Counter(tuple(i for i, b in enumerate(boxes) if x in b[0]) for x in values)
+    return sum(k * _union_size([boxes[i][1:] for i in ids]) for ids, k in holders.items())
+
+
 def random_clustered_points(rng, d, n):
     """n distinct points in one to three clusters.  A cluster centre has
     coordinates up to 10^400 in size over 1, 3 or 7; its points sit up
     to 20 steps of 1/(q e) away on each axis, q in 1, 10^3, 10^9 per
-    cluster and e in 1, 2, 3, 7 per point, so denominators mix."""
+    cluster and e in 1, 2, 3, 7 per point, so denominators mix.  Raises
+    ValueError when the clusters hold fewer than n distinct points."""
     clusters = []
     for _ in range(rng.randint(1, 3)):
         e = rng.choice((0, 3, 17, 400))
         centre = tuple(F(rng.randint(-(10**e), 10**e), rng.choice((1, 3, 7))) for _ in range(d))
         clusters.append((centre, rng.choice((1, 10**3, 10**9))))
+    if n > 41**d:  # a cluster holds 41^d points of step 1/q on its own
+        grids = [[{x + F(j, q * e) for j in range(-20, 21)} for x in centre]
+                 for centre, q in clusters for e in (1, 2, 3, 7)]
+        if n > _union_size(grids):
+            raise ValueError("the clusters hold fewer than %d distinct points" % n)
     pts, seen = [], set()
     while len(pts) < n:
         centre, q = rng.choice(clusters)

@@ -44,6 +44,7 @@ from _oracles import (
     IN_DEGREE_TWO_POINTS,
     KNOWN_DEFECT_WITNESSES,
     apply_point,
+    box,
     clustered_cover_input,
     oracle_bott,
     oracle_separating_scale,
@@ -80,7 +81,7 @@ def test_grid_boxes_examples():
     assert grid.scale == 10 * 5 * 504
     for k, c in enumerate(cubes):
         b = oracle_bott(c, 2)
-        want = (c.box(), b.box(), shift_cube(b).box(), shift_cube(c).box())
+        want = (box(c), box(b), box(shift_cube(b)), box(shift_cube(c)))
         got = (grid.boxes[k], grid.botts[k], grid.shifted_botts[k], grid.shifts[k])
         for w, g in zip(want, got):
             assert tuple((F(lo, grid.scale), F(hi, grid.scale)) for lo, hi in g) == w
@@ -138,7 +139,7 @@ def test_result_maps_selected_boxes_through_the_axis_map():
     for box, _ in run.selected[::2]:
         image = amap.apply_box(tuple((F(lo, 5), F(hi, 5)) for lo, hi in box))
         want.append(FreeCube(tuple(lo for lo, _ in image), image[0][1] - image[0][0]))
-    assert res.K == want and res.K[0] == FreeCube((F(-5), F(0)), F(3))
+    assert list(res.K) == want and res.K[0] == FreeCube((F(-5), F(0)), F(3))
 
 
 def test_normalize_points():
@@ -250,6 +251,23 @@ def test_normalize_points_least_scale_matches_oracle(seed, d):
     twin = tuple(int(x) if x.denominator == 1 else x for x in rng.choice(pts))
     with pytest.raises(DuplicatePoints):
         normalize_points(pts + [twin])
+
+
+def test_random_clustered_points_runs_out():
+    # on a line a cluster holds 125 distinct points, so 200 points need
+    # two clusters that do not coincide; the draw fails cleanly otherwise
+    outcomes = []
+    for seed in range(12):
+        try:
+            pts = random_clustered_points(random.Random(seed), 1, 200)
+        except ValueError:
+            outcomes.append(False)
+        else:
+            assert len(set(pts)) == 200
+            outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)
+    with pytest.raises(ValueError):
+        random_clustered_points(random.Random(0), 1, 376)  # three clusters hold 375
 
 
 def test_covering_high_dimension_is_fast():
@@ -426,7 +444,7 @@ def test_two_point_cluster_d1():
     for cube in res.K:
         inside = sum(
             1 for p in norm if point_in_box_closed(
-                tuple(apply_point(res.axis_map, p)), oracle_bott(cube, 1).box())
+                tuple(apply_point(res.axis_map, p)), box(oracle_bott(cube, 1)))
         )
         assert inside >= 1
 
@@ -450,7 +468,7 @@ def test_covering_r_exceeding_n():
     rep = verify_cover(norm, res, 1, 100)
     assert not rep.precondition_met
     assert rep.count_ok  # vacuous, reported as precondition unmet
-    assert res.K == []
+    assert list(res.K) == []
 
 
 def _cover_digest(res):
@@ -756,7 +774,7 @@ def test_verify_cover_bott_failures_match_brute_force():
         ][1:]
         for amap in maps:
             cubes = random_mixed_cubes(rng, d, 6, 2)
-            botts = [oracle_bott(c, 2).box() for c in cubes]
+            botts = [box(oracle_bott(c, 2)) for c in cubes]
             back = amap.inverse()
             pts = set()
             for b in botts:

@@ -16,10 +16,19 @@ from fractions import Fraction as F
 import pytest
 
 from stlab import fileio
-from stlab.covering import CoverResult, CoverStats, SignedPermutation, build_shift_graph, verify_cover
+from stlab.covering import (
+    CoverResult,
+    CoverStats,
+    FreeCube,
+    SignedPermutation,
+    build_shift_graph,
+    normalize_points,
+    run_covering,
+    verify_cover,
+)
 from stlab.regions import CombineDetail, FlatBundle, canonical_flat, combine
 
-from _oracles import apply_point, oracle_bott, random_mixed_cubes
+from _oracles import apply_point, clustered_cover_input, oracle_bott, random_mixed_cubes
 from test_fileio_pins import COVER
 
 
@@ -111,3 +120,28 @@ def test_combine_detail_pinned():
     assert dataclasses.asdict(detail) == {
         "cover_k": 4, "kept": 4, "out_degree0": 3, "out_degree1": 1, "waived_precondition": True}
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f764e0050b3db4bc"
+
+
+def test_no_free_cube_between_the_run_and_the_text(monkeypatch):
+    # the run, its prune, the text layer, the checks and combine read the
+    # CubeSet's int rows; a FreeCube is made only at the public edge
+    pts, d, kappa, r = clustered_cover_input(16)  # the prune drops a cube here
+    norm, _ = normalize_points(pts)
+    mixed = mixed_cover_text(5, 3, 2)
+    anchors = stacked_clusters(1)
+    bundle = FlatBundle(anchors, [[canonical_flat(a, 0)] for a in anchors],
+                        [[canonical_flat(a, 1)] for a in anchors])
+
+    def refuse(cube):
+        raise AssertionError("a FreeCube was built")
+
+    monkeypatch.setattr(FreeCube, "__post_init__", refuse)
+    res = run_covering(norm, d, kappa, r)
+    assert res.stats.dropped == 1
+    cf = fileio.load_cover(io.StringIO(fileio.dump_cover(norm, res, d, kappa, r)))
+    assert cf.result.K == res.K
+    assert verify_cover(cf.points, cf.result, kappa, r).all_ok
+    cf = fileio.load_cover(io.StringIO(mixed))
+    assert len(build_shift_graph(cf.result.K, cf.kappa).edges) == 8
+    assert verify_cover(cf.points, cf.result, cf.kappa, cf.r).bott_failures == [0, 2, 4, 6]
+    assert len(combine(anchors, bundle, 1)) == 4

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from _oracles import oracle_cover_gap, oracle_mobius, oracle_principal_angles
 
 from stlab.directions import (
-    DIR_I,
     DIR_INF,
     DIR_ONE,
     DIR_ZERO,
@@ -34,6 +33,7 @@ from stlab.directions import (
 from stlab.exact import GaussianRational, GeometryError
 
 GR = GaussianRational
+DIR_I = Direction.finite(GR(0, 1))
 
 
 def fin(re, im=0):

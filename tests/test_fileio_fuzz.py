@@ -64,7 +64,7 @@ def test_cover_roundtrip_exact(case):
     pts, result, d, kappa, r = case
     cf = fileio.load_cover(io.StringIO(fileio.dump_cover(pts, result, d, kappa, r)))
     assert (list(cf.points), cf.d, cf.kappa, cf.r) == (pts, d, kappa, r)
-    assert cf.result.K == result.K and cf.result.axis_map == result.axis_map
+    assert list(cf.result.K) == result.K and cf.result.axis_map == result.axis_map
 
 
 def flat_fields(families):

@@ -77,8 +77,6 @@ UNCALLED = {
     "diagnostics.is_gamma_point": "the per-point gamma predicate; unit tests only",
     "diagnostics.refine_step": "the refinement round, a step of the paper; unit tests only",
     "diagnostics.SparseInvariant.initial": "starts the refinement round's invariant",
-    "directions.DIR_I": "the direction i, named beside DIR_ZERO, DIR_ONE and DIR_INF",
-    "covering.FreeCube.box": "a cube's intervals as Fractions, which the test oracles read",
     "fileio.dump_points": "writer of the points format, for round-trip tests",
     "regions.FlatBundle.check_alignment": "the 10-degree hypothesis of combine, not yet reported",
 }

@@ -33,7 +33,7 @@ from stlab.regions import (
     verify_regions,
 )
 
-from _oracles import apply_point, count_crossings, shift_cube
+from _oracles import apply_point, box, count_crossings, shift_cube
 
 F = Fraction
 
@@ -387,8 +387,8 @@ def test_clip_shift_property_on_lateral_cells():
     for _ in range(200):
         q1 = FreeCube(tuple(F(rng.randint(-8, 8), 4) for _ in range(4)), F(rng.randint(4, 12), 4))
         q2 = FreeCube(tuple(F(rng.randint(-8, 12), 4) for _ in range(4)), F(rng.randint(1, 12), 4))
-        shifted = on_grid(shift_cube(q1).box())
-        lat_q1, lat_q2 = on_grid(q1.box()[1:]), on_grid(q2.box()[1:])
+        shifted = on_grid(box(shift_cube(q1)))
+        lat_q1, lat_q2 = on_grid(box(q1)[1:]), on_grid(box(q2)[1:])
         for cell in _face_cells(lat_q1, lat_q2):
             if boxes_overlap_interior(cell, lat_q2):
                 continue
