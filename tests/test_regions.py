@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -216,6 +217,65 @@ def test_verify_regions_catches_overlap():
     a3 = RegionAssignment(Region((tuple((F(10), F(12)) for _ in range(4)),)), (1,))
     rep2 = verify_regions([a3], bundle, 1)
     assert rep2.checks[0].pair_failures == []
+
+
+# Anchors P, Q and a one-box region around both.  The first mixed family
+# of the pair, family1[P] against family2[Q], crosses at X; the second,
+# family1[Q] against family2[P], at its antipode Y about the midpoint.
+# Each box keeps P and Q inside and lets in X, Y or neither; a margin of
+# 1/10 shrinks the box by 2/5, which moves X and Y out of every box.
+P, Q = (F(0),) * 4, (F(2), F(0), F(0), F(0))
+X, Y = (F(2, 3), F(0), F(-2, 3), F(2, 3)), (F(4, 3), F(0), F(2, 3), F(-2, 3))
+ONLY_FIRST = ((-1, 3), (-1, 1), (-1, F(1, 2)), (F(-1, 2), 1))
+ONLY_SECOND = ((-1, 3), (-1, 1), (F(-1, 2), 1), (-1, F(1, 2)))
+NEITHER = ((-1, 3), (-1, 1), (F(-1, 2), F(1, 2)), (-1, 1))
+
+
+def _report(failures, overlap_witness=None, r=2):
+    """The asdict of a RegionsReport whose regions all hold their anchors."""
+    checks = [
+        {"region_index": k, "size_ok": True, "outside_anchor": None,
+         "pair_failures": fails, "repeated_anchor": None}
+        for k, fails in enumerate(failures)
+    ]
+    return {"disjoint_ok": overlap_witness is None, "overlap_witness": overlap_witness,
+            "checks": checks, "r": r}
+
+
+@pytest.mark.parametrize(
+    "box, margin, failures",
+    [
+        (ONLY_FIRST, F(0), []),
+        (ONLY_FIRST, F(1, 10), [(0, 1)]),
+        (ONLY_SECOND, F(0), []),
+        (ONLY_SECOND, F(1, 10), [(0, 1)]),
+        (NEITHER, F(0), [(0, 1)]),
+        (NEITHER, F(1, 10), [(0, 1)]),
+    ],
+    ids=["first", "first-margin", "second", "second-margin", "neither", "neither-margin"],
+)
+def test_verify_regions_pair_report_pinned(box, margin, failures):
+    bundle = exact_bundle([P, Q])
+    assert flat_intersect(bundle.family1[0][0], bundle.family2[1][0]).point.as_tuple() == X
+    assert flat_intersect(bundle.family1[1][0], bundle.family2[0][0]).point.as_tuple() == Y
+    region = Region((tuple((F(lo), F(hi)) for lo, hi in box),))
+    inside = {z for z in (X, Y) if region.contains_interior(z)}
+    assert inside == {ONLY_FIRST: {X}, ONLY_SECOND: {Y}, NEITHER: set()}[box]
+    rep = verify_regions([RegionAssignment(region, (0, 1))], bundle, 2, margin)
+    assert dataclasses.asdict(rep) == _report([failures])
+
+
+def test_verify_regions_first_overlap_pinned():
+    # regions 0 and 3 overlap, and so do 1 and 2: the witness is the
+    # first overlapping pair (i, j) in row order, i < j
+    spans = [(0, 2), (4, 6), (5, 7), (1, 3)]
+    asg = [
+        RegionAssignment(Region((((F(lo), F(hi)),) + ((F(0), F(2)),) * 3,)), (k,))
+        for k, (lo, hi) in enumerate(spans)
+    ]
+    bundle = exact_bundle([(F(lo + hi, 2),) + (F(1),) * 3 for lo, hi in spans])
+    rep = verify_regions(asg, bundle, 1)
+    assert dataclasses.asdict(rep) == _report([[]] * 4, overlap_witness=(0, 3), r=1)
 
 
 def test_region_membership_and_margin():
