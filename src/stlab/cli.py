@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
     stdin = ["--" + f for f in ("cover", "regions", "bundle", "system") if getattr(args, f) == "-"]
     if len(stdin) > 1:
         raise fileio.FormatError("%s cannot both read stdin" % " and ".join(stdin))
-    margin = _number(args.margin, "--margin", (Fraction,)).limit_denominator(10**12)
+    margin = _number(args.margin, "--margin", (Fraction,))
     failures = 0
     if args.cover:
         cf = _load(args.cover, fileio.load_cover)

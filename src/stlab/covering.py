@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .exact import Rational, _frac
+from .exact import Rational, _frac, _int_columns
 
 Point = Tuple[Fraction, ...]
 IntBox = Tuple[Tuple[int, int], ...]  # per-axis closed [lo, hi] on an integer grid
@@ -105,9 +105,9 @@ class PointSet(Sequence[Point]):
             if len(dims := {len(p) for p in points}) > 1 or 0 in dims:
                 msg = "point dimension mismatch" if d else "points need one dimension d >= 1"
                 raise InvalidParams(msg)
-            den = math.lcm(*{x.denominator for p in points for x in p})
-            cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*points)]
-            points = cls.over(den, cols)
+            coords = [x for p in points for x in p]
+            nums, dens = [x.numerator for x in coords], [x.denominator for x in coords]
+            points = cls.over(*_int_columns(nums, dens, dims.pop() if dims else 0))
         if d is not None and len(points.cols) not in (0, d):
             raise InvalidParams("point dimension mismatch")
         return points

@@ -7,10 +7,15 @@ real 4-space with their exact intersection.
 Every predicate here is exact: coordinates are Fractions and nothing in
 this module touches floating point.  Incidence is an equality test, so
 rounding anywhere would silently corrupt downstream counts.
+
+The one codec from rationals to ints, ``_int_columns``, lives here too:
+point sets, cube sets, the text loaders and the incidence engines all
+put their coordinates over one common denominator through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -38,6 +43,17 @@ def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected int or Fraction, got %s" % type(x).__name__)
+
+
+def _int_columns(
+    nums: Sequence[int], dens: Sequence[int], width: int
+) -> Tuple[int, List[List[int]]]:
+    """The lcm L of the nonzero denominators dens, which may be negative,
+    and the rationals nums[k] / dens[k], width to a row, as width int
+    columns of their multiples by L.  No rationals give L = 1."""
+    L = math.lcm(*set(dens))  # math.lcm is never negative
+    scaled = [a * (L // q) for a, q in zip(nums, dens)]  # L // q has the sign of q
+    return L, [scaled[axis::width] for axis in range(width)]
 
 
 @dataclass(frozen=True)

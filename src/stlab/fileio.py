@@ -10,9 +10,11 @@ with kind one of system, points, bundle, cover, regions.  One reader,
 ``_records``, checks that header and yields the records; ``_line``
 prints every record of rationals but "p" and "cube", the rows of a
 covering.PointSet or CubeSet, which one row codec reads and writes as
-int columns with no Fraction per coordinate.  Files are written
-atomically (temp file then rename) with the mode a plain open would
-give them.
+int columns with no Fraction per coordinate, put over one denominator
+by ``exact._int_columns``.  Loaders parse each token in its record's
+turn, so the first fault in file order decides the message.  Files are
+written atomically (temp file then rename) with the mode a plain open
+would give them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .covering import CoverResult, CoverStats, CubeSet, InvalidParams, PointSet, SignedPermutation
-from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4
+from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4, _int_columns
 from .regions import FlatBundle, Region, RegionAssignment
 
 FORMAT_VERSION = 1
@@ -126,9 +128,7 @@ def _rows(cls, ratios: Sequence[Tuple[int, int]], width: int):
     """The (numerator, denominator) pairs, width to a row, as the rows of
     a cls (PointSet or CubeSet) over their least common denominator."""
     nums, dens = zip(*ratios) if ratios else ((), ())
-    den = math.lcm(*map(abs, set(dens)))
-    scaled = [a * (den // q) for a, q in zip(nums, dens)]  # den // q has the sign of q
-    return cls.over(den, [scaled[axis::width] for axis in range(width)])
+    return cls.over(*_int_columns(nums, dens, width))
 
 
 def _row_lines(name: str, rows: PointSet) -> List[str]:
@@ -280,38 +280,34 @@ class CoverFile:
 def load_cover(stream: TextIO) -> CoverFile:
     head: Dict[str, Optional[int]] = dict.fromkeys(("dim", "kappa", "r"))
     amap: Optional[SignedPermutation] = None
-    toks: List[str] = []  # the "p" records' tokens, parsed after the completeness check
-    ratios: List[Tuple[int, int]] = []  # the "cube" records' rationals
-    try:
-        for rec in _records(stream, "cover"):
-            d = head["dim"]
-            if rec[0] in head:
-                _once(rec, head[rec[0]])
-                head[rec[0]] = _int_record(rec)
-            elif rec[0] == "axismap":
-                _once(rec, amap)
-                if d is None or len(rec) != 2 * d + 1:
-                    raise FormatError("axismap before dim or wrong arity")
-                perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
-                signs = tuple(_parse_int(t) for t in rec[d + 1 :])
-                if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
-                    raise FormatError("axismap is not a signed permutation")
-                amap = SignedPermutation(perm, signs)
-            elif rec[0] == "p":
-                toks += _row(rec, d)
-            elif rec[0] == "cube":
-                ratios += map(_ratio, _row(rec, d and d + 1, "cube"))
-                if ratios[-1][0] * ratios[-1][1] <= 0:
-                    raise InvalidParams("cube side must be positive")
-            else:
-                raise FormatError("bad cover record %r" % " ".join(rec))
-    except ValueError:
-        list(map(_ratio, toks))  # a bad token before the fault comes first
-        raise
+    points: List[Tuple[int, int]] = []  # the "p" records' rationals
+    cubes: List[Tuple[int, int]] = []  # the "cube" records' rationals
+    for rec in _records(stream, "cover"):
+        d = head["dim"]
+        if rec[0] in head:
+            _once(rec, head[rec[0]])
+            head[rec[0]] = _int_record(rec)
+        elif rec[0] == "axismap":
+            _once(rec, amap)
+            if d is None or len(rec) != 2 * d + 1:
+                raise FormatError("axismap before dim or wrong arity")
+            perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
+            signs = tuple(_parse_int(t) for t in rec[d + 1 :])
+            if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
+                raise FormatError("axismap is not a signed permutation")
+            amap = SignedPermutation(perm, signs)
+        elif rec[0] == "p":
+            points += map(_ratio, _row(rec, d))
+        elif rec[0] == "cube":
+            cubes += map(_ratio, _row(rec, d and d + 1, "cube"))
+            if cubes[-1][0] * cubes[-1][1] <= 0:
+                raise InvalidParams("cube side must be positive")
+        else:
+            raise FormatError("bad cover record %r" % " ".join(rec))
     if None in head.values() or amap is None:
         raise FormatError("incomplete cover file")
-    pts = _rows(PointSet, list(map(_ratio, toks)), head["dim"])
-    K = _rows(CubeSet, ratios, head["dim"] + 1)
+    pts = _rows(PointSet, points, head["dim"])
+    K = _rows(CubeSet, cubes, head["dim"] + 1)
     return CoverFile(pts, CoverResult(K, amap, CoverStats()), *head.values())
 
 

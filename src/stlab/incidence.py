@@ -1,8 +1,9 @@
 """Exact incidence counting and the counting applications built on it.
 
 Every incidence route runs on one exact integer form (``_scaled``):
-points become Gaussian integers over one common denominator L, and
-each line becomes an integer slope key and an integer intercept, so the
+points become Gaussian integers over one common denominator L (by
+``exact._int_columns``, the codec of the point sets too), and each
+line becomes an integer slope key and an integer intercept, so the
 predicate is a pure-int equality.  Over that form the engine keeps two
 routes to the same number: the full point-by-line sweep
 ``count_naive``, and ``incident_lines``, which groups lines by slope
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .exact import ComplexLine, ComplexPoint, GaussianRational, GeometryError
+from .exact import ComplexLine, ComplexPoint, GaussianRational, GeometryError, _int_columns
 
 
 class DuplicateInput(GeometryError):
@@ -76,19 +77,9 @@ _RichRow = Tuple[int, _SlopeKey, int, int, int]  # (i, key, count, br, bi)
 
 def _scaled_points(points: Sequence[ComplexPoint]) -> Tuple[List[_Scaled], int]:
     """The points as Gaussian integers over their common denominator L."""
-    L = math.lcm(
-        *{f.denominator for p in points for f in (p.z1.re, p.z1.im, p.z2.re, p.z2.im)}
-    )
-    pts = [
-        (
-            p.z1.re.numerator * (L // p.z1.re.denominator),
-            p.z1.im.numerator * (L // p.z1.im.denominator),
-            p.z2.re.numerator * (L // p.z2.re.denominator),
-            p.z2.im.numerator * (L // p.z2.im.denominator),
-        )
-        for p in points
-    ]
-    return pts, L
+    coords = [f for p in points for f in (p.z1.re, p.z1.im, p.z2.re, p.z2.im)]
+    L, cols = _int_columns([f.numerator for f in coords], [f.denominator for f in coords], 4)
+    return list(zip(*cols)), L
 
 
 def _scaled(

@@ -247,8 +247,8 @@ def combine(
             pool = best_ids
             n1 += 1
         region = Region(tuple(map(to_anchors, boxes)))
-        interior = [i for i in pool if region.contains_interior(pts[i])]
-        chosen = (interior if len(interior) >= r else pool)[:r]
+        interior = list(itertools.islice((i for i in pool if region.contains_interior(pts[i])), r))
+        chosen = interior if len(interior) == r else pool[:r]
         assignments.append(RegionAssignment(region, tuple(chosen)))
 
     if detail is not None:
@@ -322,14 +322,8 @@ def verify_regions(
         for i in asg.point_ids:
             if not 0 <= i < n:
                 raise GeometryError("region %d names anchor %d of %d" % (idx, i, n))
-    overlap_witness = None
-    for i in range(len(assignments)):
-        for j in range(i + 1, len(assignments)):
-            if assignments[i].region.overlaps(assignments[j].region):
-                overlap_witness = (i, j)
-                break
-        if overlap_witness:
-            break
+    pairs = itertools.combinations(enumerate(assignments), 2)
+    overlap_witness = next(((i, j) for (i, a), (j, b) in pairs if a.region.overlaps(b.region)), None)
 
     checks: List[RegionCheck] = []
     for idx, asg in enumerate(assignments):
@@ -342,19 +336,11 @@ def verify_regions(
             outside_anchor=next((i for i in ids if not inside(bundle.anchors[i], margin)), None),
             repeated_anchor=repeated,
         )
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                p, q = ids[a], ids[b]
-                fam_a = crossing_points(bundle.family1[p], bundle.family2[q])
-                fam_b = crossing_points(bundle.family1[q], bundle.family2[p])
-                ok_a = all(
-                    asg.region.contains_interior(z.as_tuple(), margin) for z in fam_a
-                )
-                ok_b = all(
-                    asg.region.contains_interior(z.as_tuple(), margin) for z in fam_b
-                )
-                if not (ok_a or ok_b):
-                    chk.pair_failures.append((p, q))
+        for p, q in itertools.combinations(ids, 2):
+            # the second mixed family is built only when the first has a crossing outside
+            mixed = (crossing_points(bundle.family1[s], bundle.family2[t]) for s, t in ((p, q), (q, p)))
+            if not any(all(inside(z.as_tuple(), margin) for z in fam) for fam in mixed):
+                chk.pair_failures.append((p, q))
         checks.append(chk)
     return RegionsReport(
         disjoint_ok=overlap_witness is None,

@@ -14,6 +14,7 @@ from stlab.exact import (
     FlatMeet,
     GaussianRational,
     RVector4,
+    _int_columns,
     flat_intersect,
     incident,
     line_through,
@@ -165,3 +166,10 @@ def test_gaussian_field_ops():
     assert z.conjugate().conjugate() == z
     assert z.abs2() == Fraction(9, 16) + Fraction(4, 25)
     assert (z * w).abs2() == z.abs2() * w.abs2()
+
+
+def test_int_columns_codec():
+    # no rationals: L = 1 and width empty columns
+    assert _int_columns([], [], 3) == (1, [[], [], []])
+    # 1/-2, -3/-4, 0/-5 and 5/6, two to a row, over L = lcm(2, 4, 5, 6) = 60
+    assert _int_columns([1, -3, 0, 5], [-2, -4, -5, 6], 2) == (60, [[-30, 0], [45, 50]])

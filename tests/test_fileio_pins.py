@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from stlab import fileio
-from stlab.covering import CoverResult, CoverStats, FreeCube, SignedPermutation
+from stlab.covering import CoverResult, CoverStats, CubeSet, FreeCube, PointSet, SignedPermutation
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational as GR
 from stlab.regions import FlatBundle, Region, RegionAssignment
 
@@ -139,11 +139,29 @@ TWO_FAULTS = [
     (COVER_HEAD + "cube 0 x 1\np 1/0 1\n", "bad rational 'x'"),
     (COVER_HEAD + "p 1/0 1\ncube 0 x 1\n", "bad rational '1/0'"),
     (COVER_HEAD + "cube 0 x 1\nbox 0 1\n", "bad rational 'x'"),
+    # a bad point token comes before the end of a file with no axismap
+    ("stlab cover 1\ndim 2\nkappa 1\nr 1\np x 1\n", "bad rational 'x'"),
 ]
 
 
-@pytest.mark.parametrize("text,message", TWO_FAULTS, ids=["cube-p", "p-cube", "cube-record"])
+@pytest.mark.parametrize(
+    "text,message", TWO_FAULTS, ids=["cube-p", "p-cube", "cube-record", "p-incomplete"]
+)
 def test_cover_first_fault_pinned(text, message):
     with pytest.raises(fileio.FormatError) as info:
         fileio.load_cover(io.StringIO(text))
     assert type(info.value) is fileio.FormatError and str(info.value) == message
+
+
+def test_negative_denominator_tokens_load_canonical():
+    # a token's sign may sit on its denominator; the sets loaded are those
+    # of the Fractions, and they are written back in canonical form
+    rows = "p 1/-2 -3/-4 0/-5\np -1/-6 5 7/-3\n"
+    pts = PointSet.of([(F(-1, 2), F(3, 4), F(0)), (F(1, 6), F(5), F(-7, 3))])
+    loaded, d = fileio.load_points(io.StringIO("stlab points 1\ndim 3\n" + rows))
+    assert (loaded, d) == (pts, 3)
+    assert fileio.dump_points(loaded, 3) == "stlab points 1\ndim 3\np -1/2 3/4 0\np 1/6 5 -7/3\n"
+    head = "stlab cover 1\ndim 3\nkappa 1\nr 1\naxismap 0 1 2 1 1 1\n"
+    cover = fileio.load_cover(io.StringIO(head + rows + "cube 1/-2 -3/-4 0/-5 -1/-4\n"))
+    assert cover.points == pts
+    assert cover.result.K == CubeSet.of([FreeCube((F(-1, 2), F(3, 4), F(0)), F(1, 4))])

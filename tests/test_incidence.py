@@ -16,6 +16,7 @@ from stlab.incidence import (
     ZeroElement,
     _exceeds_st_bound,
     _scaled,
+    _scaled_points,
     beck_stats,
     check_rich_bound,
     count_incidences,
@@ -49,6 +50,17 @@ def oracle_pair_lines(points):
     for l in lines:
         counts[l] = sum(1 for p in points if incident(p, l))
     return counts
+
+
+def test_scaled_points_over_the_lcm():
+    F = Fraction
+    pts = [
+        ComplexPoint(GR(F(1, 2), F(-1, 3)), GR(F(5, 4), 2)),
+        ComplexPoint(GR(F(-7, 6), 0), GR(F(1, 9), F(-3, 8))),
+    ]
+    # L = lcm(2, 3, 4, 6, 9, 8) = 72
+    assert _scaled_points(pts) == ([(36, -24, 90, 144), (-84, 0, 8, -27)], 72)
+    assert _scaled_points([]) == ([], 1)
 
 
 def test_count_examples():

@@ -241,6 +241,25 @@ def test_cli_verify_regions_prints_witness(tmp_path, capsys):
         "regions witness: region 0: no mixed crossing family of anchors 0 and 1 lies inside")
 
 
+def test_cli_verify_regions_margin_is_exact(tmp_path, capsys):
+    from stlab.regions import FlatBundle, Region, RegionAssignment, canonical_flat, verify_regions
+
+    # an anchor 5e-14 below the top face of the unit box: a margin of
+    # 1e-13 of the side puts it outside
+    anchor = (1 - F(5, 10**14), F(1, 2), F(1, 2), F(1, 2))
+    bundle = FlatBundle([anchor], [[canonical_flat(anchor, 0)]], [[canonical_flat(anchor, 1)]])
+    asg = [RegionAssignment(Region((((F(0), F(1)),) * 4,)), (0,))]
+    assert not verify_regions(asg, bundle, 1, F(1, 10**13)).all_ok
+    (tmp_path / "bundle.txt").write_text(fileio.dump_bundle(bundle))
+    (tmp_path / "regions.txt").write_text(fileio.dump_regions(asg, 1))
+    argv = ["verify", "--regions", str(tmp_path / "regions.txt"),
+            "--bundle", str(tmp_path / "bundle.txt")]
+    assert main(argv) == 0
+    assert main(argv + ["--margin", "1e-13"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "regions witness: region 0: anchor 0 lies outside its interior")
+
+
 def test_cli_cover_beyond_float_range(tmp_path, capsys):
     # a cube 10^400 up the first axis, written out in full, next to a unit
     # cube; one point in each bottom side-cube

@@ -18,6 +18,7 @@ from stlab.covering import (
     points_in_boxes,
 )
 from stlab.exact import Flat2, FlatMeet, GeometryError, RVector4, flat_intersect
+from stlab import regions
 from stlab.fileio import dump_regions
 from stlab.generators import gen_bundle_fixture
 from stlab.regions import (
@@ -31,6 +32,7 @@ from stlab.regions import (
     canonical_flat,
     canonical_frame,
     combine,
+    crossing_points,
     verify_regions,
 )
 
@@ -265,6 +267,23 @@ def test_verify_regions_pair_report_pinned(box, margin, failures):
     assert dataclasses.asdict(rep) == _report([failures])
 
 
+@pytest.mark.parametrize(
+    "box, built", [(ONLY_FIRST, 1), (ONLY_SECOND, 2), (NEITHER, 2)], ids=["first", "second", "neither"]
+)
+def test_verify_regions_builds_second_family_on_demand(monkeypatch, box, built):
+    # the second mixed family is built only when the first has a crossing outside
+    calls = []
+
+    def counted(*fams):
+        calls.append(fams)
+        return crossing_points(*fams)
+
+    monkeypatch.setattr(regions, "crossing_points", counted)
+    region = Region((tuple((F(lo), F(hi)) for lo, hi in box),))
+    verify_regions([RegionAssignment(region, (0, 1))], exact_bundle([P, Q]), 2)
+    assert len(calls) == built
+
+
 def test_verify_regions_first_overlap_pinned():
     # regions 0 and 3 overlap, and so do 1 and 2: the witness is the
     # first overlapping pair (i, j) in row order, i < j
@@ -476,8 +495,6 @@ def test_bundle_alignment_measure():
 
 def test_crossings_distinct_across_regions():
     # disjoint interiors force the per-region crossing sets apart
-    from stlab.regions import crossing_points
-
     anchors = stacked_anchors(2, seed=1)
     bundle = exact_bundle(anchors)
     asg = combine(anchors, bundle, 2)
