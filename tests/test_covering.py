@@ -491,31 +491,59 @@ def _cover_digest(res):
 # to the covering's cell bookkeeping must reproduce them exactly.  The
 # rows marked True reach A3 (the first of them every branch of
 # _place_selected); ids leave kappa out so the first six keep their names.
+# The last field names the input: "grid" points are random_rational_points
+# over a span of 3 n^(1/d), "wide" ones over a span of 10^6, and
+# "clustered" ones are clustered_cover_input(seed), whose n, d, r and
+# kappa the row repeats.
 PINNED_COVERS = [
-    (21, 2000, 1, 1, 1, "116281126c0a1f5a", False),
-    (22, 1500, 2, 2, 1, "7f4d95984945e0c4", False),
-    (23, 1000, 2, 4, 1, "7f5fd2b4a8ebfec2", False),
-    (24, 2000, 3, 1, 1, "d4aa4ce30ab5a495", False),
-    (25, 600, 3, 2, 1, "8848af46cd470d66", False),
-    (26, 2000, 4, 1, 1, "e1eb7ac573b54708", False),
-    (0, 800, 1, 2, 1, "e5aa3876e9b98ce0", True),
-    (1, 800, 2, 2, 2, "57d6a5623faa2120", True),
-    (2, 800, 3, 2, 2, "6c5ffb0f826dcab3", True),
+    (21, 2000, 1, 1, 1, "116281126c0a1f5a", False, "grid"),
+    (22, 1500, 2, 2, 1, "7f4d95984945e0c4", False, "grid"),
+    (23, 1000, 2, 4, 1, "7f5fd2b4a8ebfec2", False, "grid"),
+    (24, 2000, 3, 1, 1, "d4aa4ce30ab5a495", False, "grid"),
+    (25, 600, 3, 2, 1, "8848af46cd470d66", False, "grid"),
+    (26, 2000, 4, 1, 1, "e1eb7ac573b54708", False, "grid"),
+    (0, 800, 1, 2, 1, "e5aa3876e9b98ce0", True, "grid"),
+    (1, 800, 2, 2, 2, "57d6a5623faa2120", True, "grid"),
+    (2, 800, 3, 2, 2, "6c5ffb0f826dcab3", True, "grid"),
     # most cells hold fewer than r points and no label, so these pin the
     # A1 count of cells a phase never visits
-    (27, 3000, 1, 4, 1, "520aa2903ff41239", True),
-    (28, 4000, 2, 4, 1, "f53be949626cef2b", False),
-    (30, 3000, 1, 8, 2, "582c3bb1bf28dcc0", False),
+    (27, 3000, 1, 4, 1, "520aa2903ff41239", True, "grid"),
+    (28, 4000, 2, 4, 1, "f53be949626cef2b", False, "grid"),
+    (30, 3000, 1, 8, 2, "582c3bb1bf28dcc0", False, "grid"),
+    # far apart points at r = 1: carriers climb up to 11 levels as lone
+    # carriers with fewer than (3^d - 1) r points, so A4 without a box
+    (0, 300, 1, 1, 1, "9abd9fa3dd4bd35f", False, "wide"),
+    (1, 300, 2, 1, 1, "e66bc9a11402c9d9", False, "wide"),
+    # lone carriers with at least (3^d - 1) r points: three find a green
+    # at d = 2; at d = 1 six find one and two search every complement
+    # cube in vain and fall back to A4
+    (3, 800, 2, 2, 2, "2d7b14f3de9b2f0b", True, "grid"),
+    (6, 800, 1, 2, 1, "f08825690ace9554", True, "grid"),
+    # r = 8 in six tight clusters: hundreds of quiet cells hold 2 to 7 points
+    (71, 1500, 2, 8, 2, "783663bff4cf43b9", False, "clustered"),
 ]
 
 
+def _pinned_points(seed, n, d, source):
+    if source == "clustered":
+        pts, *_ = clustered_cover_input(seed)
+        return pts
+    return random_rational_points(n, d, 10**6 if source == "wide" else int(3 * n ** (1 / d)), seed)
+
+
 @pytest.mark.parametrize(
-    "seed,n,d,r,kappa,digest,reaches_a3",
+    "seed,n,d,r,kappa,digest,reaches_a3,source",
     PINNED_COVERS,
-    ids=["%d-%d-%d-%d-%s" % (s, n, d, r, g) for s, n, d, r, _, g, _ in PINNED_COVERS],
+    ids=[
+        "%s%d-%d-%d-%d-%s" % ("" if src == "grid" else src + "-", s, n, d, r, g)
+        for s, n, d, r, _, g, _, src in PINNED_COVERS
+    ],
 )
-def test_cover_output_pinned(seed, n, d, r, kappa, digest, reaches_a3):
-    pts = random_rational_points(n, d, int(3 * n ** (1 / d)), seed)
+def test_cover_output_pinned(seed, n, d, r, kappa, digest, reaches_a3, source):
+    if source == "clustered":
+        assert clustered_cover_input(seed)[1:] == (d, kappa, r)
+    pts = _pinned_points(seed, n, d, source)
+    assert len(pts) == n
     norm, _ = normalize_points(pts)
     res = run_covering(norm, d, kappa, r)
     assert _cover_digest(res) == digest
@@ -536,6 +564,10 @@ OFF_ORIGIN_COVERS = [
     (46, 800, 3, 4, 2, "mirror", "50a288ea358ab0f7", False),
     (47, 800, 4, 2, 1, "shift", "d81976254d4ba14e", False),
     (48, 1000, 4, 4, 1, "straddle", "db00726d31767842", False),
+    # r = 1, so every occupied cell of the first phase is A2, decoded
+    # from its key on a hull with negative corners
+    (49, 1500, 3, 1, 2, "straddle", "10415e45dc5851c7", False),
+    (50, 2000, 4, 1, 1, "mirror", "4a0119960b38f707", False),
 ]
 
 
@@ -841,11 +873,17 @@ def test_covering_prunes_in_degree_two(seed):
 
 
 def test_covering_clustered_sweep():
+    # every cover holds its guarantees, and all 200 are pinned at once by
+    # one sha256 of their (dropped, _cover_digest) pairs
+    covers = []
     for seed in range(200):
         pts, d, kappa, r = clustered_cover_input(seed)
         norm, _ = normalize_points(pts)
-        rep = verify_cover(norm, run_covering(norm, d, kappa, r), kappa, r)
+        res = run_covering(norm, d, kappa, r)
+        rep = verify_cover(norm, res, kappa, r)
         assert rep.all_ok, (seed, rep)
+        covers.append((res.stats.dropped, _cover_digest(res)))
+    assert hashlib.sha256(repr(covers).encode()).hexdigest()[:16] == "7c46996b92be1620"
 
 
 def test_points_in_boxes_matches_brute_force():

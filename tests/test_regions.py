@@ -37,6 +37,7 @@ from stlab.regions import (
 )
 
 from _oracles import apply_point, box, count_crossings, shift_cube
+from test_cube_pins import stacked_clusters
 
 F = Fraction
 
@@ -176,6 +177,42 @@ def test_combine_out_degree_one_case():
     assert detail.out_degree1 >= 1
     rep = verify_regions(asg, bundle, 2)
     assert rep.all_ok
+
+
+def spaced_clusters(clusters, per, seed):
+    """per anchors around each of clusters centres on the grid 1000 Z^4
+    in [-5000, 5000]^4, as in the cover benchmark's regions bundles:
+    offsets 0 to 6 per axis plus a distinct odd multiple of 2^-20."""
+    rng = random.Random("spaced:%d" % seed)
+    centres = set()
+    while len(centres) < clusters:
+        centres.add(tuple(1000 * rng.randint(-5, 5) for _ in range(4)))
+    pts, seen, t = [], set(), 0
+    for centre in sorted(centres):
+        got = 0
+        while got < per:
+            p = tuple(F(c + rng.randint(0, 6)) + F(2 * (t + i) + 1, 2**20) for i, c in enumerate(centre))
+            t += 4
+            if p not in seen:
+                seen.add(p)
+                pts.append(p)
+                got += 1
+    return pts
+
+
+@pytest.mark.parametrize(
+    "anchors, rs",
+    [(stacked_clusters(1), (1,))]
+    + [(spaced_clusters(k, 85, seed), (1, 2, 3)) for k, seed in [(2, 1), (3, 2), (3, 3), (4, 4)]],
+)
+def test_combine_chooses_interior_anchors(anchors, rs):
+    # every anchor combine pools lies in the open region: normalized
+    # coordinates are never integers and cube faces are.  The first input
+    # has a cube of out-degree one
+    for r in rs:
+        for a in combine(anchors, exact_bundle(anchors), r):
+            assert len(a.point_ids) == r
+            assert all(a.region.contains_interior(anchors[i]) for i in a.point_ids)
 
 
 @pytest.mark.parametrize(
