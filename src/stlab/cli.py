@@ -10,6 +10,7 @@ line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -40,7 +41,11 @@ from .regions import CombineDetail, combine, verify_regions
 
 
 def _number(tok: str, flag: str, kinds=(Fraction, float)):
-    # exact where it can be; nan and inf stay floats for the range checks to name
+    # exact where it can be; nan and inf stay floats for the range checks to
+    # name.  Fraction builds 10^|e| for an exponent e, so one of five or more
+    # digits, beyond any useful value, is refused before any parse
+    if re.search(r"e[-+]?\d(_?\d){4}", tok, re.IGNORECASE):
+        kinds = ()
     for kind in kinds:
         try:
             return kind(tok)

@@ -16,15 +16,15 @@ rho^d child cells).  Cubes are processed bottom-up through six states;
 the labels green, yellow, blue and selected drive the bookkeeping, and
 points inside blue or yellow cubes are deleted permanently at the end
 of each phase.  Only occupied or label-carrying cells are ever
-materialized, so dimension 4 stays affordable.  A phase visits only the
-busy cells, those with at least r surviving points or a labelled
-subcell; any other cell would come out A1 and change nothing, so it is
-counted as A1 without a visit.  The run keys each cell by one int, its
-digits over the per-axis hull of all input points' cells, and holds the
-surviving point ids by key.  A phase lifts every key and the hull at
-once over plain ints, so it costs O(occupied cells) and touches no point
-unless a busy cell needs its coordinates; boxes are built only where a
-cell's outcome reads them.
+materialized, so dimension 4 stays affordable.  The run keys each
+surviving point by its cell: one int, the cell's digits over the
+per-axis hull of all input points' cells.  A phase lifts every key and
+the hull at once over plain ints and counts the cells, so it costs
+O(surviving points) in C-level passes, and settles from the counts alone
+every cell that builds no box: A1 (fewer than r points, no labelled
+subcell: it changes nothing), A2, and A4 around a lone carrier with too
+few points for a green.  The rest get a Python visit in key order, and a
+point id is read only where a lone carrier searches for a green.
 
 Everything geometric is exact and works in Python ints.  Points are one
 PointSet, int columns over their least common denominator, from the
@@ -362,7 +362,7 @@ _YELLOW_STATES = (CubeState.A2, CubeState.A3)
 _CARRIER_STATES = (CubeState.A4, CubeState.A5, CubeState.A6)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CellInfo:
     state: str
     green: Optional[IntBox] = None  # A3: the green cube inside
@@ -413,19 +413,23 @@ class CoverResult:
     stats: CoverStats
 
 
-def _unpack(key: int, lo: Cell, hi: Cell) -> Cell:
-    """The cell with the given key over the hull (lo, hi)."""
-    cell = []
+def _unpack(keys: List[int], lo: Cell, hi: Cell) -> List[List[int]]:
+    """Per axis, the coordinates of the cells with the given keys over
+    the hull (lo, hi)."""
+    cols = []
     for low, high in zip(lo[::-1], hi[::-1]):
-        key, digit = divmod(key, high - low + 1)
-        cell.append(low + digit)
-    return tuple(cell[::-1])
+        w = high - low + 1
+        cols.append([low + k % w for k in keys])
+        keys = [k // w for k in keys]
+    return cols[::-1]
 
 
 def _lift(keys: List[int], lo: Cell, hi: Cell, shift: Cell, rho: int) -> List[int]:
     """The keys of the parents (c - shift) // rho of the cells keyed over
     the hull (lo, hi), over the parents' hull.  On an axis with corner lo
     the digit k lifts to (k + b) // rho, b = (lo - t) mod rho."""
+    if not keys:
+        return []
     digits = []
     for low, high in zip(lo[:0:-1], hi[:0:-1]):
         w = high - low + 1
@@ -446,10 +450,10 @@ class _CoverRun:
 
     A cell's key is its digits c - lo in mixed radix over the hull
     (lo, hi), axis 0 most significant, so sorted keys run in
-    lexicographic cell order.  The run keeps the surviving point ids by
-    key and the last phase's labelled cells, each with its tuple; a
-    visited cell takes its tuple from a labelled subcell, or else turns
-    A2 and is decoded from its key."""
+    lexicographic cell order.  The run keeps the surviving points as two
+    parallel lists, ids and their cells' keys, and the last phase's
+    labelled cells by key, each with its tuple; a phase decodes the
+    tuples it needs from the keys, one axis at a time (_unpack)."""
 
     def __init__(self, points: Sequence[Sequence[Rational]], d: int, kappa: int, r: int):
         self.d = d
@@ -465,15 +469,16 @@ class _CoverRun:
         # monotone per axis, so the hull lifts by the same formula as a cell
         self.lo: Cell = tuple([min(col, default=0) for col in cols])
         self.hi: Cell = tuple([max(col, default=0) for col in cols])
-        # surviving point ids by cell key; a cell leaves when it empties
-        keys = [0] * len(points)
+        # the surviving points: ids and the keys of their cells
+        self.ids = list(range(len(points)))
+        self.keys = [0] * len(points)
         for col, low, high in zip(cols, self.lo, self.hi):
-            keys = [k * (high - low + 1) + c - low for k, c in zip(keys, col)]
-        self.groups: Dict[int, List[int]] = {}
-        for pid, key in enumerate(keys):
-            self.groups.setdefault(key, []).append(pid)
-        for ids in self.groups.values():
-            if len(ids) > 1 and len({tuple([c[i] for c in coords]) for i in ids}) < len(ids):
+            self.keys = [k * (high - low + 1) + c - low for k, c in zip(self.keys, col)]
+        # equal points share a cell, so only points of shared cells can repeat
+        counts = Counter(self.keys)
+        if len(counts) < len(points):
+            shared = [i for i, key in enumerate(self.keys) if counts[key] > 1]
+            if len({tuple([c[i] for c in coords]) for i in shared}) < len(shared):
                 raise DuplicatePoints("points must be distinct")
         if not all(all(map(den.__rmod__, col)) for col in coords):
             raise InvalidParams("integer coordinate: input is not normalized")
@@ -500,17 +505,13 @@ class _CoverRun:
         # a larger input (a yellow phase deletes points, so this ends).
         # Termination watches the input points, not the surviving ones:
         # deletions silence counting but pending labels must still ripen
-        while True:
-            done = self.lo == self.hi
-            pending = any(info.state in _YELLOW_STATES for _, info in self.states.values())
-            if done and not pending:
-                break
+        while self.lo != self.hi or any(i.state in _YELLOW_STATES for _, i in self.states.values()):
             self.level += 1
             self.run_phase(self.level)
 
     def run_phase(self, level: int) -> None:
         ps = PhaseStats(level=level)
-        rho, shift = self.rho, self.shift
+        rho, shift, r = self.rho, self.shift, self.r
         self.below = self.origin
         self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(self.origin, shift))
 
@@ -518,74 +519,78 @@ class _CoverRun:
         def up(c: Cell) -> Cell:
             return tuple([(ci - t) // rho for ci, t in zip(c, shift)])
 
-        keys = _lift(list(self.groups) + list(self.states), self.lo, self.hi, shift, rho)
+        keys = _lift(self.keys, self.lo, self.hi, shift, rho)
+        labelled = _lift(list(self.states), self.lo, self.hi, shift, rho)
         self.lo, self.hi = up(self.lo), up(self.hi)
-        groups: Dict[int, List[int]] = {}
-        for key, ids in zip(keys, self.groups.values()):
-            merged = groups.get(key)
-            if merged is None:
-                groups[key] = ids
-            else:
-                merged += ids
-        # the labelled subcells of each parent, with the parent's cell
-        parent_specials: Dict[int, Tuple[Cell, List[Tuple[Cell, _CellInfo]]]] = {}
-        for key, special in zip(keys[len(self.groups) :], self.states.values()):
-            entry = parent_specials.get(key)
-            if entry is None:
-                entry = parent_specials[key] = (up(special[0]), [])
-            entry[1].append(special)
-        self.groups = groups
-        # a cell with fewer than r points and no labelled subcell is A1 and
-        # changes nothing, so only the busy cells are visited
-        busy = {c for c, ids in groups.items() if len(ids) >= self.r}
-        busy.update(parent_specials)
-        ps.processed = len(groups.keys() | parent_specials.keys())
-        if ps.processed > len(busy):
-            ps.assigned[CubeState.A1] = ps.processed - len(busy)
+        counts = Counter(keys)
+        # the labelled subcells of each parent, and the parents' cells
+        parents: Dict[int, List[Tuple[Cell, _CellInfo]]] = {}
+        for key, special in zip(labelled, self.states.values()):
+            parents.setdefault(key, []).append(special)
+        parent_cells = dict(zip(parents, zip(*_unpack(list(parents), self.lo, self.hi))))
+        # settled from the counts: a cell with fewer than r points and no
+        # labelled subcell is A1 and changes nothing, one with r or more is
+        # A2, and a lone carrier with too few points for a green is A4
+        a2 = [key for key, n in counts.items() if n >= r and key not in parents]
+        lone = {
+            key
+            for key, specials in parents.items()
+            if len(specials) == 1 and specials[0][1].state in _CARRIER_STATES
+        }
+        a4 = [key for key in lone if counts[key] < (3**self.d - 1) * r]
+        a2_info, a4_info = _CellInfo(CubeState.A2), _CellInfo(CubeState.A4)  # frozen, so shared
+        ps.processed = len(counts) + sum(1 for key in parents if key not in counts)
+        quiet = ps.processed - len(a2) - len(parents)
+        assigned = {CubeState.A1: quiet, CubeState.A2: len(a2), CubeState.A4: len(a4)}
+        self._assert_state(a2_info, [counts[key] for key in a2])
+        self._assert_state(a4_info, [counts[key] for key in a4])
+        self.stats.g += len(a2)
+        # the other lone carriers search complement cubes, so read point ids
+        members: Dict[int, List[int]] = {key: [] for key in lone.difference(a4)}
+        if members:
+            for key, pid in [(k, i) for k, i in zip(keys, self.ids) if k in members]:
+                members[key].append(pid)
+        # the rest may build boxes, so they are visited in key order
         new_states: Dict[int, Tuple[Cell, _CellInfo]] = {}
-        yellows: List[int] = []
-        for key in sorted(busy):
-            pts = groups.get(key, [])
-            cell, specials = parent_specials.get(key, (None, []))
-            info = self.process_cell(cell, level, pts, specials)
-            ps.assigned[info.state] = ps.assigned.get(info.state, 0) + 1
-            if cell is None:  # no labelled subcell, so the cell is A2
-                cell = _unpack(key, self.lo, self.hi)
+        for key in sorted(parents.keys() - a4):
+            cell = parent_cells[key]
+            info = self.process_cell(cell, level, parents[key], members.get(key, []))
+            assigned[info.state] = assigned.get(info.state, 0) + 1
+            self._assert_state(info, [counts[key]])
             new_states[key] = (cell, info)
-            if info.state in _YELLOW_STATES:
-                yellows.append(key)
-            self._assert_state(info, len(pts))
-        ps.yellows = len(yellows)
-        # step 3: next-level offset by the central-position pigeonhole
-        t = self.choose_offset([new_states[key][0] for key in yellows])
-        self.shift = t
+        ps.assigned = {state: n for state, n in assigned.items() if n}
+        # step 3: next-level offset by the central-position pigeonhole; a
+        # yellow is central for the one offset (c - 2 kappa) mod rho
+        a3 = [key for key, (_, info) in new_states.items() if info.state == CubeState.A3]
+        cols = _unpack(a2, self.lo, self.hi)
+        offsets = list(zip(*[[(c - 2 * self.kappa) % rho for c in col] for col in cols]))
+        offsets += [tuple([(c - 2 * self.kappa) % rho for c in new_states[k][0]]) for k in a3]
+        t = self.shift = self.choose_offset(offsets)
+        ps.yellows, ps.central = len(offsets), offsets.count(t)
         # step 4: permanent deletion inside yellow and newly blue cells, that
         # is in every visited cell but the A4 ones
-        for key, (_, info) in new_states.items():
-            if info.state != CubeState.A4:
-                ps.deleted += len(groups.pop(key, ()))
-        # step 5: unlabel yellows that did not land in central position
-        for key in yellows:
-            cell, info = new_states[key]
-            if all((c - ti - 2 * self.kappa) % self.rho == 0 for c, ti in zip(cell, t)):
-                ps.central += 1
-            elif info.state == CubeState.A2:
-                del new_states[key]
-            else:  # A3 -> A4, the enclosed blue stays
-                info.state = CubeState.A4
-                info.green = None
+        dead = set(a2).union(k for k, (_, info) in new_states.items() if info.state != CubeState.A4)
+        ps.deleted = sum(counts[key] for key in dead)
+        if ps.deleted:
+            alive = [k not in dead for k in keys]
+            self.ids = list(itertools.compress(self.ids, alive))
+            keys = list(itertools.compress(keys, alive))
+        self.keys = keys
+        # step 5: unlabel yellows that did not land in central position: an
+        # A2 cell goes, an A3 cell turns A4 and the enclosed blue stays
+        new_states.update({k: (c, a2_info) for k, c, o in zip(a2, zip(*cols), offsets) if o == t})
+        for key, o in zip(a3, offsets[len(a2) :]):
+            if o != t:
+                new_states[key] = (new_states[key][0], a4_info)
+        new_states.update({key: (parent_cells[key], a4_info) for key in a4})
         self.states = new_states
         self.stats.phases.append(ps)
 
-    def choose_offset(self, yellows: List[Cell]) -> Cell:
-        if yellows:
+    def choose_offset(self, offsets: List[Cell]) -> Cell:
+        if offsets:
             # each yellow is central for exactly one offset; some offset
             # therefore meets the 1/rho^d quota, pick the smallest such
-            votes: Dict[Cell, int] = {}
-            for cell in yellows:
-                t = tuple((c - 2 * self.kappa) % self.rho for c in cell)
-                votes[t] = votes.get(t, 0) + 1
-            return min(t for t, v in votes.items() if v * self.m >= len(yellows))
+            return min(t for t, v in Counter(offsets).items() if v * self.m >= len(offsets))
         # unconstrained phase: align the blocks to the occupied range so
         # the levels keep coalescing (any fixed offset could leave a grid
         # plane between two point clusters forever)
@@ -593,23 +598,18 @@ class _CoverRun:
 
     def process_cell(
         self,
-        cell: Optional[Cell],
+        cell: Cell,
         level: int,
-        pts: List[int],
         specials: List[Tuple[Cell, _CellInfo]],
+        pts: List[int],
     ) -> _CellInfo:
-        """Label one busy cell; specials pairs each labelled subcell with
-        its info.  Boxes are built only in the branches that read them."""
-        n, r = len(pts), self.r
-        if not specials:  # busy, so n >= r
-            self.stats.g += 1
-            return _CellInfo(CubeState.A2)
+        """Label a cell that has labelled subcells, specials, each with its
+        info; pts, the ids of its points, is read only around a lone
+        carrier.  Boxes are built only in the branches that read them."""
         yellow = [(c, i) for c, i in specials if i.state in _YELLOW_STATES]
         carriers = [c for c, i in specials if i.state in _CARRIER_STATES]
         if len(yellow) > 1:
             raise CoveringError("two yellow subcells in one cell; offsets broken")
-        if not yellow and len(carriers) == 1 and n < (3**self.d - 1) * r:
-            return _CellInfo(CubeState.A4)  # a lone carrier, too few points for a green
         if len(carriers) > 1 or (carriers and yellow and yellow[0][1].state == CubeState.A3):
             self.stats.b += 1
             return _CellInfo(CubeState.A6)
@@ -632,7 +632,7 @@ class _CoverRun:
         cells = list(zip(*[[col[i] for i in pts] for col in self.cells]))
         for cand in _complement_cubes(qbox, dbox):
             cnt = sum(1 for c in cells if all(lo <= x < hi for x, (lo, hi) in zip(c, cand)))
-            if cnt >= r:
+            if cnt >= self.r:
                 self.stats.g += 1
                 return _CellInfo(CubeState.A3, green=cand, avoid=dbox)
         # no complement cube is r-heavy (points hide in the carrier): fall
@@ -663,19 +663,13 @@ class _CoverRun:
         (_, axis, sign), cand = min(options)
         self.selected.append((cand, (axis, sign)))
 
-    def _assert_state(self, info: _CellInfo, n: int) -> None:
-        m, r = self.m, self.r
-        st = info.state
-        if st == CubeState.A2:
-            assert r <= n < m * r
-        elif st == CubeState.A3:
-            assert n < 2 * m * r and info.green is not None
-        elif st == CubeState.A4:
-            assert n < 2 * m * r
-        elif st == CubeState.A5:
-            assert n < m * r
-        elif st == CubeState.A6:
-            assert n < 2 * m * m * r
+    def _assert_state(self, info: _CellInfo, counts: List[int]) -> None:
+        """The bounds of info's state on the point counts of its cells."""
+        m, r, state = self.m, self.r, info.state
+        low = r if state == CubeState.A2 else 0
+        high = {CubeState.A2: m, CubeState.A5: m, CubeState.A6: 2 * m * m}.get(state, 2 * m) * r
+        assert all(low <= n < high for n in counts)
+        assert info.state != CubeState.A3 or info.green is not None
 
     def result(self) -> CoverResult:
         counts = Counter(orientation for _, orientation in self.selected)

@@ -246,10 +246,9 @@ def combine(
                 boxes = (core, _clip_shift(shifted, best_cell, lat_q2))
             pool = best_ids
             n1 += 1
-        region = Region(tuple(map(to_anchors, boxes)))
-        interior = list(itertools.islice((i for i in pool if region.contains_interior(pts[i])), r))
-        chosen = interior if len(interior) == r else pool[:r]
-        assignments.append(RegionAssignment(region, tuple(chosen)))
+        # every pooled anchor lies in the open region: normalized coordinates
+        # are never integers, and cube faces are
+        assignments.append(RegionAssignment(Region(tuple(map(to_anchors, boxes))), tuple(pool[:r])))
 
     if detail is not None:
         detail.cover_k = len(cover.K)

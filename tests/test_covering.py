@@ -119,7 +119,7 @@ def test_a3_count_is_half_open():
     # half-open count keeps it out of [0, 2]; the point at 5x = 7/2 makes
     # [3, 5] the green.
     run = _CoverRun([(F(1, 2),), (F(7, 10),)], 1, 1, 1)
-    info = run.process_cell((0,), 1, [0, 1], [((2,), _CellInfo(CubeState.A4))])
+    info = run.process_cell((0,), 1, [((2,), _CellInfo(CubeState.A4))], [0, 1])
     assert (info.state, info.green, info.avoid) == (CubeState.A3, ((3, 5),), ((2, 3),))
 
 
@@ -594,10 +594,10 @@ def test_cover_output_pinned_off_origin(seed, n, d, r, kappa, move, digest, reac
 
 
 def test_cell_keys_round_trip_in_lexicographic_order():
-    # random hulls with negative corners: the run keys each level-0 cell
-    # by its digits c - lo over the hull, _unpack gives the cell back,
-    # sorted keys run in lexicographic cell order, and _lift keys the
-    # parents (c - t) // rho over the lifted hull
+    # random hulls with negative corners: the run keys each point by the
+    # digits c - lo of its level-0 cell over the hull, _unpack gives the
+    # cells back one axis at a time, sorted keys run in lexicographic cell
+    # order, and _lift keys the parents (c - t) // rho over the lifted hull
     def pack(cell, lo, hi):
         key = 0
         for x, low, high in zip(cell, lo, hi):
@@ -614,12 +614,12 @@ def test_cell_keys_round_trip_in_lexicographic_order():
         cells = sorted(cells | {lo, hi})
         rng.shuffle(cells)
         run = _CoverRun([tuple(F(2 * x + 1, 2 * rho) for x in c) for c in cells], d, kappa, 1)
-        keys = list(run.groups)
+        keys = run.keys
         assert (run.lo, run.hi) == (lo, hi)
-        assert [run.groups[k] for k in keys] == [[i] for i in range(len(cells))]
+        assert run.ids == list(range(len(cells)))
         assert keys == [pack(c, lo, hi) for c in cells]
-        assert [_unpack(k, lo, hi) for k in keys] == cells
-        assert [_unpack(k, lo, hi) for k in sorted(keys)] == sorted(cells)
+        assert list(zip(*_unpack(keys, lo, hi))) == cells
+        assert list(zip(*_unpack(sorted(keys), lo, hi))) == sorted(cells)
         t = tuple(rng.randrange(rho) for _ in range(d))
 
         def up(c):

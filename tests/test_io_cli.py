@@ -382,6 +382,23 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, kind, body):
     assert err.startswith("stlab: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tok", ["1e999999999", "1e-999999999"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--C", "TOK", "--in", "-"],
+        ["bounds", "--t", "2", "--c-rich", "TOK", "--in", "-"],
+        ["verify", "--margin", "TOK"],
+    ],
+    ids=["C", "c-rich", "margin"],
+)
+def test_cli_huge_exponent_exits_2_at_once(capsys, argv, tok):
+    # Fraction would compute 10^999999999 before any range check
+    flag = argv[argv.index("TOK") - 1]
+    assert main([tok if a == "TOK" else a for a in argv]) == 2
+    assert capsys.readouterr().err == "stlab: error: bad %s value '%s'\n" % (flag, tok)
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
