@@ -42,8 +42,7 @@ from .regions import CombineDetail, combine, verify_regions
 
 def _number(tok: str, flag: str, kinds=(Fraction, float)):
     # exact where it can be; nan and inf stay floats for the range checks to
-    # name.  Fraction builds 10^|e| for an exponent e, so one of five or more
-    # digits, beyond any useful value, is refused before any parse
+    # name.  Fraction would build 10^|e|, so an exponent e of 5+ digits is bad
     if re.search(r"e[-+]?\d(_?\d){4}", tok, re.IGNORECASE):
         kinds = ()
     for kind in kinds:

@@ -505,7 +505,11 @@ class _CoverRun:
         # a larger input (a yellow phase deletes points, so this ends).
         # Termination watches the input points, not the surviving ones:
         # deletions silence counting but pending labels must still ripen
-        while self.lo != self.hi or any(i.state in _YELLOW_STATES for _, i in self.states.values()):
+        while True:
+            done = self.lo == self.hi
+            pending = any(info.state in _YELLOW_STATES for _, info in self.states.values())
+            if done and not pending:
+                break
             self.level += 1
             self.run_phase(self.level)
 
