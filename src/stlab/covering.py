@@ -452,8 +452,8 @@ class _CoverRun:
     (lo, hi), axis 0 most significant, so sorted keys run in
     lexicographic cell order.  The run keeps the surviving points as two
     parallel lists, ids and their cells' keys, and the last phase's
-    labelled cells by key, each with its tuple; a phase decodes the
-    tuples it needs from the keys, one axis at a time (_unpack)."""
+    labelled cells by key, each with its tuple: a parent lifts a labelled
+    subcell's, and an A2 cell's is decoded from its key (_unpack)."""
 
     def __init__(self, points: Sequence[Sequence[Rational]], d: int, kappa: int, r: int):
         self.d = d
@@ -527,18 +527,20 @@ class _CoverRun:
         labelled = _lift(list(self.states), self.lo, self.hi, shift, rho)
         self.lo, self.hi = up(self.lo), up(self.hi)
         counts = Counter(keys)
-        # the labelled subcells of each parent, and the parents' cells
-        parents: Dict[int, List[Tuple[Cell, _CellInfo]]] = {}
+        # the labelled subcells of each parent, with the parent's cell
+        parents: Dict[int, Tuple[Cell, List[Tuple[Cell, _CellInfo]]]] = {}
         for key, special in zip(labelled, self.states.values()):
-            parents.setdefault(key, []).append(special)
-        parent_cells = dict(zip(parents, zip(*_unpack(list(parents), self.lo, self.hi))))
+            entry = parents.get(key)
+            if entry is None:
+                entry = parents[key] = (up(special[0]), [])
+            entry[1].append(special)
         # settled from the counts: a cell with fewer than r points and no
         # labelled subcell is A1 and changes nothing, one with r or more is
         # A2, and a lone carrier with too few points for a green is A4
         a2 = [key for key, n in counts.items() if n >= r and key not in parents]
         lone = {
             key
-            for key, specials in parents.items()
+            for key, (_, specials) in parents.items()
             if len(specials) == 1 and specials[0][1].state in _CARRIER_STATES
         }
         a4 = [key for key in lone if counts[key] < (3**self.d - 1) * r]
@@ -557,8 +559,8 @@ class _CoverRun:
         # the rest may build boxes, so they are visited in key order
         new_states: Dict[int, Tuple[Cell, _CellInfo]] = {}
         for key in sorted(parents.keys() - a4):
-            cell = parent_cells[key]
-            info = self.process_cell(cell, level, parents[key], members.get(key, []))
+            cell, specials = parents[key]
+            info = self.process_cell(cell, level, specials, members.get(key, []))
             assigned[info.state] = assigned.get(info.state, 0) + 1
             self._assert_state(info, [counts[key]])
             new_states[key] = (cell, info)
@@ -566,7 +568,7 @@ class _CoverRun:
         # step 3: next-level offset by the central-position pigeonhole; a
         # yellow is central for the one offset (c - 2 kappa) mod rho
         a3 = [key for key, (_, info) in new_states.items() if info.state == CubeState.A3]
-        cols = _unpack(a2, self.lo, self.hi)
+        cols = _unpack(a2, self.lo, self.hi) if a2 else []
         offsets = list(zip(*[[(c - 2 * self.kappa) % rho for c in col] for col in cols]))
         offsets += [tuple([(c - 2 * self.kappa) % rho for c in new_states[k][0]]) for k in a3]
         t = self.shift = self.choose_offset(offsets)
@@ -586,7 +588,7 @@ class _CoverRun:
         for key, o in zip(a3, offsets[len(a2) :]):
             if o != t:
                 new_states[key] = (new_states[key][0], a4_info)
-        new_states.update({key: (parent_cells[key], a4_info) for key in a4})
+        new_states.update({key: (parents[key][0], a4_info) for key in a4})
         self.states = new_states
         self.stats.phases.append(ps)
 
@@ -672,7 +674,7 @@ class _CoverRun:
         m, r, state = self.m, self.r, info.state
         low = r if state == CubeState.A2 else 0
         high = {CubeState.A2: m, CubeState.A5: m, CubeState.A6: 2 * m * m}.get(state, 2 * m) * r
-        assert all(low <= n < high for n in counts)
+        assert low <= min(counts, default=low) and max(counts, default=low) < high
         assert info.state != CubeState.A3 or info.green is not None
 
     def result(self) -> CoverResult:
