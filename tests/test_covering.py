@@ -494,7 +494,7 @@ def _cover_digest(res):
 # The last field names the input: "grid" points are random_rational_points
 # over a span of 3 n^(1/d), "wide" ones over a span of 10^6, and
 # "clustered" ones are clustered_cover_input(seed), whose n, d, r and
-# kappa the row repeats.
+# kappa the row repeats, and "anchors" ones are _anchor_clusters(seed, n).
 PINNED_COVERS = [
     (21, 2000, 1, 1, 1, "116281126c0a1f5a", False, "grid"),
     (22, 1500, 2, 2, 1, "7f4d95984945e0c4", False, "grid"),
@@ -521,13 +521,37 @@ PINNED_COVERS = [
     (6, 800, 1, 2, 1, "f08825690ace9554", True, "grid"),
     # r = 8 in six tight clusters: hundreds of quiet cells hold 2 to 7 points
     (71, 1500, 2, 8, 2, "783663bff4cf43b9", False, "clustered"),
+    # combine's d = 4 covers at r = 27 * 2 and 27 * 3: the late phases hold
+    # a few hundred points in a handful of cells
+    (2, 170, 4, 54, 1, "17dcd9e473290835", False, "anchors"),
+    (5, 170, 4, 81, 1, "012329d5b1f65f2e", False, "anchors"),
+    (1, 255, 4, 54, 1, "839eca9645f7b28b", False, "anchors"),
+    (6, 255, 4, 81, 1, "ca289c96ba4d5598", False, "anchors"),
 ]
+
+
+def _anchor_clusters(seed, n):
+    """n // 85 clusters of 85 points in R^4, shaped like the anchors of
+    combine's covers: each coordinate an integer centre, a multiple of
+    1000, plus 0 to 6 plus a distinct 2^-20 tie-breaker."""
+    rng = random.Random(seed)
+    centres = set()
+    while len(centres) < n // 85:
+        centres.add(tuple(1000 * rng.randint(-5, 5) for _ in range(4)))
+    ties = itertools.count(1, 2)
+    return [
+        tuple(c + rng.randint(0, 6) + F(next(ties), 2**20) for c in centre)
+        for centre in sorted(centres)
+        for _ in range(85)
+    ]
 
 
 def _pinned_points(seed, n, d, source):
     if source == "clustered":
         pts, *_ = clustered_cover_input(seed)
         return pts
+    if source == "anchors":
+        return _anchor_clusters(seed, n)
     return random_rational_points(n, d, 10**6 if source == "wide" else int(3 * n ** (1 / d)), seed)
 
 
