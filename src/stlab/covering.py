@@ -16,15 +16,15 @@ rho^d child cells).  Cubes are processed bottom-up through six states;
 the labels green, yellow, blue and selected drive the bookkeeping, and
 points inside blue or yellow cubes are deleted permanently at the end
 of each phase.  Only occupied or label-carrying cells are ever
-materialized, so dimension 4 stays affordable.  The run keys each
-surviving point by its cell: one int, the cell's digits over the
-per-axis hull of all input points' cells.  A phase lifts every key and
-the hull at once over plain ints and counts the cells, so it costs
-O(surviving points) in C-level passes, and settles from the counts alone
-every cell that builds no box: A1 (fewer than r points, no labelled
+materialized, so dimension 4 stays affordable.  The run keeps each
+surviving point as its level-0 cell.  A phase keys every point at once
+by its cell, one floor of the level-0 cell packed into one int over the
+per-axis hull of all input points' cells, and counts the cells, so it
+costs O(surviving points) in C-level passes, and settles from the counts
+alone every cell that builds no box: A1 (fewer than r points, no labelled
 subcell: it changes nothing), A2, and A4 around a lone carrier with too
 few points for a green.  The rest get a Python visit in key order, and a
-point id is read only where a lone carrier searches for a green.
+point is read only where a lone carrier searches for a green.
 
 Everything geometric is exact and works in Python ints.  Points are one
 PointSet, int columns over their least common denominator, from the
@@ -413,47 +413,40 @@ class CoverResult:
     stats: CoverStats
 
 
+def _keys(cols: Sequence[Sequence[int]], origin: Cell, side: int, lo: Cell, hi: Cell) -> List[int]:
+    """The keys of the cells floor((c - origin) / side) of the cells c,
+    given per axis as cols, over those cells' hull (lo, hi): the digits c
+    on axis 0, then c - lo per axis in mixed radix, so sorted keys run in
+    lexicographic cell order."""
+    keys = [(c - origin[0]) // side for c in cols[0]]
+    for col, o, low, high in zip(cols[1:], origin[1:], lo[1:], hi[1:]):
+        a, w = o + low * side, high - low + 1
+        keys = [k * w + (c - a) // side for k, c in zip(keys, col)]
+    return keys
+
+
 def _unpack(keys: List[int], lo: Cell, hi: Cell) -> List[List[int]]:
     """Per axis, the coordinates of the cells with the given keys over
-    the hull (lo, hi)."""
+    the hull (lo, hi); the inverse of _keys."""
     cols = []
-    for low, high in zip(lo[::-1], hi[::-1]):
+    for low, high in zip(lo[:0:-1], hi[:0:-1]):
         w = high - low + 1
         cols.append([low + k % w for k in keys])
         keys = [k // w for k in keys]
-    return cols[::-1]
-
-
-def _lift(keys: List[int], lo: Cell, hi: Cell, shift: Cell, rho: int) -> List[int]:
-    """The keys of the parents (c - shift) // rho of the cells keyed over
-    the hull (lo, hi), over the parents' hull.  On an axis with corner lo
-    the digit k lifts to (k + b) // rho, b = (lo - t) mod rho."""
-    if not keys:
-        return []
-    digits = []
-    for low, high in zip(lo[:0:-1], hi[:0:-1]):
-        w = high - low + 1
-        digits.append([k % w for k in keys])
-        keys = [k // w for k in keys]
-    b = [(x - t) % rho for x, t in zip(lo, shift)]
-    keys = [(k + b[0]) // rho for k in keys]
-    for col, bi, low, high in zip(digits[::-1], b[1:], lo[1:], hi[1:]):
-        w = (high - low + bi) // rho + 1
-        keys = [key * w + (k + bi) // rho for key, k in zip(keys, col)]
-    return keys
+    return [keys] + cols[::-1]
 
 
 class _CoverRun:
     """One covering run.  Lengths are ints in units of 1/rho, so a
     level-L cell has side rho^L; a point enters only by its level-0 cell
-    floor(x rho), kept per axis in cells.
+    floor(x rho), kept per axis in cells for the surviving points.
 
-    A cell's key is its digits c - lo in mixed radix over the hull
-    (lo, hi), axis 0 most significant, so sorted keys run in
-    lexicographic cell order.  The run keeps the surviving points as two
-    parallel lists, ids and their cells' keys, and the last phase's
-    labelled cells by key, each with its tuple: a parent lifts a labelled
-    subcell's, and an A2 cell's is decoded from its key (_unpack)."""
+    Nested floors compose, so a point's level-L cell is one floor of its
+    level-0 cell c, floor((c - origin) / rho^L); a phase keys the points
+    by their cells at once with _keys.  The run keeps the last phase's
+    labelled cells as (cell, label) pairs: a parent takes its tuple from
+    a labelled subcell, and an A2 cell's is decoded from its key
+    (_unpack)."""
 
     def __init__(self, points: Sequence[Sequence[Rational]], d: int, kappa: int, r: int):
         self.d = d
@@ -465,28 +458,24 @@ class _CoverRun:
         points = PointSet.of(points, d)
         den, coords = points.den, points.cols
         self.cells = cols = [[a * rho // den for a in col] for col in coords] or [[]] * d
+        # corners of the current grid and of the one below it
+        self.origin = self.below = (0,) * d
         # per-axis least and greatest cell of all input points; lifting is
         # monotone per axis, so the hull lifts by the same formula as a cell
         self.lo: Cell = tuple([min(col, default=0) for col in cols])
         self.hi: Cell = tuple([max(col, default=0) for col in cols])
-        # the surviving points: ids and the keys of their cells
-        self.ids = list(range(len(points)))
-        self.keys = [0] * len(points)
-        for col, low, high in zip(cols, self.lo, self.hi):
-            self.keys = [k * (high - low + 1) + c - low for k, c in zip(self.keys, col)]
         # equal points share a cell, so only points of shared cells can repeat
-        counts = Counter(self.keys)
+        keys = _keys(cols, self.origin, 1, self.lo, self.hi)
+        counts = Counter(keys)
         if len(counts) < len(points):
-            shared = [i for i, key in enumerate(self.keys) if counts[key] > 1]
+            shared = [i for i, key in enumerate(keys) if counts[key] > 1]
             if len({tuple([c[i] for c in coords]) for i in shared}) < len(shared):
                 raise DuplicatePoints("points must be distinct")
         if not all(all(map(den.__rmod__, col)) for col in coords):
             raise InvalidParams("integer coordinate: input is not normalized")
-        # corners of the current grid and of the one below it
-        self.origin = self.below = (0,) * d
         # offset of the next level's blocks in current-level cell units
         self.shift: Cell = (0,) * d
-        self.states: Dict[int, Tuple[Cell, _CellInfo]] = {}  # non-A1 cells of the last phase
+        self.states: List[Tuple[Cell, _CellInfo]] = []  # non-A1 cells of the last phase
         self.selected: List[Tuple[IntBox, Tuple[int, int]]] = []
         self.stats = CoverStats()
         self.level = 0
@@ -507,7 +496,7 @@ class _CoverRun:
         # deletions silence counting but pending labels must still ripen
         while True:
             done = self.lo == self.hi
-            pending = any(info.state in _YELLOW_STATES for _, info in self.states.values())
+            pending = any(info.state in _YELLOW_STATES for _, info in self.states)
             if done and not pending:
                 break
             self.level += 1
@@ -523,13 +512,18 @@ class _CoverRun:
         def up(c: Cell) -> Cell:
             return tuple([(ci - t) // rho for ci, t in zip(c, shift)])
 
-        keys = _lift(self.keys, self.lo, self.hi, shift, rho)
-        labelled = _lift(list(self.states), self.lo, self.hi, shift, rho)
+        # a yellow is central for the one offset (c - 2 kappa) mod rho
+        def offset(c: Cell) -> Cell:
+            return tuple([(x - 2 * self.kappa) % rho for x in c])
+
         self.lo, self.hi = up(self.lo), up(self.hi)
+        keys = _keys(self.cells, self.origin, rho**level, self.lo, self.hi)
+        subcells = [[c[i] for c, _ in self.states] for i in range(self.d)]
+        labelled = _keys(subcells, shift, rho, self.lo, self.hi)
         counts = Counter(keys)
         # the labelled subcells of each parent, with the parent's cell
         parents: Dict[int, Tuple[Cell, List[Tuple[Cell, _CellInfo]]]] = {}
-        for key, special in zip(labelled, self.states.values()):
+        for key, special in zip(labelled, self.states):
             entry = parents.get(key)
             if entry is None:
                 entry = parents[key] = (up(special[0]), [])
@@ -551,45 +545,42 @@ class _CoverRun:
         self._assert_state(a2_info, [counts[key] for key in a2])
         self._assert_state(a4_info, [counts[key] for key in a4])
         self.stats.g += len(a2)
-        # the other lone carriers search complement cubes, so read point ids
+        # the other lone carriers search complement cubes, so read the
+        # positions of their points
         members: Dict[int, List[int]] = {key: [] for key in lone.difference(a4)}
         if members:
-            for key, pid in [(k, i) for k, i in zip(keys, self.ids) if k in members]:
-                members[key].append(pid)
+            for i, key in [(i, k) for i, k in enumerate(keys) if k in members]:
+                members[key].append(i)
         # the rest may build boxes, so they are visited in key order
-        new_states: Dict[int, Tuple[Cell, _CellInfo]] = {}
+        visited: List[Tuple[int, Cell, _CellInfo]] = []
         for key in sorted(parents.keys() - a4):
             cell, specials = parents[key]
             info = self.process_cell(cell, level, specials, members.get(key, []))
             assigned[info.state] = assigned.get(info.state, 0) + 1
             self._assert_state(info, [counts[key]])
-            new_states[key] = (cell, info)
+            visited.append((key, cell, info))
         ps.assigned = {state: n for state, n in assigned.items() if n}
-        # step 3: next-level offset by the central-position pigeonhole; a
-        # yellow is central for the one offset (c - 2 kappa) mod rho
-        a3 = [key for key, (_, info) in new_states.items() if info.state == CubeState.A3]
-        cols = _unpack(a2, self.lo, self.hi) if a2 else []
+        # step 3: next-level offset by the central-position pigeonhole
+        cols = _unpack(a2, self.lo, self.hi)
         offsets = list(zip(*[[(c - 2 * self.kappa) % rho for c in col] for col in cols]))
-        offsets += [tuple([(c - 2 * self.kappa) % rho for c in new_states[k][0]]) for k in a3]
+        offsets += [offset(c) for _, c, info in visited if info.state == CubeState.A3]
         t = self.shift = self.choose_offset(offsets)
         ps.yellows, ps.central = len(offsets), offsets.count(t)
         # step 4: permanent deletion inside yellow and newly blue cells, that
         # is in every visited cell but the A4 ones
-        dead = set(a2).union(k for k, (_, info) in new_states.items() if info.state != CubeState.A4)
+        dead = set(a2).union(k for k, _, info in visited if info.state != CubeState.A4)
         ps.deleted = sum(counts[key] for key in dead)
         if ps.deleted:
             alive = [k not in dead for k in keys]
-            self.ids = list(itertools.compress(self.ids, alive))
-            keys = list(itertools.compress(keys, alive))
-        self.keys = keys
+            self.cells = [list(itertools.compress(col, alive)) for col in self.cells]
         # step 5: unlabel yellows that did not land in central position: an
         # A2 cell goes, an A3 cell turns A4 and the enclosed blue stays
-        new_states.update({k: (c, a2_info) for k, c, o in zip(a2, zip(*cols), offsets) if o == t})
-        for key, o in zip(a3, offsets[len(a2) :]):
-            if o != t:
-                new_states[key] = (new_states[key][0], a4_info)
-        new_states.update({key: (parents[key][0], a4_info) for key in a4})
-        self.states = new_states
+        self.states = [(c, a2_info) for c, o in zip(zip(*cols), offsets) if o == t]
+        self.states += [
+            (c, a4_info if info.state == CubeState.A3 and offset(c) != t else info)
+            for _, c, info in visited
+        ]
+        self.states += [(parents[key][0], a4_info) for key in a4]
         self.stats.phases.append(ps)
 
     def choose_offset(self, offsets: List[Cell]) -> Cell:
@@ -610,8 +601,9 @@ class _CoverRun:
         pts: List[int],
     ) -> _CellInfo:
         """Label a cell that has labelled subcells, specials, each with its
-        info; pts, the ids of its points, is read only around a lone
-        carrier.  Boxes are built only in the branches that read them."""
+        info; pts, the positions of its points in cells, is read only
+        around a lone carrier.  Boxes are built only in the branches that
+        read them."""
         yellow = [(c, i) for c, i in specials if i.state in _YELLOW_STATES]
         carriers = [c for c, i in specials if i.state in _CARRIER_STATES]
         if len(yellow) > 1:

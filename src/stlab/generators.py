@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .exact import (
     ComplexLine,

@@ -27,7 +27,7 @@ from stlab.covering import (
     _CellInfo,
     _CoverRun,
     _complement_cubes,
-    _lift,
+    _keys,
     _on_grid,
     _overlap_candidates,
     _unpack,
@@ -618,16 +618,11 @@ def test_cover_output_pinned_off_origin(seed, n, d, r, kappa, move, digest, reac
 
 
 def test_cell_keys_round_trip_in_lexicographic_order():
-    # random hulls with negative corners: the run keys each point by the
-    # digits c - lo of its level-0 cell over the hull, _unpack gives the
-    # cells back one axis at a time, sorted keys run in lexicographic cell
-    # order, and _lift keys the parents (c - t) // rho over the lifted hull
-    def pack(cell, lo, hi):
-        key = 0
-        for x, low, high in zip(cell, lo, hi):
-            key = key * (high - low + 1) + x - low
-        return key
-
+    # random hulls with negative corners: _keys at origin 0 and side 1 keys
+    # the level-0 cells, _unpack gives them back one axis at a time, sorted
+    # keys (negative ones too: axis 0 has no offset) run in lexicographic
+    # cell order, and one floor of the level-0 cells keys the cells of
+    # every level as lifting them level by level with (c - t) // rho does
     rng = random.Random(7)
     for _ in range(300):
         d, kappa = rng.randint(1, 4), rng.choice((1, 2))
@@ -638,18 +633,24 @@ def test_cell_keys_round_trip_in_lexicographic_order():
         cells = sorted(cells | {lo, hi})
         rng.shuffle(cells)
         run = _CoverRun([tuple(F(2 * x + 1, 2 * rho) for x in c) for c in cells], d, kappa, 1)
-        keys = run.keys
         assert (run.lo, run.hi) == (lo, hi)
-        assert run.ids == list(range(len(cells)))
-        assert keys == [pack(c, lo, hi) for c in cells]
+        assert list(zip(*run.cells)) == cells
+        keys = _keys(run.cells, (0,) * d, 1, lo, hi)
+        assert [k < 0 for k in keys] == [c[0] < 0 for c in cells]
         assert list(zip(*_unpack(keys, lo, hi))) == cells
         assert list(zip(*_unpack(sorted(keys), lo, hi))) == sorted(cells)
-        t = tuple(rng.randrange(rho) for _ in range(d))
+        # level by level: shifts t in [0, rho) move the origin by t rho^(L-1)
+        origin, lifted, low, high = (0,) * d, cells, lo, hi
+        for level in range(1, 5):
+            t = tuple(rng.randrange(rho) for _ in range(d))
 
-        def up(c):
-            return tuple((x - s) // rho for x, s in zip(c, t))
+            def up(c):
+                return tuple((x - s) // rho for x, s in zip(c, t))
 
-        assert _lift(keys, lo, hi, t, rho) == [pack(up(c), up(lo), up(hi)) for c in cells]
+            origin = tuple(o + s * rho ** (level - 1) for o, s in zip(origin, t))
+            lifted, low, high = [up(c) for c in lifted], up(low), up(high)
+            keys = _keys(run.cells, origin, rho**level, low, high)
+            assert keys == _keys(list(zip(*lifted)), (0,) * d, 1, low, high)
 
 
 def test_covering_deterministic():

@@ -132,3 +132,21 @@ def test_every_public_name_has_a_caller():
     }
     assert uncalled == set(UNCALLED)
     assert all(reason.strip() for reason in UNCALLED.values())
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    # an import of __future__ is a compiler directive, not a name
+    unused = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        imported, loaded = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        unused += ["%s: %s" % (os.path.basename(path), name) for name in imported if name not in loaded]
+    assert unused == []
