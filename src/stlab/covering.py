@@ -415,9 +415,9 @@ class CoverResult:
 
 def _keys(cols: Sequence[Sequence[int]], origin: Cell, side: int, lo: Cell, hi: Cell) -> List[int]:
     """The keys of the cells floor((c - origin) / side) of the cells c,
-    given per axis as cols, over those cells' hull (lo, hi): the digits c
-    on axis 0, then c - lo per axis in mixed radix, so sorted keys run in
-    lexicographic cell order."""
+    given per axis as cols, over those cells' hull (lo, hi): the axis-0
+    coordinate, then the digits c - lo of the other axes in mixed radix,
+    so sorted keys, negative ones too, run in lexicographic cell order."""
     keys = [(c - origin[0]) // side for c in cols[0]]
     for col, o, low, high in zip(cols[1:], origin[1:], lo[1:], hi[1:]):
         a, w = o + low * side, high - low + 1
