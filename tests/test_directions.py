@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -50,9 +51,23 @@ def rand_direction(rng):
 
 
 def test_to_sphere_examples():
-    assert to_sphere(DIR_INF).raw == (0.0, 0.0, 1.0)
-    assert to_sphere(DIR_ZERO).raw == (0.0, 0.0, 0.0)
-    assert to_sphere(DIR_ONE).raw == (0.5, 0.0, 0.5)
+    assert to_sphere(DIR_INF).v == (0.0, 0.0, 1.0)
+    assert to_sphere(DIR_ZERO).v == (0.0, 0.0, -1.0)
+    assert to_sphere(DIR_ONE).v == (1.0, 0.0, 0.0)
+
+
+def test_sphere_points_pinned():
+    # the poles, the unit slopes, slopes of size 10^400 and 10^-400, a
+    # seeded batch, and the centers of three disk covers
+    huge, tiny = Fraction(10**400), Fraction(1, 10**400)
+    dirs = [DIR_INF, DIR_ZERO, DIR_ONE, fin(-1), DIR_I, fin(0, -1)]
+    dirs += [fin(huge), fin(-huge, huge), fin(0, huge), fin(tiny), fin(tiny, -tiny), fin(huge, tiny)]
+    rng = random.Random(5)
+    dirs += [rand_direction(rng) for _ in range(2000)]
+    points = [to_sphere(d).v for d in dirs]
+    points += [p.v for delta in (90.0, 30.0, 5.0) for p in sphere_disk_cover(delta)]
+    digest = hashlib.sha256(repr(points).encode()).hexdigest()[:16]
+    assert digest == "7ad0681e2d9e9566"
 
 
 def test_dist_examples():

@@ -68,3 +68,30 @@ def test_bundle_fixture_pinned(shape, digest):
     for seed in range(1, 40):
         h.update(fileio.dump_bundle(gen_bundle_fixture(*shape, seed=seed)[1]).encode())
     assert h.hexdigest()[:16] == digest
+
+
+def _digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+    return h.hexdigest()[:16]
+
+
+def test_random_system_pinned():
+    # n < 2 skips the planted lines' rng.sample; e = 0 draws no line
+    assert _digest(
+        fileio.dump_system(*gen_random_system(n, e, seed))
+        for n in (0, 1, 2, 5, 30)
+        for e in (0, 1, 7, 40)
+        for seed in range(4)
+    ) == "af1160abca3bddd1"
+
+
+def test_bundle_fixture_spread_zero_pinned():
+    # spread 0 builds exactly canonical flats and draws no perturbation
+    parts = []
+    for shape in ((1, 1, 0.0), (6, 1, 0.0), (20, 2, 0.0), (54, 2, 0.0)):
+        for seed in range(8):
+            anchors, bundle = gen_bundle_fixture(*shape, seed=seed)
+            parts += [repr(anchors), fileio.dump_bundle(bundle)]
+    assert _digest(parts) == "9c7d696a6bffbc3f"
