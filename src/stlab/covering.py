@@ -321,10 +321,6 @@ class SignedPermutation:
     perm: Tuple[int, ...]
     signs: Tuple[int, ...]
 
-    @classmethod
-    def identity(cls, d: int) -> "SignedPermutation":
-        return cls(tuple(range(d)), (1,) * d)
-
     def apply_box(self, b: IntBox) -> IntBox:
         """The image box; any ordered coordinates will do."""
         out = []

@@ -1,11 +1,11 @@
 """Direction space of complex lines.
 
 A complex line y = a*x + b has direction a (the vertical lines get the
-direction "infinity").  The direction space is a 2-sphere: the finite
-directions embed into the plane z = 0 of R^3 and stereographic
-projection lifts them onto the sphere x^2 + y^2 + (z - 1/2)^2 = 1/4,
-with infinity at (0, 0, 1).  Distances are central angles in degrees,
-so antipodal directions sit at 180.
+direction "infinity").  The direction space is a 2-sphere: stereographic
+projection lifts the finite directions onto the unit sphere of R^3, with
+0 at (0, 0, -1), infinity at (0, 0, 1) and the unit circle |a| = 1 on
+the equator H0.  Distances are central angles in degrees, so antipodal
+directions sit at 180.
 
 The module also carries the induced Moebius action of invertible
 complex 2x2 matrices on directions (exact rational arithmetic) and the
@@ -81,14 +81,8 @@ def direction_of(l: ComplexLine) -> Direction:
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """Image of a direction on the sphere.
+    """Image of a direction on the unit sphere."""
 
-    ``raw`` is the exact point of the radius-1/2 sphere touching the
-    plane at the origin; ``v`` is the same point recentred to the
-    origin and rescaled to unit norm, which is what the metric uses.
-    """
-
-    raw: Tuple[float, float, float]
     v: Tuple[float, float, float]
 
     def __post_init__(self) -> None:
@@ -99,20 +93,16 @@ class SpherePoint:
 def to_sphere(d: Direction) -> SpherePoint:
     """Stereographic image of a direction.
 
-    The unit-modulus circle |a| = 1 lands on the great circle H0 of the
-    recentred sphere; infinity lands at the north pole.
+    v = (2 Re a, 2 Im a, |a|^2 - 1) / (1 + |a|^2), exact until each
+    coordinate is rounded once to a float.  The unit-modulus circle
+    |a| = 1 lands on the great circle H0; infinity lands at the north pole.
     """
     if d.is_infinite:
-        return SpherePoint((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+        return SpherePoint((0.0, 0.0, 1.0))
     a = d.a
     rho2 = a.abs2()
     den = 1 + rho2
-    raw = (a.re / den, a.im / den, rho2 / den)
-    v = (2 * raw[0], 2 * raw[1], Fraction(2) * raw[2] - 1)
-    return SpherePoint(
-        (float(raw[0]), float(raw[1]), float(raw[2])),
-        (float(v[0]), float(v[1]), float(v[2])),
-    )
+    return SpherePoint((float(2 * a.re / den), float(2 * a.im / den), float((rho2 - 1) / den)))
 
 
 def _angle_deg(u: Tuple[float, float, float], w: Tuple[float, float, float]) -> float:
@@ -404,9 +394,7 @@ def sphere_disk_cover(delta_deg: float) -> List[SpherePoint]:
         z = 1.0 - 2.0 * (i + 0.5) / n
         rad = math.sqrt(max(0.0, 1.0 - z * z))
         th = golden * i
-        v = (rad * math.cos(th), rad * math.sin(th), z)
-        raw = (v[0] / 2.0, v[1] / 2.0, (v[2] + 1.0) / 2.0)
-        pts.append(SpherePoint(raw, v))
+        pts.append(SpherePoint((rad * math.cos(th), rad * math.sin(th), z)))
     return pts
 
 

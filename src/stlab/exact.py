@@ -164,11 +164,11 @@ class ComplexLine:
 
     @classmethod
     def slanted(cls, a, b) -> "ComplexLine":
-        return cls(as_gaussian(a), as_gaussian(b))
+        return cls(as_gaussian(a), b)
 
     @classmethod
     def vertical(cls, c) -> "ComplexLine":
-        return cls(None, as_gaussian(c))
+        return cls(None, c)
 
     @property
     def is_vertical(self) -> bool:
@@ -215,7 +215,7 @@ class RVector4:
     def of(cls, coords: Sequence[RationalLike]) -> "RVector4":
         if len(coords) != 4:
             raise ValueError("RVector4 needs 4 coordinates")
-        return cls(*[_frac(c) for c in coords])
+        return cls(*coords)
 
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.x1, self.x2, self.x3, self.x4)

@@ -8,9 +8,10 @@ incidences cannot be lattice artifacts.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .exact import (
     ComplexLine,
@@ -22,7 +23,7 @@ from .exact import (
     line_through,
 )
 from .incidence import count_indexed
-from .regions import CANONICAL_SPANS, FlatBundle, canonical_frame
+from .regions import CANONICAL_SPANS, FlatBundle, canonical_flat, canonical_frame
 from .directions import Subspace2, gr_dist_deg
 
 
@@ -59,9 +60,11 @@ def gen_erdos(k: int) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
     return points, lines
 
 
-def _dyadic(rng: random.Random, lo: int, hi: int, counter: int, k: int = 20) -> Fraction:
-    # distinct odd numerators keep all generated coordinates distinct
-    return Fraction(rng.randint(lo, hi)) + Fraction(2 * counter + 1, 2**k)
+def _coordinates(rng: random.Random, span: int) -> Callable[[], Fraction]:
+    """Draws of an integer in [-span, span] plus the next odd multiple of
+    2^-20; the distinct offsets keep all drawn coordinates distinct."""
+    odd = itertools.count(1, 2)
+    return lambda: rng.randint(-span, span) + Fraction(next(odd), 2**20)
 
 
 def gen_random_system(
@@ -77,39 +80,22 @@ def gen_random_system(
     if n < 0 or e < 0:
         raise GeometryError("n and e must be non-negative")
     rng = random.Random(seed)
-    span = 3 * max(n, e, 4)
-    counter = 0
-    points: List[ComplexPoint] = []
-    for _ in range(n):
-        coords = []
-        for _ in range(4):
-            coords.append(_dyadic(rng, -span, span, counter))
-            counter += 1
-        points.append(
-            ComplexPoint(
-                GaussianRational(coords[0], coords[1]),
-                GaussianRational(coords[2], coords[3]),
-            )
-        )
+    draw = _coordinates(rng, 3 * max(n, e, 4))
+    points = [
+        ComplexPoint(GaussianRational(draw(), draw()), GaussianRational(draw(), draw()))
+        for _ in range(n)
+    ]
     lines: List[ComplexLine] = []
     seen = set()
     while len(lines) < e:
-        if points and len(points) >= 2 and rng.random() < 0.5:
+        if len(points) >= 2 and rng.random() < 0.5:
             i, j = rng.sample(range(len(points)), 2)
             cand = line_through(points[i], points[j])
         elif rng.random() < 0.1:
-            c = GaussianRational(
-                _dyadic(rng, -span, span, counter), _dyadic(rng, -span, span, counter + 1)
-            )
-            counter += 2
-            cand = ComplexLine.vertical(c)
+            cand = ComplexLine.vertical(GaussianRational(draw(), draw()))
         else:
-            vals = []
-            for _ in range(4):
-                vals.append(_dyadic(rng, -span, span, counter))
-                counter += 1
             cand = ComplexLine.slanted(
-                GaussianRational(vals[0], vals[1]), GaussianRational(vals[2], vals[3])
+                GaussianRational(draw(), draw()), GaussianRational(draw(), draw())
             )
         if cand not in seen:
             seen.add(cand)
@@ -133,29 +119,22 @@ def gen_bundle_fixture(
     if m < 1 or per_point < 1:
         raise GeometryError("m and per_point must be positive")
     rng = random.Random(seed)
-    span = max(4, round(2.2 * m**0.25) + 1)
-    counter = 0
+    draw = _coordinates(rng, max(4, round(2.2 * m**0.25) + 1))
     anchors: List[Tuple[Fraction, Fraction, Fraction, Fraction]] = []
     seen = set()
     while len(anchors) < m:
-        coords = []
-        for _ in range(4):
-            coords.append(_dyadic(rng, -span, span, counter))
-            counter += 1
-        t = tuple(coords)
+        t = (draw(), draw(), draw(), draw())
         if t not in seen:
             seen.add(t)
             anchors.append(t)
 
     poles = canonical_frame()
-    fam_spans = (CANONICAL_SPANS[0], CANONICAL_SPANS[1])
-    co_spans = (CANONICAL_SPANS[1], CANONICAL_SPANS[0])
 
     def perturbed_flat(anchor, family: int) -> Flat2:
-        u1, u2 = (RVector4.of(v) for v in fam_spans[family])
         if spread_deg == 0:
-            return Flat2(RVector4.of(anchor), u1, u2)
-        w1, w2 = (RVector4.of(v) for v in co_spans[family])
+            return canonical_flat(anchor, family)
+        u1, u2 = (RVector4.of(v) for v in CANONICAL_SPANS[family])
+        w1, w2 = (RVector4.of(v) for v in CANONICAL_SPANS[1 - family])
         target = rng.uniform(0.15, 0.92) * spread_deg
         eps = Fraction(target / 120).limit_denominator(10**4)
         deltas = [
@@ -168,7 +147,7 @@ def gen_bundle_fixture(
             if gr_dist_deg(sub, poles[family]) <= spread_deg * 0.999:
                 return Flat2(RVector4.of(anchor), d1, d2)
             deltas = [x / 2 for x in deltas]
-        return Flat2(RVector4.of(anchor), u1, u2)
+        return canonical_flat(anchor, family)
 
     family1 = [[perturbed_flat(a, 0) for _ in range(per_point)] for a in anchors]
     family2 = [[perturbed_flat(a, 1) for _ in range(per_point)] for a in anchors]

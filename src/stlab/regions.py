@@ -70,11 +70,7 @@ def canonical_frame() -> Tuple[Subspace2, Subspace2]:
 def canonical_flat(anchor: Sequence[Rational], family: int) -> Flat2:
     """A flat of exactly canonical direction through the anchor."""
     s1, s2 = CANONICAL_SPANS[family]
-    return Flat2(
-        RVector4.of([_frac(x) for x in anchor]),
-        RVector4.of(s1),
-        RVector4.of(s2),
-    )
+    return Flat2(RVector4.of(anchor), RVector4.of(s1), RVector4.of(s2))
 
 
 @dataclass(frozen=True)

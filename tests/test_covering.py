@@ -379,7 +379,7 @@ def test_verifier_beyond_float_range():
     cubes = [fc((big, 0), 1), fc((0, 0), 1)]
     pts = [(big + F(1, 6), F(1, 2)), (F(1, 6), F(1, 2)), (big + F(1, 3), F(2, 3)),
            (big - F(1, 10**9), F(1, 2)), (-big, F(1, 2))]
-    res = CoverResult(cubes, SignedPermutation.identity(2), CoverStats())
+    res = CoverResult(cubes, SignedPermutation((0, 1), (1, 1)), CoverStats())
     assert build_shift_graph(cubes, 1).edges == []
     rep = verify_cover(pts, res, 1, 1)
     assert rep.all_ok and rep.bott_failures == []
@@ -773,12 +773,12 @@ def test_shift_graph_matches_oracle(d):
 def test_verify_cover_flags_bad_inputs():
     # hand-built overlap
     k_overlap = [fc((0, 0), 2), fc((1, 1), 2)]
-    res = CoverResult(k_overlap, SignedPermutation.identity(2), CoverStats())
+    res = CoverResult(k_overlap, SignedPermutation((0, 1), (1, 1)), CoverStats())
     rep = verify_cover([(F(1, 2), F(1, 2))], res, 1, 1)
     assert not rep.non_overlap_ok
     # bott holding fewer than r points
     k_sparse = [fc((0, 0), 3)]
-    res = CoverResult(k_sparse, SignedPermutation.identity(2), CoverStats())
+    res = CoverResult(k_sparse, SignedPermutation((0, 1), (1, 1)), CoverStats())
     rep = verify_cover([(F(1, 2), F(5, 2))], res, 1, 1)
     assert not rep.bott_ok and rep.bott_failures == [0]
     # a non-identity axis map: y = (-x1, x0), so bott(K[0]) = [0,1]x[1,2]
@@ -798,7 +798,7 @@ def test_verify_cover_flags_bad_inputs():
 
 def test_verify_cover_names_witnesses():
     assert oracle_shift_graph(IN_DEGREE_TWO, 1) == [(1, 0), (2, 0)]
-    res = CoverResult(IN_DEGREE_TWO, SignedPermutation.identity(2), CoverStats())
+    res = CoverResult(IN_DEGREE_TWO, SignedPermutation((0, 1), (1, 1)), CoverStats())
     rep = verify_cover(IN_DEGREE_TWO_POINTS, res, 1, 1)
     assert rep.bott_ok and rep.non_overlap_ok and not rep.in_degree_ok
     assert (rep.max_in_degree, rep.max_in_target, rep.max_in_sources) == (2, 0, [1, 2])
@@ -808,7 +808,7 @@ def test_verify_cover_names_witnesses():
     with pytest.raises(OverlappingInput) as err:
         build_shift_graph(k_overlap, kappa=1)
     assert err.value.pair == (0, 2)
-    res = CoverResult(k_overlap, SignedPermutation.identity(2), CoverStats())
+    res = CoverResult(k_overlap, SignedPermutation((0, 1), (1, 1)), CoverStats())
     rep = verify_cover([(F(1, 2), F(1, 2))], res, 1, 1)
     assert not rep.non_overlap_ok and rep.overlap_pair == (0, 2)
     assert rep.max_in_target is None and rep.max_in_sources == []
@@ -858,7 +858,7 @@ def test_verify_cover_names_known_defect_witnesses():
         pts = [
             tuple(x + b.side / 2 for x in b.corner) for b in (oracle_bott(c, 1) for c in cubes)
         ]
-        res = CoverResult(cubes, SignedPermutation.identity(2), CoverStats())
+        res = CoverResult(cubes, SignedPermutation((0, 1), (1, 1)), CoverStats())
         rep = verify_cover(pts, res, 1, 1)
         assert rep.non_overlap_ok and rep.bott_ok and not rep.in_degree_ok
         assert (rep.max_in_degree, rep.max_in_target, rep.max_in_sources) == (

@@ -185,7 +185,7 @@ def test_cli_verify_cover_prints_witness(tmp_path, capsys):
 
     def verify(cubes, points):
         path = tmp_path / "cover.txt"
-        res = CoverResult(cubes, SignedPermutation.identity(2), CoverStats())
+        res = CoverResult(cubes, SignedPermutation((0, 1), (1, 1)), CoverStats())
         fileio.write_atomic(str(path), fileio.dump_cover(points, res, 2, 1, 1))
         code = main(["verify", "--cover", str(path)])
         return code, capsys.readouterr().out.splitlines()

@@ -83,9 +83,10 @@ UNCALLED = {
 
 
 def _references(paths):
-    """The names the files load bare or import by name, and the names
-    they load as attributes."""
-    bare, attrs = set(), set()
+    """The names the files load bare or import by name, the names they
+    load as attributes, and the names they load as Class.name, or as
+    cls.name inside Class, each as "Class.name"."""
+    bare, attrs, through_class = set(), set(), set()
     for path in paths:
         with open(path) as fh:
             tree = ast.parse(fh.read())
@@ -94,30 +95,40 @@ def _references(paths):
                 bare.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    through_class.add(node.value.id + "." + node.attr)
             elif isinstance(node, ast.ImportFrom):
                 bare.update(alias.name for alias in node.names)
-    return bare, attrs
+            elif isinstance(node, ast.ClassDef):
+                through_class.update(
+                    node.name + "." + sub.attr
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "cls"
+                )
+    return bare, attrs, through_class
 
 
 def _public_names(module):
     """Public module-level functions, classes and constants of
-    stlab.<module>, and the public methods of its public classes."""
+    stlab.<module>, and the public methods of its public classes, each
+    with whether it is a classmethod or staticmethod."""
     with open(os.path.join(SRC, module + ".py")) as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name
+            yield node.name, False
             for sub in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield node.name + "." + sub.name
+                    decorators = {getattr(d, "id", None) for d in sub.decorator_list}
+                    yield node.name + "." + sub.name, bool(decorators & {"classmethod", "staticmethod"})
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (t.id for t in targets if isinstance(t, ast.Name) and t.id[0] != "_")
+            yield from ((t.id, False) for t in targets if isinstance(t, ast.Name) and t.id[0] != "_")
 
 
 def test_every_public_name_has_a_caller():
     root = os.path.join(HERE, os.pardir)
-    bare, attrs = _references(
+    bare, attrs, through_class = _references(
         glob.glob(os.path.join(SRC, "*.py"))
         + glob.glob(os.path.join(root, "perfbench", "*.py"))
         + [os.path.join(HERE, "test_acceptance.py")]
@@ -125,10 +136,14 @@ def test_every_public_name_has_a_caller():
     uncalled = {
         "%s.%s" % (module, name)
         for module in MODULES
-        for name in _public_names(module)
-        # a method is used only as an attribute; a local variable of its
-        # name does not call it
-        if name.rsplit(".", 1)[-1] not in (attrs if "." in name else bare | attrs)
+        for name, on_class in _public_names(module)
+        # a method is used only as an attribute, and a classmethod only
+        # through its class; a local variable of its name does not call it
+        if not (
+            name in through_class
+            if on_class
+            else name.rsplit(".", 1)[-1] in (attrs if "." in name else bare | attrs)
+        )
     }
     assert uncalled == set(UNCALLED)
     assert all(reason.strip() for reason in UNCALLED.values())
