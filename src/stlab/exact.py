@@ -129,9 +129,9 @@ def as_gaussian(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(_frac(x), Fraction(0))
+        return GaussianRational(x)
     if isinstance(x, tuple) and len(x) == 2:
-        return GaussianRational(_frac(x[0]), _frac(x[1]))
+        return GaussianRational(*x)
     raise TypeError("cannot interpret %r as GaussianRational" % (x,))
 
 
