@@ -7,14 +7,15 @@ starts a comment.  Every file opens with the header line
     stlab <kind> 1
 
 with kind one of system, points, bundle, cover, regions.  One reader,
-``_records``, checks that header and yields the records; ``_line``
-prints every record of rationals but "p" and "cube", the rows of a
-covering.PointSet or CubeSet, which one row codec reads and writes as
-int columns with no Fraction per coordinate, put over one denominator
-by ``exact._int_columns``.  Loaders parse each token in its record's
-turn, so the first fault in file order decides the message.  Files are
-written atomically (temp file then rename) with the mode a plain open
-would give them.
+``_records``, checks that header and the "<name> <int>" records such as
+"dim 2" and yields the others; ``_line`` prints every record of
+rationals but "p" and "cube", the rows of a covering.PointSet or
+CubeSet, which one row codec reads and writes as int columns with no
+Fraction per coordinate, put over one denominator by
+``exact._int_columns``.  The reader parses a run of rows in bulk, and
+record by record only a run with a fault in it, so the first fault in
+file order decides the message.  Files are written atomically (temp
+file then rename) with the mode a plain open would give them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .covering import CoverResult, CoverStats, CubeSet, InvalidParams, PointSet, SignedPermutation
@@ -31,6 +34,7 @@ from .exact import ComplexLine, ComplexPoint, Flat2, GaussianRational, RVector4,
 from .regions import FlatBundle, Region, RegionAssignment
 
 FORMAT_VERSION = 1
+CHUNK = 1 << 16  # characters of whole lines the reader takes at a time
 
 
 class FormatError(ValueError):
@@ -99,15 +103,71 @@ def _parse_header(line: str, kind: str) -> None:
         raise FormatError("expected kind %r, found %r" % (kind, parts[1]))
 
 
-def _records(stream: TextIO, kind: str) -> Iterator[List[str]]:
+def _add_row(rec: List[str], d: Optional[int], nums: List[int], dens: List[int]) -> None:
+    """Parse a "p" or "cube" record of d or d + 1 rationals onto their
+    numerators nums and denominators dens, each token in its turn."""
+    cube = rec[0] == "cube"
+    if d is None or len(rec) != d + cube + 1:
+        raise FormatError("%s record before dim or wrong arity" % ("cube" if cube else "point"))
+    for a, q in map(_ratio, rec[1:]):
+        nums.append(a)
+        dens.append(q)
+    if cube and a * q <= 0:
+        raise InvalidParams("cube side must be positive")
+
+
+def _bulk(run: List[str], d: Optional[int], rows: Dict[str, tuple]) -> bool:
+    """_add_row on each line of run at once, if each is a "p" or "cube" record
+    named in rows with every token of at most one "/": one split, one int
+    pass over the numerator texts and one over the denominators.  A name or
+    a comment off its place leaves a token int rejects.  False, rows
+    untouched, for any other run, a zero denominator or a side <= 0."""
+    text = "".join(run)
+    toks = text.split()
+    name = toks[0] if toks else ""
+    if d is None or name not in rows:
+        return False
+    w, n = d + (name == "cube"), len(run)
+    if ("\n" + text).count("\n%s " % name) != n or len(toks) != n * (w + 1):
+        return False
+    del toks[:: w + 1]
+    parts = " ".join([t if "/" in t else t + "/1" for t in toks]).replace("/", " ").split(" ")
+    if len(parts) != 2 * len(toks):
+        return False
+    try:
+        nums, dens = list(map(int, parts[::2])), list(map(int, parts[1::2]))
+    except ValueError:
+        return False
+    if 0 in dens or name == "cube" and min(map(mul, nums[d::w], dens[d::w])) <= 0:  # cube sides
+        return False
+    rows[name][0].extend(nums)
+    rows[name][1].extend(dens)
+    return True
+
+
+def _records(
+    stream: TextIO, kind: str, head: Dict[str, Optional[int]], rows: Dict[str, tuple]
+) -> Iterator[List[str]]:
     """The records of a <kind> file, comments stripped, after its header
-    line is checked; the only code that reads the stream."""
+    line is checked; the only code that reads the stream, CHUNK characters
+    of lines at a time.  A record named in head, "<name> <int>", sets
+    head[name] once; a "p" or "cube" record named in rows goes onto the
+    lists rows[name] = (numerators, denominators), a run of lines with one
+    first character through _bulk if it can."""
     try:
         _parse_header(stream.readline(), kind)
-        for raw in stream:
-            rec = raw.partition("#")[0].split()
-            if rec:
-                yield rec
+        while lines := stream.readlines(CHUNK):
+            for run in (list(g) for _, g in groupby(lines, itemgetter(0))):
+                if rows and _bulk(run, head["dim"], rows):
+                    continue
+                for rec in filter(None, (raw.partition("#")[0].split() for raw in run)):
+                    if rec[0] in head:
+                        _once(rec, head[rec[0]])
+                        head[rec[0]] = _int_record(rec)
+                    elif rec[0] in rows:
+                        _add_row(rec, head["dim"], *rows[rec[0]])
+                    else:
+                        yield rec
     except UnicodeDecodeError as exc:
         raise FormatError("input is not valid text: %s" % exc) from exc
 
@@ -115,20 +175,6 @@ def _records(stream: TextIO, kind: str) -> Iterator[List[str]]:
 def _line(name: str, values: Iterable[Fraction]) -> str:
     """The record "<name> <v1> <v2> ..." of rationals."""
     return " ".join([name, *map(format_rational, values)])
-
-
-def _row(rec: List[str], width: Optional[int], name: str = "point") -> List[str]:
-    """The tokens of a "p" or "cube" record, width of them; no width, no dim yet."""
-    if width is None or len(rec) != width + 1:
-        raise FormatError("%s record before dim or wrong arity" % name)
-    return rec[1:]
-
-
-def _rows(cls, ratios: Sequence[Tuple[int, int]], width: int):
-    """The (numerator, denominator) pairs, width to a row, as the rows of
-    a cls (PointSet or CubeSet) over their least common denominator."""
-    nums, dens = zip(*ratios) if ratios else ((), ())
-    return cls.over(*_int_columns(nums, dens, width))
 
 
 def _row_lines(name: str, rows: PointSet) -> List[str]:
@@ -179,7 +225,7 @@ def _gaussians(tokens: List[str]) -> List[GaussianRational]:
 def load_system(stream: TextIO) -> Tuple[List[ComplexPoint], List[ComplexLine]]:
     points: List[ComplexPoint] = []
     lines: List[ComplexLine] = []
-    for rec in _records(stream, "system"):
+    for rec in _records(stream, "system", {}, {}):
         if rec[0] == "p" and len(rec) == 5:
             points.append(ComplexPoint(*_gaussians(rec[1:])))
         elif rec[:2] == ["l", "V"] and len(rec) == 4:
@@ -200,19 +246,13 @@ def dump_points(points: Sequence[Sequence[Fraction]], d: int) -> str:
 
 
 def load_points(stream: TextIO) -> Tuple[PointSet, int]:
-    d = None
-    ratios: List[Tuple[int, int]] = []
-    for rec in _records(stream, "points"):
-        if rec[0] == "dim":
-            _once(rec, d)
-            d = _int_record(rec)
-        elif rec[0] == "p":
-            ratios += map(_ratio, _row(rec, d))
-        else:
-            raise FormatError("bad points record %r" % " ".join(rec))
-    if d is None:
+    head: Dict[str, Optional[int]] = {"dim": None}
+    points = ([], [])  # numerators, denominators
+    for rec in _records(stream, "points", head, {"p": points}):
+        raise FormatError("bad points record %r" % " ".join(rec))
+    if head["dim"] is None:
         raise FormatError("missing dim record")
-    return _rows(PointSet, ratios, d), d
+    return PointSet.over(*_int_columns(*points, head["dim"])), head["dim"]
 
 
 # -- flat bundles ------------------------------------------------------------------
@@ -232,7 +272,7 @@ def dump_bundle(bundle: FlatBundle) -> str:
 def load_bundle(stream: TextIO) -> FlatBundle:
     anchors: List[Tuple[Fraction, ...]] = []
     families: Dict[int, Dict[int, List[Flat2]]] = {1: {}, 2: {}}
-    for rec in _records(stream, "bundle"):
+    for rec in _records(stream, "bundle", {}, {}):
         if rec[0] == "anchor" and len(rec) == 5:
             anchors.append(tuple(map(parse_rational, rec[1:])))
         elif rec[0] == "flat" and len(rec) == 15:
@@ -280,14 +320,10 @@ class CoverFile:
 def load_cover(stream: TextIO) -> CoverFile:
     head: Dict[str, Optional[int]] = dict.fromkeys(("dim", "kappa", "r"))
     amap: Optional[SignedPermutation] = None
-    points: List[Tuple[int, int]] = []  # the "p" records' rationals
-    cubes: List[Tuple[int, int]] = []  # the "cube" records' rationals
-    for rec in _records(stream, "cover"):
+    points, cubes = ([], []), ([], [])  # numerators, denominators
+    for rec in _records(stream, "cover", head, {"p": points, "cube": cubes}):
         d = head["dim"]
-        if rec[0] in head:
-            _once(rec, head[rec[0]])
-            head[rec[0]] = _int_record(rec)
-        elif rec[0] == "axismap":
+        if rec[0] == "axismap":
             _once(rec, amap)
             if d is None or len(rec) != 2 * d + 1:
                 raise FormatError("axismap before dim or wrong arity")
@@ -296,18 +332,12 @@ def load_cover(stream: TextIO) -> CoverFile:
             if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
                 raise FormatError("axismap is not a signed permutation")
             amap = SignedPermutation(perm, signs)
-        elif rec[0] == "p":
-            points += map(_ratio, _row(rec, d))
-        elif rec[0] == "cube":
-            cubes += map(_ratio, _row(rec, d and d + 1, "cube"))
-            if cubes[-1][0] * cubes[-1][1] <= 0:
-                raise InvalidParams("cube side must be positive")
         else:
             raise FormatError("bad cover record %r" % " ".join(rec))
     if None in head.values() or amap is None:
         raise FormatError("incomplete cover file")
-    pts = _rows(PointSet, points, head["dim"])
-    K = _rows(CubeSet, cubes, head["dim"] + 1)
+    pts = PointSet.over(*_int_columns(*points, head["dim"]))
+    K = CubeSet.over(*_int_columns(*cubes, head["dim"] + 1))
     return CoverFile(pts, CoverResult(K, amap, CoverStats()), *head.values())
 
 
@@ -329,7 +359,7 @@ def dump_regions(assignments: Sequence[RegionAssignment], r: int) -> str:
 
 
 def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
-    r = None
+    head: Dict[str, Optional[int]] = {"r": None}
     out: List[RegionAssignment] = []
     boxes: List = []
     ids: Optional[Tuple[int, ...]] = None
@@ -342,11 +372,8 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
             out.append(RegionAssignment(Region(tuple(boxes)), ids))
         boxes, ids = [], None
 
-    for rec in _records(stream, "regions"):
-        if rec[0] == "r":
-            _once(rec, r)
-            r = _int_record(rec)
-        elif rec == ["region"]:
+    for rec in _records(stream, "regions", head, {}):
+        if rec == ["region"]:
             flush()
         elif rec[0] == "box" and len(rec) == 9:
             vals = [parse_rational(t) for t in rec[1:]]
@@ -359,6 +386,6 @@ def load_regions(stream: TextIO) -> Tuple[List[RegionAssignment], int]:
         else:
             raise FormatError("bad regions record %r" % " ".join(rec))
     flush()
-    if r is None:
+    if head["r"] is None:
         raise FormatError("missing r record")
-    return out, r
+    return out, head["r"]

@@ -12,6 +12,9 @@ Hand-built fixtures that more than one module checks live here too, and
 the exact routes that only tests call: the meet of two complex lines,
 tau (the identification of C^2 with R^4, on points and on lines) and
 the image of a system under a linear map.
+The per-record loaders are the text layer's loops before the bulk row
+parse: every "p" and "cube" token through ``fileio._ratio`` in its
+record's turn.
 """
 
 import collections
@@ -22,10 +25,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from stlab.covering import FreeCube, boxes_overlap_interior
+from stlab.covering import (
+    CoverResult,
+    CoverStats,
+    CubeSet,
+    FreeCube,
+    InvalidParams,
+    PointSet,
+    SignedPermutation,
+    boxes_overlap_interior,
+)
 from stlab.diagnostics import SystemView
 from stlab.directions import DIR_INF, Direction, _angle_deg, to_sphere
-from stlab.exact import ComplexPoint, Flat2, GaussianRational, GeometryError, RVector4, line_through
+from stlab.exact import (
+    ComplexPoint,
+    Flat2,
+    GaussianRational,
+    GeometryError,
+    RVector4,
+    _int_columns,
+    line_through,
+)
+from stlab.fileio import CoverFile, FormatError, _int_record, _once, _parse_header, _parse_int, _ratio
 from stlab.regions import crossing_points
 
 F = Fraction
@@ -432,3 +453,83 @@ KNOWN_DEFECT_WITNESSES = [
         FreeCube((F(6640660), F(1406322)), F(1171875)),
     ],
 ]
+
+
+# -- the per-record loaders ------------------------------------------------------
+
+
+def _records(stream, kind):
+    """The records of a <kind> file, comments stripped, after its header
+    line is checked; the only code that reads the stream."""
+    try:
+        _parse_header(stream.readline(), kind)
+        for raw in stream:
+            rec = raw.partition("#")[0].split()
+            if rec:
+                yield rec
+    except UnicodeDecodeError as exc:
+        raise FormatError("input is not valid text: %s" % exc) from exc
+
+
+def _row(rec, width, name="point"):
+    """The tokens of a "p" or "cube" record, width of them; no width, no dim yet."""
+    if width is None or len(rec) != width + 1:
+        raise FormatError("%s record before dim or wrong arity" % name)
+    return rec[1:]
+
+
+def _rows(cls, ratios, width):
+    """The (numerator, denominator) pairs, width to a row, as the rows of
+    a cls (PointSet or CubeSet) over their least common denominator."""
+    nums, dens = zip(*ratios) if ratios else ((), ())
+    return cls.over(*_int_columns(nums, dens, width))
+
+
+def oracle_load_points(stream):
+    d = None
+    ratios = []
+    for rec in _records(stream, "points"):
+        if rec[0] == "dim":
+            _once(rec, d)
+            d = _int_record(rec)
+        elif rec[0] == "p":
+            ratios += map(_ratio, _row(rec, d))
+        else:
+            raise FormatError("bad points record %r" % " ".join(rec))
+    if d is None:
+        raise FormatError("missing dim record")
+    return _rows(PointSet, ratios, d), d
+
+
+def oracle_load_cover(stream):
+    head = dict.fromkeys(("dim", "kappa", "r"))
+    amap = None
+    points = []  # the "p" records' rationals
+    cubes = []  # the "cube" records' rationals
+    for rec in _records(stream, "cover"):
+        d = head["dim"]
+        if rec[0] in head:
+            _once(rec, head[rec[0]])
+            head[rec[0]] = _int_record(rec)
+        elif rec[0] == "axismap":
+            _once(rec, amap)
+            if d is None or len(rec) != 2 * d + 1:
+                raise FormatError("axismap before dim or wrong arity")
+            perm = tuple(_parse_int(t) for t in rec[1 : d + 1])
+            signs = tuple(_parse_int(t) for t in rec[d + 1 :])
+            if sorted(perm) != list(range(d)) or any(s not in (1, -1) for s in signs):
+                raise FormatError("axismap is not a signed permutation")
+            amap = SignedPermutation(perm, signs)
+        elif rec[0] == "p":
+            points += map(_ratio, _row(rec, d))
+        elif rec[0] == "cube":
+            cubes += map(_ratio, _row(rec, d and d + 1, "cube"))
+            if cubes[-1][0] * cubes[-1][1] <= 0:
+                raise InvalidParams("cube side must be positive")
+        else:
+            raise FormatError("bad cover record %r" % " ".join(rec))
+    if None in head.values() or amap is None:
+        raise FormatError("incomplete cover file")
+    pts = _rows(PointSet, points, head["dim"])
+    K = _rows(CubeSet, cubes, head["dim"] + 1)
+    return CoverFile(pts, CoverResult(K, amap, CoverStats()), *head.values())

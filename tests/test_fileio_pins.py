@@ -9,7 +9,16 @@ from fractions import Fraction as F
 import pytest
 
 from stlab import fileio
-from stlab.covering import CoverResult, CoverStats, CubeSet, FreeCube, PointSet, SignedPermutation
+from stlab.cli import main
+from stlab.covering import (
+    CoverResult,
+    CoverStats,
+    CubeSet,
+    FreeCube,
+    InvalidParams,
+    PointSet,
+    SignedPermutation,
+)
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational as GR
 from stlab.regions import FlatBundle, Region, RegionAssignment
 
@@ -165,3 +174,53 @@ def test_negative_denominator_tokens_load_canonical():
     cover = fileio.load_cover(io.StringIO(head + rows + "cube 1/-2 -3/-4 0/-5 -1/-4\n"))
     assert cover.points == pts
     assert cover.result.K == CubeSet.of([FreeCube((F(-1, 2), F(3, 4), F(0)), F(1, 4))])
+
+
+# a cube side must be positive, and the first fault in file order decides
+SIDE = "cube side must be positive"
+SIDE_FAULTS = [
+    (COVER_HEAD + "cube 0 0 0\n", InvalidParams, SIDE),
+    (COVER_HEAD + "cube 0 0 1/-2\n", InvalidParams, SIDE),
+    (COVER_HEAD + "cube 0 0 0\np x 1\n", InvalidParams, SIDE),
+    (COVER_HEAD + "p x 1\ncube 0 0 1/-2\n", fileio.FormatError, "bad rational 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,exc_type,message", SIDE_FAULTS, ids=["side-0", "side-negative", "side-then-p", "p-then-side"]
+)
+def test_cube_side_fault_pinned(text, exc_type, message):
+    with pytest.raises(exc_type) as info:
+        fileio.load_cover(io.StringIO(text))
+    assert type(info.value) is exc_type and str(info.value) == message
+
+
+@pytest.mark.parametrize("side", ["0", "1/-2"])
+def test_cli_verify_cover_nonpositive_side_exits_2(tmp_path, capsys, side):
+    path = tmp_path / "cover.txt"
+    path.write_text(COVER_HEAD + "cube 0 0 %s\n" % side)
+    assert main(["verify", "--cover", str(path)]) == 2
+    assert capsys.readouterr().err == "stlab: error: %s\n" % SIDE
+
+
+def _load_bytes(data):
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with pytest.raises(fileio.FormatError) as info:
+        fileio.load_points(stream)
+    return str(info.value)
+
+
+BAD_BYTE = "input is not valid text: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte"
+
+
+def test_non_utf8_after_a_bad_token_pinned():
+    # bad bytes chunks after a bad token: the token decides, as it did
+    # when the reader took one line at a time
+    rows = b"p 1/3\n" * (2 * fileio.CHUNK // 6)
+    assert _load_bytes(b"stlab points 1\ndim 1\np x\n" + rows + b"p \xff\n") == "bad rational 'x'"
+    # bad bytes first decide too
+    assert _load_bytes(b"stlab points 1\ndim 1\np \xff\n" + rows + b"p x\n") == BAD_BYTE % 23
+    # bad bytes in the chunk of a bad token: the chunk is decoded before
+    # any of its lines is parsed, so the bytes decide
+    rows = b"p 1/3\n" * 4000
+    assert _load_bytes(b"stlab points 1\ndim 1\np x\n" + rows + b"p \xff\n") == BAD_BYTE % 7643
