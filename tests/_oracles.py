@@ -15,6 +15,9 @@ the image of a system under a linear map.
 The per-record loaders are the text layer's loops before the bulk row
 parse: every "p" and "cube" token through ``fileio._ratio`` in its
 record's turn.
+The flat meet is the R^4 kernel's route before fraction-free
+elimination: Fraction Gauss-Jordan on the augmented system, which the
+crossing counts and the kernel's cross-checks use.
 """
 
 import collections
@@ -40,6 +43,7 @@ from stlab.directions import DIR_INF, Direction, _angle_deg, to_sphere
 from stlab.exact import (
     ComplexPoint,
     Flat2,
+    FlatMeet,
     GaussianRational,
     GeometryError,
     RVector4,
@@ -47,8 +51,6 @@ from stlab.exact import (
     line_through,
 )
 from stlab.fileio import CoverFile, FormatError, _int_record, _once, _parse_header, _parse_int, _ratio
-from stlab.regions import crossing_points
-
 F = Fraction
 
 
@@ -69,7 +71,7 @@ def apply_point(amap, p):
 
 def count_crossings(f1s, f2s):
     """Number of pairs of flats meeting in exactly one point, exact."""
-    return len(crossing_points(f1s, f2s))
+    return sum(oracle_flat_intersect(f1, f2).kind == FlatMeet.POINT for f1 in f1s for f2 in f2s)
 
 
 class IdenticalLines(GeometryError):
@@ -533,3 +535,65 @@ def oracle_load_cover(stream):
     pts = _rows(PointSet, points, head["dim"])
     K = _rows(CubeSet, cubes, head["dim"] + 1)
     return CoverFile(pts, CoverResult(K, amap, CoverStats()), *head.values())
+
+
+# -- the Fraction flat meet --------------------------------------------------------
+
+
+def _row_reduce(rows, ncols: int):
+    """Fraction-exact Gauss-Jordan elimination on the first ``ncols``
+    columns; returns the rows, each pivot row left unscaled, and the
+    pivot columns, whose count is the rank."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        for piv in range(rank, len(m)):
+            if m[piv][col] != 0:
+                break
+        else:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m, pivots
+
+
+def oracle_rank(rows) -> int:
+    return len(_row_reduce(rows, len(rows[0]))[1])
+
+
+def oracle_flat_intersect(f1, f2):
+    """Exact classification of the intersection of two 2-flats in R^4.
+
+    Solves base1 + s*d1 + t*d2 = base2 + u*e1 + v*e2 by rational
+    elimination and classifies by rank and consistency.
+    """
+    d1, d2 = f1.dir1.as_tuple(), f1.dir2.as_tuple()
+    e1, e2 = f2.dir1.as_tuple(), f2.dir2.as_tuple()
+    rhs = (f2.base - f1.base).as_tuple()
+    # augmented system rows: [d1 d2 -e1 -e2 | rhs]
+    aug = [
+        [d1[i], d2[i], -e1[i], -e2[i], rhs[i]]
+        for i in range(4)
+    ]
+    m, pivots = _row_reduce(aug, 4)
+    rank = len(pivots)
+    for r in range(rank, 4):
+        if m[r][4] != 0:
+            return FlatMeet(FlatMeet.EMPTY)
+    if rank == 4:
+        sol = [Fraction(0)] * 4
+        for r, col in enumerate(pivots):
+            sol[col] = m[r][4] / m[r][col]
+        s, t = sol[0], sol[1]
+        pt = f1.base + f1.dir1.scale(s) + f1.dir2.scale(t)
+        return FlatMeet(FlatMeet.POINT, pt)
+    if rank == 3:
+        return FlatMeet(FlatMeet.LINE)
+    # rank 2 and consistent: identical direction spaces and shared point
+    return FlatMeet(FlatMeet.COINCIDE)

@@ -179,6 +179,49 @@ def test_combine_out_degree_one_case():
     assert rep.all_ok
 
 
+def offset_stacked_anchors(seed):
+    """27 anchors around each of four centres in R^4: a second cluster 10
+    to 120 above the first on axis 0 and up to 60 off it on each lateral
+    axis, and two far ones; offsets up to 6 per axis plus a distinct odd
+    multiple of 2^-20."""
+    rng = random.Random("case-b:%d" % seed)
+    up = rng.randint(10, 120)
+    lateral = [rng.randint(-60, 60) for _ in range(3)]
+    centres = [(0, 0, 0, 0), (up, *lateral), (0, 0, 3000, 0), (0, 5000, 0, 0)]
+    pts, seen, t = [], set(), 0
+    for centre in centres:
+        got = 0
+        while got < 27:
+            p = tuple(F(c + rng.randint(-6, 6)) + F(2 * (t + i) + 1, 2**20) for i, c in enumerate(centre))
+            t += 4
+            if p not in seen:
+                seen.add(p)
+                pts.append(p)
+                got += 1
+    return pts
+
+
+@pytest.mark.parametrize("seed", [124, 271])
+def test_combine_case_b_region_verifies(monkeypatch, seed):
+    # the out-degree-one cube's chosen lateral cell is not the successor's
+    # footprint, so its region is shift(Q1) cut at a coordinate plane
+    cuts = []
+
+    def counted(*args):
+        cuts.append(args)
+        return _clip_shift(*args)
+
+    monkeypatch.setattr(regions, "_clip_shift", counted)
+    anchors = offset_stacked_anchors(seed)
+    bundle = exact_bundle(anchors)
+    detail = CombineDetail()
+    asg = combine(anchors, bundle, 1, detail)
+    assert len(cuts) == 1 and detail.out_degree1 == 1
+    assert any(len(a.region.boxes) == 2 for a in asg)
+    for margin in (F(0), F(1, 10**9)):
+        assert verify_regions(asg, bundle, 1, margin).all_ok
+
+
 def spaced_clusters(clusters, per, seed):
     """per anchors around each of clusters centres on the grid 1000 Z^4
     in [-5000, 5000]^4, as in the cover benchmark's regions bundles:
