@@ -4,9 +4,9 @@ Points and lines of the complex plane with Gaussian-rational
 coordinates and their incidence predicate, and the affine 2-flats of
 real 4-space with their exact intersection.
 
-Every predicate here is exact: coordinates are Fractions and nothing in
-this module touches floating point.  Incidence is an equality test, so
-rounding anywhere would silently corrupt downstream counts.
+Every predicate here is exact and nothing in this module touches floating
+point: incidence is an equality test on Fractions, so rounding anywhere would
+silently corrupt downstream counts, and the flats of R^4 eliminate on ints.
 
 The one codec from rationals to ints, ``_int_columns``, lives here too:
 point sets, cube sets, the text loaders and the incidence engines all
@@ -231,31 +231,36 @@ class RVector4:
         return RVector4(self.x1 * k, self.x2 * k, self.x3 * k, self.x4 * k)
 
 
-def _row_reduce(rows, ncols: int):
-    """Fraction-exact Gauss-Jordan elimination on the first ``ncols``
-    columns; returns the rows, each pivot row left unscaled, and the
-    pivot columns, whose count is the rank."""
+def _ints(v: RVector4) -> Tuple[int, List[int]]:
+    """The lcm L of v's denominators and v's coordinates times L."""
+    L = math.lcm(*[x.denominator for x in v.as_tuple()])
+    return L, [x.numerator * (L // x.denominator) for x in v.as_tuple()]
+
+
+def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of int rows on their first four
+    columns (Bareiss, Math. Comp. 22, 1968): the rows and the pivot columns,
+    whose count is the rank.  After k pivots each entry is a minor of order
+    k + 1 (Sylvester's identity; Cramer's rule in a pivot row), so each
+    division is exact; at full rank every pivot is the determinant D and a
+    fifth entry is D times its unknown."""
     m = [list(r) for r in rows]
     pivots: List[int] = []
-    for col in range(ncols):
+    prev = 1
+    for col in range(4):
         rank = len(pivots)
-        for piv in range(rank, len(m)):
-            if m[piv][col] != 0:
-                break
-        else:
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        for r, row in enumerate(m):
+            if r != rank:
+                f = row[col]
+                m[r] = [(pv * x - f * y) // prev for x, y in zip(row, m[rank])]
+        prev = pv
         pivots.append(col)
     return m, pivots
-
-
-def _rank_of_rows(rows) -> int:
-    return len(_row_reduce(rows, len(rows[0]))[1])
 
 
 @dataclass(frozen=True)
@@ -271,26 +276,21 @@ class Flat2:
     dir2: RVector4
 
     def __post_init__(self) -> None:
-        if _rank_of_rows([self.dir1.as_tuple(), self.dir2.as_tuple()]) != 2:
+        if len(_bareiss(self._directions())[1]) != 2:
             raise DegenerateFlat("spanning directions are dependent")
 
+    def _directions(self) -> List[List[int]]:
+        """The two directions as int rows, each scaled by its own denominators' lcm."""
+        return [_ints(self.dir1)[1], _ints(self.dir2)[1]]
+
     def contains(self, v: RVector4) -> bool:
-        d = v - self.base
-        return (
-            _rank_of_rows(
-                [self.dir1.as_tuple(), self.dir2.as_tuple(), d.as_tuple()]
-            )
-            == 2
-        )
+        L, base = _ints(self.base)
+        M, w = _ints(v)
+        w = [L * x - M * b for x, b in zip(w, base)]  # v - base, times L*M
+        return len(_bareiss(self._directions() + [w])[1]) == 2
 
     def same_direction(self, other: "Flat2") -> bool:
-        rows = [
-            self.dir1.as_tuple(),
-            self.dir2.as_tuple(),
-            other.dir1.as_tuple(),
-            other.dir2.as_tuple(),
-        ]
-        return _rank_of_rows(rows) == 2
+        return len(_bareiss(self._directions() + other._directions())[1]) == 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Flat2):
@@ -316,29 +316,21 @@ class FlatMeet:
 def flat_intersect(f1: Flat2, f2: Flat2) -> FlatMeet:
     """Exact classification of the intersection of two 2-flats in R^4.
 
-    Solves base1 + s*d1 + t*d2 = base2 + u*e1 + v*e2 by rational
-    elimination and classifies by rank and consistency.
+    Solves base1 + s*d1 + t*d2 = base2 + u*e1 + v*e2, times the bases'
+    denominators L1 and L2, by fraction-free elimination and classifies by
+    rank and consistency: a crossing is four ints over D*L1*L2, D the determinant.
     """
-    d1, d2 = f1.dir1.as_tuple(), f1.dir2.as_tuple()
-    e1, e2 = f2.dir1.as_tuple(), f2.dir2.as_tuple()
-    rhs = (f2.base - f1.base).as_tuple()
-    # augmented system rows: [d1 d2 -e1 -e2 | rhs]
-    aug = [
-        [d1[i], d2[i], -e1[i], -e2[i], rhs[i]]
-        for i in range(4)
-    ]
-    m, pivots = _row_reduce(aug, 4)
+    L1, b1 = _ints(f1.base)
+    L2, b2 = _ints(f2.base)
+    (d1, d2), (e1, e2) = f1._directions(), f2._directions()
+    m, pivots = _bareiss([[d1[i], d2[i], -e1[i], -e2[i], b2[i] * L1 - b1[i] * L2] for i in range(4)])
     rank = len(pivots)
-    for r in range(rank, 4):
-        if m[r][4] != 0:
-            return FlatMeet(FlatMeet.EMPTY)
+    if any(m[r][4] for r in range(rank, 4)):
+        return FlatMeet(FlatMeet.EMPTY)
     if rank == 4:
-        sol = [Fraction(0)] * 4
-        for r, col in enumerate(pivots):
-            sol[col] = m[r][4] / m[r][col]
-        s, t = sol[0], sol[1]
-        pt = f1.base + f1.dir1.scale(s) + f1.dir2.scale(t)
-        return FlatMeet(FlatMeet.POINT, pt)
+        D, s, t = m[0][0], m[0][4], m[1][4]  # s and t times D*L1*L2
+        pt = [Fraction(b * D * L2 + s * x + t * y, D * L1 * L2) for b, x, y in zip(b1, d1, d2)]
+        return FlatMeet(FlatMeet.POINT, RVector4(*pt))
     if rank == 3:
         return FlatMeet(FlatMeet.LINE)
     # rank 2 and consistent: identical direction spaces and shared point

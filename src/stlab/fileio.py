@@ -119,7 +119,7 @@ def _add_row(rec: List[str], d: Optional[int], nums: List[int], dens: List[int])
 def _bulk(run: List[str], d: Optional[int], rows: Dict[str, tuple]) -> bool:
     """_add_row on each line of run at once, if each is a "p" or "cube" record
     named in rows with every token of at most one "/": one split, one int
-    pass over the numerator texts and one over the denominators.  A name or
+    pass over the numerator texts and one over the distinct denominators.  A name or
     a comment off its place leaves a token int rejects.  False, rows
     untouched, for any other run, a zero denominator or a side <= 0."""
     text = "".join(run)
@@ -135,7 +135,8 @@ def _bulk(run: List[str], d: Optional[int], rows: Dict[str, tuple]) -> bool:
     if len(parts) != 2 * len(toks):
         return False
     try:
-        nums, dens = list(map(int, parts[::2])), list(map(int, parts[1::2]))
+        nums, dens = list(map(int, parts[::2])), parts[1::2]
+        dens = list(map({t: int(t) for t in set(dens)}.__getitem__, dens))  # rows share few denominators
     except ValueError:
         return False
     if 0 in dens or name == "cube" and min(map(mul, nums[d::w], dens[d::w])) <= 0:  # cube sides

@@ -26,9 +26,10 @@ by a fraction of dist(p, q).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .covering import (
     CoveringError,
@@ -73,25 +74,28 @@ def canonical_flat(anchor: Sequence[Rational], family: int) -> Flat2:
     return Flat2(RVector4.of(anchor), RVector4.of(s1), RVector4.of(s2))
 
 
-@dataclass(frozen=True)
-class Region:
-    """A union of axis-aligned boxes."""
+def _interior(boxes: Sequence[Box], margin: Rational) -> Callable[[Sequence[Rational]], bool]:
+    """Region(boxes).contains_interior at margin, with the shrunk boxes put
+    over one int denominator Q once: a point x is tested by comparing its
+    numerators times Q with the int bounds times its denominators."""
+    m = _frac(margin)
+    L = math.lcm(*[x.denominator for box in boxes for side in box for x in side])
+    Q = L * m.denominator
+    shrunk = []
+    for box in boxes:
+        ends = [[x.numerator * (L // x.denominator) for x in side] for side in box]
+        cut = m.numerator * (ends[0][1] - ends[0][0])
+        shrunk.append([(lo * m.denominator + cut, hi * m.denominator - cut) for lo, hi in ends])
 
-    boxes: Tuple[Box, ...]
-
-    def contains_interior(
-        self, p: Sequence[Rational], margin: Fraction = Fraction(0)
-    ) -> bool:
-        """Strict interior membership in the union of the boxes, each
-        shrunk by margin times its side."""
-        q = tuple(_frac(x) for x in p)
+    def inside(p: Sequence[Rational]) -> bool:
+        q = [_frac(x) for x in p]
         reach = []
-        for box in self.boxes:
-            m = margin * (box[0][1] - box[0][0])
-            if all(lo + m < x < hi - m for x, (lo, hi) in zip(q, box)):
+        for box in shrunk:
+            ends = [(lo * x.denominator, x.numerator * Q, hi * x.denominator) for x, (lo, hi) in zip(q, box)]
+            if all(lo < x < hi for lo, x, hi in ends):
                 return True
-            if all(lo + m <= x <= hi - m for x, (lo, hi) in zip(q, box)):
-                reach.append([(lo + m < x, x < hi - m) for x, (lo, hi) in zip(q, box)])
+            if all(lo <= x <= hi for lo, x, hi in ends):
+                reach.append([(lo < x, x < hi) for lo, x, hi in ends])
         # q may sit on a face shared by two boxes: it is interior to the
         # union iff every closed orthant at q lies in one box holding q,
         # a box holding q reaching into an orthant when it extends past q
@@ -100,6 +104,19 @@ class Region:
             any(all(s[o] for s, o in zip(sides, orthant)) for sides in reach)
             for orthant in itertools.product((0, 1), repeat=len(q))
         )
+
+    return inside
+
+
+@dataclass(frozen=True)
+class Region:
+    """A union of axis-aligned boxes."""
+
+    boxes: Tuple[Box, ...]
+
+    def contains_interior(self, p: Sequence[Rational], margin: Rational = Fraction(0)) -> bool:
+        """Strict interior membership in the union of the boxes, each shrunk by margin times its side."""
+        return _interior(self.boxes, margin)(p)
 
     def overlaps(self, other: "Region") -> bool:
         return any(
@@ -310,7 +327,7 @@ def verify_regions(
     must lie in the open region (margin relative to box side, and
     non-negative).  An anchor id outside the bundle is bad input.
     """
-    if margin < 0:
+    if _frac(margin) < 0:
         raise GeometryError("margin must be non-negative, got %s" % margin)
     n = len(bundle.anchors)
     for idx, asg in enumerate(assignments):
@@ -322,19 +339,19 @@ def verify_regions(
 
     checks: List[RegionCheck] = []
     for idx, asg in enumerate(assignments):
-        inside = asg.region.contains_interior
+        inside = _interior(asg.region.boxes, margin)
         ids = asg.point_ids
         repeated = next((i for k, i in enumerate(ids) if i in ids[:k]), None)
         chk = RegionCheck(
             idx,
             size_ok=len(ids) == r and repeated is None,
-            outside_anchor=next((i for i in ids if not inside(bundle.anchors[i], margin)), None),
+            outside_anchor=next((i for i in ids if not inside(bundle.anchors[i])), None),
             repeated_anchor=repeated,
         )
         for p, q in itertools.combinations(ids, 2):
             # the second mixed family is built only when the first has a crossing outside
             mixed = (crossing_points(bundle.family1[s], bundle.family2[t]) for s, t in ((p, q), (q, p)))
-            if not any(all(inside(z.as_tuple(), margin) for z in fam) for fam in mixed):
+            if not any(all(inside(z.as_tuple()) for z in fam) for fam in mixed):
                 chk.pair_failures.append((p, q))
         checks.append(chk)
     return RegionsReport(

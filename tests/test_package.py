@@ -79,6 +79,7 @@ UNCALLED = {
     "diagnostics.SparseInvariant.initial": "starts the refinement round's invariant",
     "fileio.dump_points": "writer of the points format, for round-trip tests",
     "regions.FlatBundle.check_alignment": "the 10-degree hypothesis of combine, not yet reported",
+    "regions.Region.contains_interior": "one point against a region; verify_regions builds the test once per region",
 }
 
 

@@ -386,6 +386,23 @@ def test_region_membership_and_margin():
     assert not region.contains_interior((F(1, 20),) * 4, m)
 
 
+def test_region_margin_is_exact():
+    # a float margin would round: 2^60 + 1e-9 is 2^60 in floats, so the
+    # box centre would read as outside the shrunk box
+    box = ((F(2**60), F(2**60 + 1)),) * 4
+    centre = (F(2**61 + 1, 2),) * 4
+    region = Region((box,))
+    assert region.contains_interior(centre, F(1, 10**9))
+    assert not region.contains_interior(centre, F(1, 2))
+    with pytest.raises(TypeError):
+        region.contains_interior(centre, 1e-9)
+    bundle = exact_bundle([centre])
+    asg = [RegionAssignment(region, (0,))]
+    assert verify_regions(asg, bundle, 1, F(1, 10**9)).all_ok
+    with pytest.raises(TypeError):
+        verify_regions(asg, bundle, 1, 1e-9)
+
+
 def test_region_interior_of_a_union_across_a_shared_face():
     unit = tuple((F(0), F(1)) for _ in range(4))
     right = ((F(1), F(2)),) + unit[1:]
