@@ -9,7 +9,14 @@ from _oracles import clustered_cover_input
 
 from stlab import fileio
 from stlab.cli import main
-from stlab.covering import normalize_points, run_covering
+from stlab.covering import (
+    CoverResult,
+    CoverStats,
+    FreeCube,
+    SignedPermutation,
+    normalize_points,
+    run_covering,
+)
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational
 from stlab.generators import gen_bundle_fixture, gen_erdos, gen_random_system
 from stlab.regions import CombineDetail, combine
@@ -91,6 +98,17 @@ def test_atomic_write_mode_follows_umask(tmp_path):
     assert old.stat().st_mode & 0o777 == 0o644 and old.read_text() == "again\n"
 
 
+def test_atomic_write_failure_leaves_target_and_no_temp(tmp_path):
+    # a lone surrogate cannot be encoded, so the write raises inside the try
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    with pytest.raises(UnicodeEncodeError):
+        fileio.write_atomic(str(path), "x\ud800")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "old\n" and path.stat().st_mode & 0o777 == 0o640
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -128,6 +146,9 @@ def test_cli_dirs(capsys):
     assert abs(float(capsys.readouterr().out) - 180.0) < 1e-9
     assert main(["dirs", "orth", "1", "-1"]) == 0
     assert capsys.readouterr().out.strip() == "true"
+    # pi_lambda(1, 1/2) sends -2 to the point at infinity
+    assert main(["dirs", "mobius", "-2", "--center", "1", "--lam", "1/2"]) == 0
+    assert capsys.readouterr().out == "inf\n"
     assert main(["dirs", "cover-sphere", "--delta", "90", "--check-samples", "20000"]) == 0
     assert "centers=" in capsys.readouterr().out
 
@@ -179,16 +200,23 @@ def test_cli_cover_points_beyond_float_range(tmp_path):
     assert main(["verify", "--cover", str(coverfile)]) == 0
 
 
+def _cover_text(points, cubes, d, kappa, r):
+    res = CoverResult(cubes, SignedPermutation(tuple(range(d)), (1,) * d), CoverStats())
+    return fileio.dump_cover(points, res, d, kappa, r)
+
+
+def _verify_cover_lines(path, capsys):
+    code = main(["verify", "--cover", str(path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
 def test_cli_verify_cover_prints_witness(tmp_path, capsys):
-    from stlab.covering import CoverResult, CoverStats, FreeCube, SignedPermutation
     from _oracles import IN_DEGREE_TWO, IN_DEGREE_TWO_POINTS
 
     def verify(cubes, points):
         path = tmp_path / "cover.txt"
-        res = CoverResult(cubes, SignedPermutation((0, 1), (1, 1)), CoverStats())
-        fileio.write_atomic(str(path), fileio.dump_cover(points, res, 2, 1, 1))
-        code = main(["verify", "--cover", str(path)])
-        return code, capsys.readouterr().out.splitlines()
+        fileio.write_atomic(str(path), _cover_text(points, cubes, 2, 1, 1))
+        return _verify_cover_lines(path, capsys)
 
     code, lines = verify(IN_DEGREE_TWO, IN_DEGREE_TWO_POINTS)
     assert code == 1
@@ -200,6 +228,46 @@ def test_cli_verify_cover_prints_witness(tmp_path, capsys):
     overlap = [FreeCube((F(0), F(0)), F(2)), FreeCube((F(1), F(1)), F(2))]
     code, lines = verify(overlap, [(F(1, 2), F(1, 2))])
     assert code == 1 and lines[1:] == ["cover witness: cubes 0 and 1 overlap"]
+
+
+def test_cli_verify_cover_prints_bott_witness(tmp_path, capsys):
+    # the valid cover of test_cli_cover_verify_cycle with its r record raised
+    pts = [(F(k), F((7 * k) % 23)) for k in range(40)]
+    norm, _ = normalize_points(pts)
+    text = fileio.dump_cover(norm, run_covering(norm, 2, 1, 1), 2, 1, 1)
+    path = tmp_path / "cover.txt"
+    path.write_text(text.replace("\nr 1\n", "\nr 2\n", 1))
+    assert _verify_cover_lines(path, capsys) == (1, [
+        "cover: non_overlap=True bott=False count=True (precondition_met=False) "
+        "edges=0<=K=2 in_degree<=1=True",
+        "cover witness: bottom side-cube of cube 0 holds fewer than r points",
+    ])
+
+
+def test_cli_verify_cover_prints_count_witness(tmp_path, capsys):
+    # one cube kept of a valid d = 1 cover: n = 1000 >= 4 rho^2 r, so the
+    # count bound n / (32 rho^2 r) = 1.25 applies and K = 1 misses it
+    norm, _ = normalize_points([(F(k),) for k in range(1000)])
+    res = run_covering(norm, 1, 1, 1)
+    path = tmp_path / "cover.txt"
+    path.write_text(fileio.dump_cover(norm, CoverResult([res.K[0]], res.axis_map, res.stats), 1, 1, 1))
+    assert _verify_cover_lines(path, capsys) == (1, [
+        "cover: non_overlap=True bott=True count=False (precondition_met=True) "
+        "edges=0<=K=1 in_degree<=1=True",
+        "cover witness: K=1 does not exceed the count bound 1.25",
+    ])
+
+
+def test_cli_shiftgraph_prints_edges(tmp_path, capsys):
+    # a small cube perched just below the bottom face of a big one, listed
+    # first: the big cube's shifted bottom side-cube spills into the small
+    # cube's shifted copy, so the one edge runs 1 -> 0
+    path = tmp_path / "cover.txt"
+    path.write_text(_cover_text(
+        [(F(3, 2), F(3, 2))],
+        [FreeCube((F(-1, 2), F(5, 4)), F(1, 2)), FreeCube((F(0), F(0)), F(3))], 2, 1, 1))
+    assert main(["shiftgraph", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "nodes=2 edges=1\nedge 1 0\n"
 
 
 def test_cli_verify_regions_prints_witness(tmp_path, capsys):
