@@ -210,39 +210,6 @@ def cmd_dirs(args) -> int:
     return 0
 
 
-def _cover_witness(rep) -> str:
-    """One line naming the first failed cover guarantee and its witness."""
-    if rep.overlap_pair is not None:
-        return "cubes %d and %d overlap" % rep.overlap_pair
-    if not rep.in_degree_ok:  # more edges than cubes forces this too
-        return "cube %d has in-degree %d from cubes %s" % (
-            rep.max_in_target,
-            rep.max_in_degree,
-            " ".join(map(str, rep.max_in_sources)),
-        )
-    if rep.bott_failures:
-        return "bottom side-cube of cube %d holds fewer than r points" % rep.bott_failures[0]
-    return "K=%d does not exceed the count bound %.6g" % (rep.k_count, rep.count_bound)
-
-
-def _regions_witness(rep) -> str:
-    """One line naming the first failed region guarantee and its witness."""
-    if rep.overlap_witness is not None:
-        return "regions %d and %d overlap" % rep.overlap_witness
-    chk = next(c for c in rep.checks if not (c.size_ok and c.interior_ok and not c.pair_failures))
-    if chk.repeated_anchor is not None:
-        return "region %d names anchor %d twice" % (chk.region_index, chk.repeated_anchor)
-    if not chk.size_ok:
-        return "region %d does not hold exactly r=%d anchors" % (chk.region_index, rep.r)
-    if not chk.interior_ok:
-        return "region %d: anchor %d lies outside its interior" % (
-            chk.region_index, chk.outside_anchor
-        )
-    return "region %d: no mixed crossing family of anchors %d and %d lies inside" % (
-        (chk.region_index,) + chk.pair_failures[0]
-    )
-
-
 def cmd_verify(args) -> int:
     if args.regions and not args.bundle:
         raise fileio.FormatError("--regions needs --bundle")
@@ -268,7 +235,7 @@ def cmd_verify(args) -> int:
             )
         )
         if not rep.all_ok:
-            print("cover witness: %s" % _cover_witness(rep))
+            print("cover witness: %s" % rep.witness)
             failures += 1
     if args.regions:
         assignments, r = _load(args.regions, fileio.load_regions)
@@ -279,7 +246,7 @@ def cmd_verify(args) -> int:
             % (rep.disjoint_ok, rep.all_ok, len(rep.checks))
         )
         if not rep.all_ok:
-            print("regions witness: %s" % _regions_witness(rep))
+            print("regions witness: %s" % rep.witness)
             failures += 1
     if args.system:
         pts, lines = _load(args.system, fileio.load_system)

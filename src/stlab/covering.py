@@ -885,14 +885,24 @@ class VerificationReport:
     overlap_pair: Optional[Tuple[int, int]] = None
 
     @property
+    def witness(self) -> Optional[str]:
+        """One line naming the first failed guarantee (overlap, in-degree,
+        bott, count) and its witness, or None when all hold.  edges_ok
+        needs no line: in-degree at most 1 bounds the edges by K."""
+        if self.overlap_pair is not None:
+            return "cubes %d and %d overlap" % self.overlap_pair
+        if not self.in_degree_ok:
+            return "cube %d has in-degree %d from cubes %s" % (
+                self.max_in_target, self.max_in_degree, " ".join(map(str, self.max_in_sources)))
+        if self.bott_failures:
+            return "bottom side-cube of cube %d holds fewer than r points" % self.bott_failures[0]
+        if not self.count_ok:
+            return "K=%d does not exceed the count bound %.6g" % (self.k_count, self.count_bound)
+        return None
+
+    @property
     def all_ok(self) -> bool:
-        return (
-            self.non_overlap_ok
-            and self.bott_ok
-            and self.count_ok
-            and self.edges_ok
-            and self.in_degree_ok
-        )
+        return self.witness is None
 
 
 def verify_cover(

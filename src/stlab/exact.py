@@ -77,9 +77,6 @@ class GaussianRational:
         other = as_gaussian(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "GaussianRational":
-        return as_gaussian(other).__sub__(self)
-
     def __mul__(self, other) -> "GaussianRational":
         other = as_gaussian(other)
         return GaussianRational(
@@ -130,8 +127,6 @@ def as_gaussian(x) -> GaussianRational:
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    if isinstance(x, tuple) and len(x) == 2:
-        return GaussianRational(*x)
     raise TypeError("cannot interpret %r as GaussianRational" % (x,))
 
 

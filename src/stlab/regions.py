@@ -296,10 +296,28 @@ class RegionsReport:
     r: int
 
     @property
+    def witness(self) -> Optional[str]:
+        """One line naming the first failed guarantee and its witness, or
+        None when all hold: an overlap, then per region in order a repeated
+        anchor, the size, an anchor outside, a pair with no inner family."""
+        if self.overlap_witness is not None:
+            return "regions %d and %d overlap" % self.overlap_witness
+        for c in self.checks:
+            if c.repeated_anchor is not None:
+                return "region %d names anchor %d twice" % (c.region_index, c.repeated_anchor)
+            if not c.size_ok:
+                return "region %d does not hold exactly r=%d anchors" % (c.region_index, self.r)
+            if not c.interior_ok:
+                return "region %d: anchor %d lies outside its interior" % (
+                    c.region_index, c.outside_anchor)
+            if c.pair_failures:
+                return "region %d: no mixed crossing family of anchors %d and %d lies inside" % (
+                    (c.region_index,) + c.pair_failures[0])
+        return None
+
+    @property
     def all_ok(self) -> bool:
-        return self.disjoint_ok and all(
-            c.size_ok and c.interior_ok and not c.pair_failures for c in self.checks
-        )
+        return self.witness is None
 
 
 def crossing_points(f1s: Sequence[Flat2], f2s: Sequence[Flat2]) -> List[RVector4]:

@@ -18,6 +18,9 @@ record's turn.
 The flat meet is the R^4 kernel's route before fraction-free
 elimination: Fraction Gauss-Jordan on the augmented system, which the
 crossing counts and the kernel's cross-checks use.
+The witness oracle is the verifiers' reading before the reports named
+their own first failure: the CLI's two witness functions and the two
+all_ok conjunctions, kept word for word.
 """
 
 import collections
@@ -36,6 +39,7 @@ from stlab.covering import (
     InvalidParams,
     PointSet,
     SignedPermutation,
+    VerificationReport,
     boxes_overlap_interior,
 )
 from stlab.diagnostics import SystemView
@@ -597,3 +601,65 @@ def oracle_flat_intersect(f1, f2):
         return FlatMeet(FlatMeet.LINE)
     # rank 2 and consistent: identical direction spaces and shared point
     return FlatMeet(FlatMeet.COINCIDE)
+
+
+# -- the witness lines ----------------------------------------------------------
+
+
+def _cover_witness(rep) -> str:
+    """One line naming the first failed cover guarantee and its witness."""
+    if rep.overlap_pair is not None:
+        return "cubes %d and %d overlap" % rep.overlap_pair
+    if not rep.in_degree_ok:  # more edges than cubes forces this too
+        return "cube %d has in-degree %d from cubes %s" % (
+            rep.max_in_target,
+            rep.max_in_degree,
+            " ".join(map(str, rep.max_in_sources)),
+        )
+    if rep.bott_failures:
+        return "bottom side-cube of cube %d holds fewer than r points" % rep.bott_failures[0]
+    return "K=%d does not exceed the count bound %.6g" % (rep.k_count, rep.count_bound)
+
+
+def _regions_witness(rep) -> str:
+    """One line naming the first failed region guarantee and its witness."""
+    if rep.overlap_witness is not None:
+        return "regions %d and %d overlap" % rep.overlap_witness
+    chk = next(c for c in rep.checks if not (c.size_ok and c.interior_ok and not c.pair_failures))
+    if chk.repeated_anchor is not None:
+        return "region %d names anchor %d twice" % (chk.region_index, chk.repeated_anchor)
+    if not chk.size_ok:
+        return "region %d does not hold exactly r=%d anchors" % (chk.region_index, rep.r)
+    if not chk.interior_ok:
+        return "region %d: anchor %d lies outside its interior" % (
+            chk.region_index, chk.outside_anchor
+        )
+    return "region %d: no mixed crossing family of anchors %d and %d lies inside" % (
+        (chk.region_index,) + chk.pair_failures[0]
+    )
+
+
+def _cover_all_ok(self) -> bool:
+    return (
+        self.non_overlap_ok
+        and self.bott_ok
+        and self.count_ok
+        and self.edges_ok
+        and self.in_degree_ok
+    )
+
+
+def _regions_all_ok(self) -> bool:
+    return self.disjoint_ok and all(
+        c.size_ok and c.interior_ok and not c.pair_failures for c in self.checks
+    )
+
+
+def oracle_report_witness(rep):
+    """(all_ok, witness) of a VerificationReport or RegionsReport as the
+    conjunctions and the CLI's witness functions above read it."""
+    if isinstance(rep, VerificationReport):
+        ok = _cover_all_ok(rep)
+        return ok, None if ok else _cover_witness(rep)
+    ok = _regions_all_ok(rep)
+    return ok, None if ok else _regions_witness(rep)

@@ -47,6 +47,7 @@ from _oracles import (
     box,
     clustered_cover_input,
     oracle_bott,
+    oracle_report_witness,
     oracle_separating_scale,
     oracle_shift_graph,
     point_in_box_closed,
@@ -776,11 +777,13 @@ def test_verify_cover_flags_bad_inputs():
     res = CoverResult(k_overlap, SignedPermutation((0, 1), (1, 1)), CoverStats())
     rep = verify_cover([(F(1, 2), F(1, 2))], res, 1, 1)
     assert not rep.non_overlap_ok
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     # bott holding fewer than r points
     k_sparse = [fc((0, 0), 3)]
     res = CoverResult(k_sparse, SignedPermutation((0, 1), (1, 1)), CoverStats())
     rep = verify_cover([(F(1, 2), F(5, 2))], res, 1, 1)
     assert not rep.bott_ok and rep.bott_failures == [0]
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     # a non-identity axis map: y = (-x1, x0), so bott(K[0]) = [0,1]x[1,2]
     # in the work frame; the first point maps to (1, 3/2) on its face,
     # the second to (1 + 1/1000, 3/2) just outside
@@ -793,6 +796,7 @@ def test_verify_cover_flags_bad_inputs():
     assert rep.bott_ok
     rep = verify_cover([outside, on_face], res, 1, 2)
     assert rep.bott_failures == [0]
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
 
 
 
@@ -803,6 +807,7 @@ def test_verify_cover_names_witnesses():
     assert rep.bott_ok and rep.non_overlap_ok and not rep.in_degree_ok
     assert (rep.max_in_degree, rep.max_in_target, rep.max_in_sources) == (2, 0, [1, 2])
     assert rep.overlap_pair is None
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     # cubes 0 and 2 overlap, 1 is apart from both
     k_overlap = [fc((0, 0), 2), fc((5, 5), 1), fc((1, 1), 2)]
     with pytest.raises(OverlappingInput) as err:
@@ -812,6 +817,7 @@ def test_verify_cover_names_witnesses():
     rep = verify_cover([(F(1, 2), F(1, 2))], res, 1, 1)
     assert not rep.non_overlap_ok and rep.overlap_pair == (0, 2)
     assert rep.max_in_target is None and rep.max_in_sources == []
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     # a sound cover carries no overlap witness
     norm, _ = normalize_points([(F(0),), (F(3),)])
     rep = verify_cover(norm, run_covering(norm, 1, 1, 1), 1, 1)
@@ -848,6 +854,7 @@ def test_verify_cover_bott_failures_match_brute_force():
             for r in (1, 2, 3):
                 rep = verify_cover(pts, res, 2, r)
                 assert rep.bott_failures == [i for i, c in enumerate(counts) if c < r]
+                assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
 
 
 def test_verify_cover_names_known_defect_witnesses():
@@ -863,6 +870,7 @@ def test_verify_cover_names_known_defect_witnesses():
         assert rep.non_overlap_ok and rep.bott_ok and not rep.in_degree_ok
         assert (rep.max_in_degree, rep.max_in_target, rep.max_in_sources) == (
             target, target, sources)
+        assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
         edges = oracle_shift_graph(cubes, 1)
         assert [i for i, j in edges if j == target] == sources
         assert build_shift_graph(cubes, 1).edges == edges
@@ -906,7 +914,7 @@ def test_covering_clustered_sweep():
         norm, _ = normalize_points(pts)
         res = run_covering(norm, d, kappa, r)
         rep = verify_cover(norm, res, kappa, r)
-        assert rep.all_ok, (seed, rep)
+        assert (rep.all_ok, rep.witness) == oracle_report_witness(rep) == (True, None), (seed, rep)
         covers.append((res.stats.dropped, _cover_digest(res)))
     assert hashlib.sha256(repr(covers).encode()).hexdigest()[:16] == "7c46996b92be1620"
 

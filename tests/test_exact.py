@@ -15,6 +15,7 @@ from stlab.exact import (
     GaussianRational,
     RVector4,
     _int_columns,
+    as_gaussian,
     flat_intersect,
     incident,
     line_through,
@@ -33,6 +34,14 @@ def pt(a, b, c=0, d=0):
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 gaussians = st.builds(GR, small_fracs, small_fracs)
 points = st.builds(ComplexPoint, gaussians, gaussians)
+
+
+def test_as_gaussian_refuses_tuples():
+    assert as_gaussian(3) == GR(3) and as_gaussian(Fraction(1, 2)) == GR(Fraction(1, 2))
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_gaussian((1, 2))
+    with pytest.raises(TypeError, match="cannot interpret"):
+        GR(1) + (1, 2)
 
 
 def test_incident_examples():

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from _oracles import clustered_cover_input
+from _oracles import clustered_cover_input, oracle_report_witness
 
 from stlab import fileio
 from stlab.cli import main
@@ -16,10 +16,11 @@ from stlab.covering import (
     SignedPermutation,
     normalize_points,
     run_covering,
+    verify_cover,
 )
 from stlab.exact import ComplexLine, ComplexPoint, GaussianRational
 from stlab.generators import gen_bundle_fixture, gen_erdos, gen_random_system
-from stlab.regions import CombineDetail, combine
+from stlab.regions import CombineDetail, combine, verify_regions
 
 GR = GaussianRational
 F = Fraction
@@ -206,6 +207,10 @@ def _cover_text(points, cubes, d, kappa, r):
 
 
 def _verify_cover_lines(path, capsys):
+    with open(path) as fh:
+        cf = fileio.load_cover(fh)
+    rep = verify_cover(cf.points, cf.result, cf.kappa, cf.r)
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     code = main(["verify", "--cover", str(path)])
     return code, capsys.readouterr().out.splitlines()
 
@@ -290,6 +295,8 @@ def test_cli_verify_regions_prints_witness(tmp_path, capsys):
         asg = [RegionAssignment(Region(boxes), i) for boxes, i in zip(regions, ids)]
         path = tmp_path / "regions.txt"
         path.write_text(fileio.dump_regions(asg, r))
+        rep = verify_regions(asg, bundle, r)
+        assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
         code = main(["verify", "--regions", str(path), "--bundle", str(tmp_path / "bundle.txt")])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and len(lines) == 2
@@ -310,14 +317,16 @@ def test_cli_verify_regions_prints_witness(tmp_path, capsys):
 
 
 def test_cli_verify_regions_margin_is_exact(tmp_path, capsys):
-    from stlab.regions import FlatBundle, Region, RegionAssignment, canonical_flat, verify_regions
+    from stlab.regions import FlatBundle, Region, RegionAssignment, canonical_flat
 
     # an anchor 5e-14 below the top face of the unit box: a margin of
     # 1e-13 of the side puts it outside
     anchor = (1 - F(5, 10**14), F(1, 2), F(1, 2), F(1, 2))
     bundle = FlatBundle([anchor], [[canonical_flat(anchor, 0)]], [[canonical_flat(anchor, 1)]])
     asg = [RegionAssignment(Region((((F(0), F(1)),) * 4,)), (0,))]
-    assert not verify_regions(asg, bundle, 1, F(1, 10**13)).all_ok
+    rep = verify_regions(asg, bundle, 1, F(1, 10**13))
+    assert not rep.all_ok
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     (tmp_path / "bundle.txt").write_text(fileio.dump_bundle(bundle))
     (tmp_path / "regions.txt").write_text(fileio.dump_regions(asg, 1))
     argv = ["verify", "--regions", str(tmp_path / "regions.txt"),

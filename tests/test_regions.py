@@ -36,7 +36,7 @@ from stlab.regions import (
     verify_regions,
 )
 
-from _oracles import apply_point, box, count_crossings, shift_cube
+from _oracles import apply_point, box, count_crossings, oracle_report_witness, shift_cube
 from test_cube_pins import stacked_clusters
 
 F = Fraction
@@ -285,6 +285,7 @@ def test_verify_regions_catches_boundary_crossing():
     rep = verify_regions([bad], bundle, 2)
     chk = rep.checks[0]
     assert chk.pair_failures == [(0, 1)] or not chk.interior_ok
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
 
 
 def test_verify_regions_catches_overlap():
@@ -295,6 +296,7 @@ def test_verify_regions_catches_overlap():
     bundle = exact_bundle([(F(1),) * 4, (F(3, 2),) * 4])
     rep = verify_regions([a1, a2], bundle, 1)
     assert not rep.disjoint_ok and rep.overlap_witness == (0, 1)
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     # r = 1 regions with a single point vacuously satisfy the pair condition
     a3 = RegionAssignment(Region((tuple((F(10), F(12)) for _ in range(4)),)), (1,))
     rep2 = verify_regions([a3], bundle, 1)
@@ -345,6 +347,7 @@ def test_verify_regions_pair_report_pinned(box, margin, failures):
     assert inside == {ONLY_FIRST: {X}, ONLY_SECOND: {Y}, NEITHER: set()}[box]
     rep = verify_regions([RegionAssignment(region, (0, 1))], bundle, 2, margin)
     assert dataclasses.asdict(rep) == _report([failures])
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
 
 
 @pytest.mark.parametrize(
@@ -375,6 +378,7 @@ def test_verify_regions_first_overlap_pinned():
     bundle = exact_bundle([(F(lo + hi, 2),) + (F(1),) * 3 for lo, hi in spans])
     rep = verify_regions(asg, bundle, 1)
     assert dataclasses.asdict(rep) == _report([[]] * 4, overlap_witness=(0, 3), r=1)
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
 
 
 def test_region_membership_and_margin():
@@ -448,9 +452,11 @@ def test_verify_regions_needs_distinct_anchor_ids():
     chk = rep.checks[0]
     assert not rep.all_ok and not chk.size_ok and chk.repeated_anchor == 0
     assert chk.interior_ok and chk.pair_failures == []
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     # the first id named a second time is the witness
     rep = verify_regions([RegionAssignment(Region((box,)), (0, 1, 2, 1, 0))], bundle, 5)
     assert rep.checks[0].repeated_anchor == 1
+    assert (rep.all_ok, rep.witness) == oracle_report_witness(rep)
     rep = verify_regions([RegionAssignment(Region((box,)), (0,))], bundle, 1)
     assert rep.all_ok and rep.checks[0].repeated_anchor is None
 
