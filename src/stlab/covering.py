@@ -42,7 +42,8 @@ the box pairs that meet, and a point enters it by its cell floor(x0 D).
 The same sweep, over the corridor prisms against the cubes, finds every
 shift-graph corridor's blockers at once; _face_cells cuts a box by the
 faces of another, for the A3 complement cubes and combine's lateral
-cells.  The one float is VerificationReport.count_bound.
+cells.  The one float is VerificationReport.count_bound.  The report's
+witness names the first failed guarantee in one line, or is None.
 """
 
 from __future__ import annotations

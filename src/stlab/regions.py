@@ -20,7 +20,8 @@ them, and each region is built straight in the anchor coordinates.
 The two crossings of a pair p, q with exactly orthogonal flats are
 antipodal on the sphere with diameter pq, which pins at least one of
 them deep inside the cube; small direction tilts displace a crossing
-by a fraction of dist(p, q).
+by a fraction of dist(p, q).  verify_regions checks the guarantees,
+and its report's witness names the first failed one in one line.
 """
 
 from __future__ import annotations
