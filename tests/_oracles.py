@@ -21,25 +21,42 @@ crossing counts and the kernel's cross-checks use.
 The witness oracle is the verifiers' reading before the reports named
 their own first failure: the CLI's two witness functions and the two
 all_ok conjunctions, kept word for word.
+The covering oracle is the run's phase loop before labelled cells were
+int columns settled in bulk: every labelled parent but a light lone
+carrier visited through process_cell, kept word for word.
 """
 
 import collections
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from stlab.covering import (
+    Cell,
     CoverResult,
     CoverStats,
+    CoveringError,
     CubeSet,
+    CubeState,
     FreeCube,
+    IntBox,
     InvalidParams,
+    PhaseStats,
     PointSet,
     SignedPermutation,
     VerificationReport,
+    _CARRIER_STATES,
+    _CellInfo,
+    _CoverRun,
+    _YELLOW_STATES,
+    _complement_cubes,
+    _keys,
+    _unpack,
     boxes_overlap_interior,
 )
 from stlab.diagnostics import SystemView
@@ -663,3 +680,189 @@ def oracle_report_witness(rep):
         return ok, None if ok else _cover_witness(rep)
     ok = _regions_all_ok(rep)
     return ok, None if ok else _regions_witness(rep)
+
+
+# -- the covering phase loop ----------------------------------------------------
+
+
+class OracleCoverRun(_CoverRun):
+    """The covering run with the phase loop it had before labelled cells
+    were int columns: the last phase's labelled cells are (cell, info)
+    pairs in states, every parent with a labelled subcell but a light lone
+    carrier gets a process_cell visit, and each parent's cell is lifted by
+    up().  run, run_phase, process_cell and _place_selected are kept word
+    for word; the rest is the library's."""
+
+    def __init__(self, points, d, kappa, r):
+        super().__init__(points, d, kappa, r)
+        self.states = []
+
+    def run(self) -> None:
+        # keep going past the single-cube point while a yellow is still
+        # pending: its green deserves the selection phase it would get in
+        # a larger input (a yellow phase deletes points, so this ends).
+        # Termination watches the input points, not the surviving ones:
+        # deletions silence counting but pending labels must still ripen
+        while True:
+            done = self.lo == self.hi
+            pending = any(info.state in _YELLOW_STATES for _, info in self.states)
+            if done and not pending:
+                break
+            self.level += 1
+            self.run_phase(self.level)
+
+    def run_phase(self, level: int) -> None:
+        ps = PhaseStats(level=level)
+        rho, shift, r = self.rho, self.shift, self.r
+        self.below = self.origin
+        self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(self.origin, shift))
+
+        # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
+        def up(c: Cell) -> Cell:
+            return tuple([(ci - t) // rho for ci, t in zip(c, shift)])
+
+        # a yellow is central for the one offset (c - 2 kappa) mod rho
+        def offset(c: Cell) -> Cell:
+            return tuple([(x - 2 * self.kappa) % rho for x in c])
+
+        self.lo, self.hi = up(self.lo), up(self.hi)
+        keys = _keys(self.cells, self.origin, rho**level, self.lo, self.hi)
+        subcells = [[c[i] for c, _ in self.states] for i in range(self.d)]
+        labelled = _keys(subcells, shift, rho, self.lo, self.hi)
+        counts = Counter(keys)
+        # the labelled subcells of each parent, with the parent's cell
+        parents: Dict[int, Tuple[Cell, List[Tuple[Cell, _CellInfo]]]] = {}
+        for key, special in zip(labelled, self.states):
+            entry = parents.get(key)
+            if entry is None:
+                entry = parents[key] = (up(special[0]), [])
+            entry[1].append(special)
+        # settled from the counts: a cell with fewer than r points and no
+        # labelled subcell is A1 and changes nothing, one with r or more is
+        # A2, and a lone carrier with too few points for a green is A4
+        a2 = [key for key, n in counts.items() if n >= r and key not in parents]
+        lone = {
+            key
+            for key, (_, specials) in parents.items()
+            if len(specials) == 1 and specials[0][1].state in _CARRIER_STATES
+        }
+        a4 = [key for key in lone if counts[key] < (3**self.d - 1) * r]
+        a2_info, a4_info = _CellInfo(CubeState.A2), _CellInfo(CubeState.A4)  # frozen, so shared
+        ps.processed = len(counts) + sum(1 for key in parents if key not in counts)
+        quiet = ps.processed - len(a2) - len(parents)
+        assigned = {CubeState.A1: quiet, CubeState.A2: len(a2), CubeState.A4: len(a4)}
+        self._assert_state(a2_info, [counts[key] for key in a2])
+        self._assert_state(a4_info, [counts[key] for key in a4])
+        self.stats.g += len(a2)
+        # the other lone carriers search complement cubes, so read the
+        # positions of their points
+        members: Dict[int, List[int]] = {key: [] for key in lone.difference(a4)}
+        if members:
+            for i, key in [(i, k) for i, k in enumerate(keys) if k in members]:
+                members[key].append(i)
+        # the rest may build boxes, so they are visited in key order
+        visited: List[Tuple[int, Cell, _CellInfo]] = []
+        for key in sorted(parents.keys() - a4):
+            cell, specials = parents[key]
+            info = self.process_cell(cell, level, specials, members.get(key, []))
+            assigned[info.state] = assigned.get(info.state, 0) + 1
+            self._assert_state(info, [counts[key]])
+            visited.append((key, cell, info))
+        ps.assigned = {state: n for state, n in assigned.items() if n}
+        # step 3: next-level offset by the central-position pigeonhole
+        cols = _unpack(a2, self.lo, self.hi)
+        offsets = list(zip(*[[(c - 2 * self.kappa) % rho for c in col] for col in cols]))
+        offsets += [offset(c) for _, c, info in visited if info.state == CubeState.A3]
+        t = self.shift = self.choose_offset(offsets)
+        ps.yellows, ps.central = len(offsets), offsets.count(t)
+        # step 4: permanent deletion inside yellow and newly blue cells, that
+        # is in every visited cell but the A4 ones
+        dead = set(a2).union(k for k, _, info in visited if info.state != CubeState.A4)
+        ps.deleted = sum(counts[key] for key in dead)
+        if ps.deleted:
+            alive = [k not in dead for k in keys]
+            self.cells = [list(itertools.compress(col, alive)) for col in self.cells]
+        # step 5: unlabel yellows that did not land in central position: an
+        # A2 cell goes, an A3 cell turns A4 and the enclosed blue stays
+        self.states = [(c, a2_info) for c, o in zip(zip(*cols), offsets) if o == t]
+        self.states += [
+            (c, a4_info if info.state == CubeState.A3 and offset(c) != t else info)
+            for _, c, info in visited
+        ]
+        self.states += [(parents[key][0], a4_info) for key in a4]
+        self.stats.phases.append(ps)
+
+    def process_cell(
+        self,
+        cell: Cell,
+        level: int,
+        specials: List[Tuple[Cell, _CellInfo]],
+        pts: List[int],
+    ) -> _CellInfo:
+        """Label a cell that has labelled subcells, specials, each with its
+        info; pts, the positions of its points in cells, is read only
+        around a lone carrier.  Boxes are built only in the branches that
+        read them."""
+        yellow = [(c, i) for c, i in specials if i.state in _YELLOW_STATES]
+        carriers = [c for c, i in specials if i.state in _CARRIER_STATES]
+        if len(yellow) > 1:
+            raise CoveringError("two yellow subcells in one cell; offsets broken")
+        if len(carriers) > 1 or (carriers and yellow and yellow[0][1].state == CubeState.A3):
+            self.stats.b += 1
+            return _CellInfo(CubeState.A6)
+        qbox = self.cell_box(cell, level, self.origin)
+        dbox = self.cell_box(carriers[0], level - 1, self.below) if carriers else None
+        if yellow:
+            ychild, yinfo = yellow[0]
+            if yinfo.state == CubeState.A3:  # no carrier beside it
+                self._place_selected(qbox, yinfo.green, avoid=yinfo.avoid)
+                self.stats.b += 2
+                self.stats.s += 1
+                return _CellInfo(CubeState.A6)
+            # A5 around the yellow, or A6 around it and the one carrier
+            self._place_selected(qbox, self.cell_box(ychild, level - 1, self.below), avoid=dbox)
+            self.stats.b += 1 if dbox is None else 2
+            self.stats.s += 1
+            return _CellInfo(CubeState.A5 if dbox is None else CubeState.A6)
+        # a lone carrier and at least (3^d - 1) r points:
+        # lo <= cell < hi iff lo <= x rho < hi, for int lo and hi
+        cells = list(zip(*[[col[i] for i in pts] for col in self.cells]))
+        for cand in _complement_cubes(qbox, dbox):
+            cnt = sum(1 for c in cells if all(lo <= x < hi for x, (lo, hi) in zip(c, cand)))
+            if cnt >= self.r:
+                self.stats.g += 1
+                return _CellInfo(CubeState.A3, green=cand, avoid=dbox)
+        # no complement cube is r-heavy (points hide in the carrier): fall
+        # back to the unlabeled state
+        return _CellInfo(CubeState.A4)
+
+    def _place_selected(self, qbox: IntBox, gbox: IntBox, avoid: Optional[IntBox]) -> None:
+        """Select the cube inside qbox whose kappa-side-cube is the green
+        gbox: of the 2d orientations that fit in qbox clear of avoid, the
+        one leaving the widest margin in qbox past the cube's face away
+        from gbox, then the least (axis, sign)."""
+        gside = gbox[0][1] - gbox[0][0]
+        big = (2 * self.kappa + 1) * gside
+        options = []
+        for axis in range(self.d):
+            for sign in (-1, 1):
+                corner = [lo - self.kappa * gside for lo, _ in gbox]
+                corner[axis] = gbox[axis][0] if sign < 0 else gbox[axis][1] - big
+                cand = tuple((c, c + big) for c in corner)
+                if any(c < ql or c + big > qh for c, (ql, qh) in zip(corner, qbox)):
+                    continue
+                if avoid is not None and boxes_overlap_interior(cand, avoid):
+                    continue
+                (ql, qh), (lo, hi) = qbox[axis], cand[axis]
+                options.append(((-(qh - hi if sign < 0 else lo - ql), axis, sign), cand))
+        if not options:
+            raise CoveringError("no room for a selected cube; geometry broken")
+        (_, axis, sign), cand = min(options)
+        self.selected.append((cand, (axis, sign)))
+
+
+def oracle_run_covering(points, d, kappa, r):
+    """run_covering through OracleCoverRun's phase loop."""
+    run = OracleCoverRun(points, d, kappa, r)
+    run.run()
+    return run.result()

@@ -48,6 +48,7 @@ from _oracles import (
     clustered_cover_input,
     oracle_bott,
     oracle_report_witness,
+    oracle_run_covering,
     oracle_separating_scale,
     oracle_shift_graph,
     point_in_box_closed,
@@ -652,6 +653,43 @@ def test_cell_keys_round_trip_in_lexicographic_order():
             lifted, low, high = [up(c) for c in lifted], up(low), up(high)
             keys = _keys(run.cells, origin, rho**level, low, high)
             assert keys == _keys(list(zip(*lifted)), (0,) * d, 1, low, high)
+
+
+def _phase_points(seed, n, d, clustered):
+    """n distinct points: spread over a span of 3 n^(1/d), or around one
+    to five integer centres in [0, 200]^d, each offset by up to the drawn
+    spread per axis, with the usual distinct 2^-20 tie-breaker."""
+    if not clustered:
+        return random_rational_points(n, d, int(3 * n ** (1 / d)), seed)
+    rng = random.Random(seed)
+    centres = [[rng.randint(0, 200) for _ in range(d)] for _ in range(rng.randint(1, 5))]
+    spread = rng.choice((0, 1, 3, 10))
+    ties = itertools.count(1, 2)
+    return [
+        tuple(F(x + rng.randint(0, spread)) + F(next(ties), 2**20) for x in rng.choice(centres))
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.integers(1, 8),
+    st.integers(2, 400),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_phase_loop_matches_oracle(d, kappa, r, n, clustered, seed):
+    # the run against the phase loop that visited every labelled parent
+    # but a light lone carrier: the same rows, axis map, phase statistics,
+    # s, b, g and dropped
+    norm, _ = normalize_points(_phase_points(seed, n, d, clustered))
+    res, want = run_covering(norm, d, kappa, r), oracle_run_covering(norm, d, kappa, r)
+    assert (res.K.den, res.K.cols, res.axis_map) == (want.K.den, want.K.cols, want.axis_map)
+    assert res.stats.phases == want.stats.phases
+    assert (res.stats.s, res.stats.b, res.stats.g) == (want.stats.s, want.stats.b, want.stats.g)
+    assert res.stats.dropped == want.stats.dropped
 
 
 def test_covering_deterministic():
