@@ -16,15 +16,17 @@ rho^d child cells).  Cubes are processed bottom-up through six states;
 the labels green, yellow, blue and selected drive the bookkeeping, and
 points inside blue or yellow cubes are deleted permanently at the end
 of each phase.  Only occupied or label-carrying cells are ever
-materialized, so dimension 4 stays affordable.  The run keeps each
-surviving point as its level-0 cell.  A phase keys every point at once
-by its cell, one floor of the level-0 cell packed into one int over the
-per-axis hull of all input points' cells, and counts the cells, so it
-costs O(surviving points) in C-level passes, and settles from the counts
-alone every cell that builds no box: A1 (fewer than r points, no labelled
-subcell: it changes nothing), A2, and A4 around a lone carrier with too
-few points for a green.  The rest get a Python visit in key order, and a
-point is read only where a lone carrier searches for a green.
+materialized, so dimension 4 stays affordable.  Surviving points and
+labelled cells are kept alike, int columns of their cells, the labels
+in a parallel list; a phase keys both at once, packed into ints over
+the hull of the input's cells, and counts cells and each parent's
+labelled subcells in C-level passes.  From the counts alone it settles
+A1 (under r points, no labelled subcell: nothing changes), A2, A4 (a
+lone carrier too light for a green), A6 (more carriers, or one beside an
+A3: no box) and A5 (a lone A2).  A yellow that outlives its phase sits
+at index 2 kappa of its parent on every axis, so all 2d orientations fit
+with margin 0 and A5's cube is the least, (0, -1).  Only a lone A3, an
+A2 beside one carrier and a heavy lone carrier get a Python visit.
 
 Everything geometric is exact and works in Python ints.  Points are one
 PointSet, int columns over their least common denominator, from the
@@ -38,12 +40,13 @@ places a point by its cell floor(x rho) on the grid of level-0 side
 its own shift graph.  The shift graph and the verifier scale a CubeSet
 onto the grid of step 1/D, D = 10 (2 kappa + 1) times its denominator,
 and compare int boxes there.  One sweep over first-axis faces shortlists
-the box pairs that meet, and a point enters it by its cell floor(x0 D).
-The same sweep, over the corridor prisms against the cubes, finds every
-shift-graph corridor's blockers at once; _face_cells cuts a box by the
-faces of another, for the A3 complement cubes and combine's lateral
-cells.  The one float is VerificationReport.count_bound.  The report's
-witness names the first failed guarantee in one line, or is None.
+the box pairs that meet; the points, sorted by first-axis numerator,
+meet a box by one exact bisect.  The same sweep, over the corridor
+prisms against the cubes, finds every shift-graph corridor's blockers at
+once; _face_cells cuts a box by the faces of another, for the A3
+complement cubes and combine's lateral cells.  The one float is
+VerificationReport.count_bound.  The report's witness names the first
+failed guarantee in one line, or is None.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .exact import Rational, _frac, _int_columns
 
@@ -90,7 +93,8 @@ class OverlappingInput(CoveringError):
 class PointSet(Sequence[Point]):
     """n points of R^d as d int columns over one denominator, the least, so
     equal sets compare equal: point i is (cols[0][i], ..., cols[d-1][i]) /
-    den.  A set without points has no columns.  Items are Fraction tuples."""
+    den.  A set without points has no columns.  Items are Fraction tuples;
+    a slice is a set of the same type, over its own least denominator."""
 
     den: int
     cols: Tuple[Tuple[int, ...], ...]
@@ -124,7 +128,9 @@ class PointSet(Sequence[Point]):
     def __len__(self) -> int:
         return len(self.cols[0]) if self.cols else 0
 
-    def __getitem__(self, i: int) -> Point:
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return type(self).over(self.den, [col[i] for col in self.cols])
         return tuple(Fraction(col[i], self.den) for col in self.cols)
 
     def __iter__(self) -> Iterator[Point]:
@@ -169,9 +175,9 @@ class CubeSet(PointSet):
         ps = cubes if isinstance(cubes, cls) else PointSet.of([(*c.corner, c.side) for c in cubes])
         return cls(ps.den, ps.cols)
 
-    def __getitem__(self, i: int) -> FreeCube:
-        *corner, side = super().__getitem__(i)
-        return FreeCube(tuple(corner), side)
+    def __getitem__(self, i: Union[int, slice]):
+        row = super().__getitem__(i)
+        return row if isinstance(i, slice) else FreeCube(row[:-1], row[-1])
 
     def __iter__(self) -> Iterator[FreeCube]:
         return (FreeCube(row[:-1], row[-1]) for row in super().__iter__())
@@ -357,6 +363,7 @@ class CubeState:
 
 _YELLOW_STATES = (CubeState.A2, CubeState.A3)
 _CARRIER_STATES = (CubeState.A4, CubeState.A5, CubeState.A6)
+_VISITED_YELLOWS = ((1, CubeState.A3), (2, CubeState.A2))  # (labelled subcells, yellow state)
 
 
 @dataclass(frozen=True)
@@ -364,6 +371,9 @@ class _CellInfo:
     state: str
     green: Optional[IntBox] = None  # A3: the green cube inside
     avoid: Optional[IntBox] = None  # A3: the carrier subcell it was built around
+
+
+_LABELS = {s: _CellInfo(s) for s in (CubeState.A2, CubeState.A4, CubeState.A5, CubeState.A6)}
 
 
 @dataclass
@@ -440,10 +450,11 @@ class _CoverRun:
 
     Nested floors compose, so a point's level-L cell is one floor of its
     level-0 cell c, floor((c - origin) / rho^L); a phase keys the points
-    by their cells at once with _keys.  The run keeps the last phase's
-    labelled cells as (cell, label) pairs: a parent takes its tuple from
-    a labelled subcell, and an A2 cell's is decoded from its key
-    (_unpack)."""
+    by their cells at once with _keys.  The last phase's labelled cells
+    are int columns too, labelled, with their labels and the yellow ones'
+    positions in parallel lists; a phase keys them by their parents,
+    settles most parents in bulk, visits the rest in key order with
+    process_cell and decodes every cell it labels from its key (_unpack)."""
 
     def __init__(self, points: Sequence[Sequence[Rational]], d: int, kappa: int, r: int):
         self.d = d
@@ -472,7 +483,9 @@ class _CoverRun:
             raise InvalidParams("integer coordinate: input is not normalized")
         # offset of the next level's blocks in current-level cell units
         self.shift: Cell = (0,) * d
-        self.states: List[Tuple[Cell, _CellInfo]] = []  # non-A1 cells of the last phase
+        self.labelled: List[List[int]] = [[] for _ in range(d)]  # the last phase's labelled cells
+        self.labels: List[_CellInfo] = []  # their labels, and in yellows the yellow ones' positions
+        self.yellows: List[int] = []
         self.selected: List[Tuple[IntBox, Tuple[int, int]]] = []
         self.stats = CoverStats()
         self.level = 0
@@ -491,93 +504,97 @@ class _CoverRun:
         # a larger input (a yellow phase deletes points, so this ends).
         # Termination watches the input points, not the surviving ones:
         # deletions silence counting but pending labels must still ripen
-        while True:
-            done = self.lo == self.hi
-            pending = any(info.state in _YELLOW_STATES for _, info in self.states)
-            if done and not pending:
-                break
+        while self.lo != self.hi or self.yellows:
             self.level += 1
             self.run_phase(self.level)
 
     def run_phase(self, level: int) -> None:
         ps = PhaseStats(level=level)
-        rho, shift, r = self.rho, self.shift, self.r
+        rho, shift, r, kappa = self.rho, self.shift, self.r, self.kappa
         self.below = self.origin
         self.origin = tuple(o + t * rho ** (level - 1) for o, t in zip(self.origin, shift))
 
-        # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
-        def up(c: Cell) -> Cell:
-            return tuple([(ci - t) // rho for ci, t in zip(c, shift)])
-
         # a yellow is central for the one offset (c - 2 kappa) mod rho
         def offset(c: Cell) -> Cell:
-            return tuple([(x - 2 * self.kappa) % rho for x in c])
+            return tuple([(x - 2 * kappa) % rho for x in c])
 
-        self.lo, self.hi = up(self.lo), up(self.hi)
+        # exact: floor((x - t*s) / (rho*s)) == floor((floor(x/s) - t) / rho)
+        self.lo, self.hi = [tuple([(c - t) // rho for c, t in zip(b, shift)])
+                            for b in (self.lo, self.hi)]
         keys = _keys(self.cells, self.origin, rho**level, self.lo, self.hi)
-        subcells = [[c[i] for c, _ in self.states] for i in range(self.d)]
-        labelled = _keys(subcells, shift, rho, self.lo, self.hi)
         counts = Counter(keys)
-        # the labelled subcells of each parent, with the parent's cell
-        parents: Dict[int, Tuple[Cell, List[Tuple[Cell, _CellInfo]]]] = {}
-        for key, special in zip(labelled, self.states):
-            entry = parents.get(key)
-            if entry is None:
-                entry = parents[key] = (up(special[0]), [])
-            entry[1].append(special)
+        # per parent: its labelled subcells' count, with its yellow one's state
+        lkeys = _keys(self.labelled, shift, rho, self.lo, self.hi)
+        specials = Counter(lkeys)
+        kinds = {lkeys[j]: (specials[lkeys[j]], self.labels[j].state) for j in self.yellows}
+        if len(kinds) < len(self.yellows):
+            raise CoveringError("two yellow subcells in one cell; offsets broken")
         # settled from the counts: a cell with fewer than r points and no
-        # labelled subcell is A1 and changes nothing, one with r or more is
-        # A2, and a lone carrier with too few points for a green is A4
-        a2 = [key for key, n in counts.items() if n >= r and key not in parents]
-        lone = {
-            key
-            for key, (_, specials) in parents.items()
-            if len(specials) == 1 and specials[0][1].state in _CARRIER_STATES
-        }
-        a4 = [key for key in lone if counts[key] < (3**self.d - 1) * r]
-        a2_info, a4_info = _CellInfo(CubeState.A2), _CellInfo(CubeState.A4)  # frozen, so shared
-        ps.processed = len(counts) + sum(1 for key in parents if key not in counts)
-        quiet = ps.processed - len(a2) - len(parents)
-        assigned = {CubeState.A1: quiet, CubeState.A2: len(a2), CubeState.A4: len(a4)}
-        self._assert_state(a2_info, [counts[key] for key in a2])
-        self._assert_state(a4_info, [counts[key] for key in a4])
+        # labelled subcell is A1 (nothing changes), with r or more A2; a lone
+        # light carrier is A4, a lone A2 A5, two carriers or one and an A3 A6
+        heavy = (3**self.d - 1) * r
+        busy = itertools.compress(counts, map(r.__le__, counts.values()))  # r or more points
+        a2 = [key for key in busy if key not in specials]
+        lone = [key for key, n in specials.items() if n == 1 and key not in kinds]
+        a4 = [key for key in lone if counts[key] < heavy]
+        a5 = [key for key, kind in kinds.items() if kind == (1, CubeState.A2)]
+        a6 = [key for key, n in specials.items() if n > 1 and kinds.get(key) != (2, CubeState.A2)]
+        bulk = {CubeState.A2: a2, CubeState.A4: a4, CubeState.A5: a5, CubeState.A6: a6}
+        for state in [state for state, group in bulk.items() if group]:
+            self._assert_state(_LABELS[state], [counts[key] for key in bulk[state]])
+        a2_info, a4_info, a5_info, a6_info = _LABELS.values()  # frozen, so shared
+        ps.processed = len(counts) + len(specials.keys() - counts.keys())
+        assigned = {state: len(group) for state, group in bulk.items()}
+        assigned[CubeState.A1] = ps.processed - len(a2) - len(specials)
         self.stats.g += len(a2)
-        # the other lone carriers search complement cubes, so read the
-        # positions of their points
-        members: Dict[int, List[int]] = {key: [] for key in lone.difference(a4)}
+        self.stats.s += len(a5)
+        self.stats.b += len(a5) + len(a6)
+        # visited: a lone A3, an A2 beside one carrier, and a heavy lone
+        # carrier, which reads the positions of its points
+        members: Dict[int, List[int]] = {key: [] for key in lone if counts[key] >= heavy}
         if members:
             for i, key in [(i, k) for i, k in enumerate(keys) if k in members]:
                 members[key].append(i)
-        # the rest may build boxes, so they are visited in key order
-        visited: List[Tuple[int, Cell, _CellInfo]] = []
-        for key in sorted(parents.keys() - a4):
-            cell, specials = parents[key]
-            info = self.process_cell(cell, level, specials, members.get(key, []))
-            assigned[info.state] = assigned.get(info.state, 0) + 1
-            self._assert_state(info, [counts[key]])
-            visited.append((key, cell, info))
+        subs: Dict[int, List[Tuple[Cell, _CellInfo]]] = {key: [] for key in members}
+        subs.update((key, []) for key, kind in kinds.items() if kind in _VISITED_YELLOWS)
+        for j in [j for j, key in enumerate(lkeys) if key in subs]:
+            subs[lkeys[j]].append((tuple([col[j] for col in self.labelled]), self.labels[j]))
+        # visits and the A5 cubes select in key order; every cell labelled
+        # next, these, the A2, the A4 and the A6 cells, is decoded from its key
+        order = sorted(a5 + list(subs))
+        cols = _unpack(order + a2 + a4 + a6, self.lo, self.hi)
+        visited: List[Tuple[Cell, _CellInfo]] = []
+        for key, cell in zip(order, zip(*cols)):
+            if key in subs:
+                info = self.process_cell(cell, level, subs[key], members.get(key, []))
+                assigned[info.state] = assigned.get(info.state, 0) + 1
+                self._assert_state(info, [counts[key]])
+            else:
+                info = a5_info
+                self.selected.append((self._central_cube(cell, level), (0, -1)))
+            visited.append((cell, info))
         ps.assigned = {state: n for state, n in assigned.items() if n}
         # step 3: next-level offset by the central-position pigeonhole
-        cols = _unpack(a2, self.lo, self.hi)
-        offsets = list(zip(*[[(c - 2 * self.kappa) % rho for c in col] for col in cols]))
-        offsets += [offset(c) for _, c, info in visited if info.state == CubeState.A3]
+        v, w = len(order), len(order) + len(a2)
+        offsets = list(zip(*[[(c - 2 * kappa) % rho for c in col[v:w]] for col in cols]))
+        offsets += [offset(c) for c, info in visited if info.state == CubeState.A3]
         t = self.shift = self.choose_offset(offsets)
         ps.yellows, ps.central = len(offsets), offsets.count(t)
         # step 4: permanent deletion inside yellow and newly blue cells, that
-        # is in every visited cell but the A4 ones
-        dead = set(a2).union(k for k, _, info in visited if info.state != CubeState.A4)
+        # is in every labelled parent but the A4 ones
+        dead = set(a2 + a6).union(k for k, (_, i) in zip(order, visited) if i.state != CubeState.A4)
         ps.deleted = sum(counts[key] for key in dead)
         if ps.deleted:
             alive = [k not in dead for k in keys]
             self.cells = [list(itertools.compress(col, alive)) for col in self.cells]
         # step 5: unlabel yellows that did not land in central position: an
         # A2 cell goes, an A3 cell turns A4 and the enclosed blue stays
-        self.states = [(c, a2_info) for c, o in zip(zip(*cols), offsets) if o == t]
-        self.states += [
-            (c, a4_info if info.state == CubeState.A3 and offset(c) != t else info)
-            for _, c, info in visited
-        ]
-        self.states += [(parents[key][0], a4_info) for key in a4]
+        keep = [True] * v + [o == t for o in offsets[: len(a2)]] + [True] * (len(a4) + len(a6))
+        self.labelled = [list(itertools.compress(col, keep)) for col in cols]
+        infos = [a4_info if i.state == CubeState.A3 and offset(c) != t else i for c, i in visited]
+        n = offsets[: len(a2)].count(t)
+        self.labels = infos + [a2_info] * n + [a4_info] * len(a4) + [a6_info] * len(a6)
+        self.yellows = [j for j, i in enumerate(self.labels[: v + n]) if i.state in _YELLOW_STATES]
         self.stats.phases.append(ps)
 
     def choose_offset(self, offsets: List[Cell]) -> Cell:
@@ -597,31 +614,24 @@ class _CoverRun:
         specials: List[Tuple[Cell, _CellInfo]],
         pts: List[int],
     ) -> _CellInfo:
-        """Label a cell that has labelled subcells, specials, each with its
-        info; pts, the positions of its points in cells, is read only
-        around a lone carrier.  Boxes are built only in the branches that
-        read them."""
+        """Label a visited cell from its labelled subcells, specials, each
+        with its info: a lone A3, an A2 beside one carrier, or a lone
+        carrier with at least (3^d - 1) r points, whose positions in cells
+        are pts.  Boxes are built only in the branches that read them."""
         yellow = [(c, i) for c, i in specials if i.state in _YELLOW_STATES]
         carriers = [c for c, i in specials if i.state in _CARRIER_STATES]
-        if len(yellow) > 1:
-            raise CoveringError("two yellow subcells in one cell; offsets broken")
-        if len(carriers) > 1 or (carriers and yellow and yellow[0][1].state == CubeState.A3):
-            self.stats.b += 1
-            return _CellInfo(CubeState.A6)
         qbox = self.cell_box(cell, level, self.origin)
         dbox = self.cell_box(carriers[0], level - 1, self.below) if carriers else None
         if yellow:
+            # A6 around the lone A3's green, or around the A2 and its carrier
             ychild, yinfo = yellow[0]
-            if yinfo.state == CubeState.A3:  # no carrier beside it
-                self._place_selected(qbox, yinfo.green, avoid=yinfo.avoid)
-                self.stats.b += 2
-                self.stats.s += 1
-                return _CellInfo(CubeState.A6)
-            # A5 around the yellow, or A6 around it and the one carrier
-            self._place_selected(qbox, self.cell_box(ychild, level - 1, self.below), avoid=dbox)
-            self.stats.b += 1 if dbox is None else 2
+            if yinfo.state == CubeState.A3:
+                self._place_selected(qbox, yinfo.green, yinfo.avoid)
+            else:
+                self._place_selected(qbox, self.cell_box(ychild, level - 1, self.below), dbox)
+            self.stats.b += 2
             self.stats.s += 1
-            return _CellInfo(CubeState.A5 if dbox is None else CubeState.A6)
+            return _CellInfo(CubeState.A6)
         # a lone carrier and at least (3^d - 1) r points:
         # lo <= cell < hi iff lo <= x rho < hi, for int lo and hi
         cells = list(zip(*[[col[i] for i in pts] for col in self.cells]))
@@ -634,7 +644,16 @@ class _CoverRun:
         # back to the unlabeled state
         return _CellInfo(CubeState.A4)
 
-    def _place_selected(self, qbox: IntBox, gbox: IntBox, avoid: Optional[IntBox]) -> None:
+    def _central_cube(self, cell: Cell, level: int) -> IntBox:
+        """The cube _place_selected picks in cell around its lone central
+        yellow subcell, at index 2 kappa on every axis: all orientations fit
+        with margin 0, so the least, (0, -1), up from the subcell on axis 0."""
+        g, k = self.rho ** (level - 1), self.kappa
+        corner = [o + (c * self.rho + k) * g for o, c in zip(self.origin, cell)]
+        corner[0] += k * g
+        return tuple([(x, x + (2 * k + 1) * g) for x in corner])
+
+    def _place_selected(self, qbox: IntBox, gbox: IntBox, avoid: IntBox) -> None:
         """Select the cube inside qbox whose kappa-side-cube is the green
         gbox: of the 2d orientations that fit in qbox clear of avoid, the
         one leaving the widest margin in qbox past the cube's face away
@@ -649,7 +668,7 @@ class _CoverRun:
                 cand = tuple((c, c + big) for c in corner)
                 if any(c < ql or c + big > qh for c, (ql, qh) in zip(corner, qbox)):
                     continue
-                if avoid is not None and boxes_overlap_interior(cand, avoid):
+                if boxes_overlap_interior(cand, avoid):
                     continue
                 (ql, qh), (lo, hi) = qbox[axis], cand[axis]
                 options.append(((-(qh - hi if sign < 0 else lo - ql), axis, sign), cand))
@@ -770,20 +789,21 @@ def points_in_boxes(
     """For each box on the grid of step 1/scale, the ascending ids of the
     points in it (closed).
 
-    A point enters the sweep as the degenerate interval of its cell
-    k = floor(x0 scale), which lies in [lo, hi] whenever x0 scale does;
-    each candidate x = a/den is then checked exactly, lo*den <= a*scale
-    <= hi*den on every axis.
+    The points x = a/den are sorted once by their first-axis numerator,
+    so a box's first-axis window is one exact bisect, ceil(lo den/scale)
+    <= a0 <= floor(hi den/scale); each candidate is then checked exactly
+    on the other axes, lo*den <= a*scale <= hi*den.
     """
     ps = PointSet.of(points)
-    den, cols = ps.den, ps.cols
-    keys = [a * scale // den for a in cols[0]] if cols else []
-    inside: List[List[int]] = [[] for _ in boxes]
-    for i, j in _sweep(boxes, keys, keys):
-        if all(lo * den <= col[j] * scale <= hi * den for col, (lo, hi) in zip(cols, boxes[i])):
-            inside[i].append(j)
-    for ids in inside:
-        ids.sort()
+    den, cols = ps.den, ps.cols or ((),)
+    order = sorted(range(len(ps)), key=cols[0].__getitem__)
+    firsts = [cols[0][j] for j in order]
+    inside: List[List[int]] = []
+    for (lo, hi), *rest in boxes:
+        start = bisect_left(firsts, -(-lo * den // scale))
+        ids = sorted(order[start : bisect_right(firsts, hi * den // scale)])
+        inside.append([j for j in ids if all(
+            a * den <= col[j] * scale <= b * den for col, (a, b) in zip(cols[1:], rest))])
     return inside
 
 

@@ -9,12 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlab.covering import (
     CoverResult,
     CoverStats,
+    CubeSet,
     CubeState,
     DuplicatePoints,
     FreeCube,
@@ -43,6 +44,7 @@ from _oracles import (
     IN_DEGREE_TWO,
     IN_DEGREE_TWO_POINTS,
     KNOWN_DEFECT_WITNESSES,
+    OracleCoverRun,
     apply_point,
     box,
     clustered_cover_input,
@@ -308,6 +310,19 @@ def test_point_set_holds_the_points_over_the_least_denominator(pts):
     assert math.gcd(ps.den, *(a for col in ps.cols for a in col)) == 1
     assert ps == PointSet.over(6 * ps.den, [[6 * a for a in col] for col in ps.cols])
     assert (ps.cols == ()) == (not pts)
+
+
+def test_point_and_cube_sets_slice_to_sets_of_their_type():
+    ps = PointSet.of([(F(1, 2), F(1, 3)), (F(1, 4), F(2)), (F(3), F(5)), (F(7, 3), F(1))])
+    # over the least denominator of the rows kept: 4, not 12
+    assert ps[1:3] == PointSet(4, ((1, 12), (8, 20))) == PointSet.of(list(ps)[1:3])
+    assert type(ps[1:3]) is PointSet and list(ps[::2]) == list(ps)[::2]
+    assert ps[2:2] == ps[9:] == PointSet.of([]) and len(ps[2:2]) == 0
+    norm, _ = normalize_points(random_rational_points(300, 2, 50, 3))
+    K = run_covering(norm, 2, 1, 2).K
+    assert len(K) > 1 and type(K[:1]) is CubeSet
+    assert K[:1] == CubeSet.of([K[0]]) and list(K[1:]) == list(K)[1:]
+    assert K[len(K):] == CubeSet.of([]) and list(K[:0]) == []
 
 
 # exact outputs, so a wrong reduction or prime choice cannot pass: 1/2 and
@@ -680,6 +695,10 @@ def _phase_points(seed, n, d, clustered):
     st.booleans(),
     st.integers(0, 2**32),
 )
+# random draws rarely visit a lone A3 (5 in 3,000), so three that do ride along
+@example(1, 2, 2, 348, False, 186)
+@example(1, 1, 4, 219, False, 374)
+@example(1, 1, 6, 27, True, 722)
 def test_phase_loop_matches_oracle(d, kappa, r, n, clustered, seed):
     # the run against the phase loop that visited every labelled parent
     # but a light lone carrier: the same rows, axis map, phase statistics,
@@ -690,6 +709,26 @@ def test_phase_loop_matches_oracle(d, kappa, r, n, clustered, seed):
     assert res.stats.phases == want.stats.phases
     assert (res.stats.s, res.stats.b, res.stats.g) == (want.stats.s, want.stats.b, want.stats.g)
     assert res.stats.dropped == want.stats.dropped
+
+
+def test_central_cube_is_the_oracle_placement():
+    # a lone yellow subcell in central position, index 2 kappa of its
+    # parent on every axis: the closed-form A5 cube is the one the oracle's
+    # _place_selected picks with nothing to avoid
+    rng = random.Random(11)
+    for d, kappa in itertools.product(range(1, 5), (1, 2)):
+        rho = 4 * kappa + 1
+        for _ in range(25):
+            run, oracle = _CoverRun([], d, kappa, 1), OracleCoverRun([], d, kappa, 1)
+            level = rng.randint(1, 6)
+            shift = tuple(rng.randrange(rho) for _ in range(d))
+            below = tuple(rng.randint(-(10**6), 10**6) for _ in range(d))
+            run.origin = tuple(b + t * rho ** (level - 1) for b, t in zip(below, shift))
+            cell = tuple(rng.randint(-50, 50) for _ in range(d))
+            child = tuple(c * rho + t + 2 * kappa for c, t in zip(cell, shift))
+            qbox = oracle.cell_box(cell, level, run.origin)
+            oracle._place_selected(qbox, oracle.cell_box(child, level - 1, below), None)
+            assert oracle.selected == [(run._central_cube(cell, level), (0, -1))]
 
 
 def test_covering_deterministic():
