@@ -645,9 +645,8 @@ class _CoverRun:
         return _CellInfo(CubeState.A4)
 
     def _central_cube(self, cell: Cell, level: int) -> IntBox:
-        """The cube _place_selected picks in cell around its lone central
-        yellow subcell, at index 2 kappa on every axis: all orientations fit
-        with margin 0, so the least, (0, -1), up from the subcell on axis 0."""
+        """The cube _place_selected picks around cell's lone yellow subcell, at
+        index 2 kappa per axis: all orientations fit with margin 0, so (0, -1)."""
         g, k = self.rho ** (level - 1), self.kappa
         corner = [o + (c * self.rho + k) * g for o, c in zip(self.origin, cell)]
         corner[0] += k * g
@@ -802,8 +801,9 @@ def points_in_boxes(
     for (lo, hi), *rest in boxes:
         start = bisect_left(firsts, -(-lo * den // scale))
         ids = sorted(order[start : bisect_right(firsts, hi * den // scale)])
-        inside.append([j for j in ids if all(
-            a * den <= col[j] * scale <= b * den for col, (a, b) in zip(cols[1:], rest))])
+        for col, (a, b) in zip(cols[1:], rest):
+            ids = [j for j in ids if a * den <= col[j] * scale <= b * den]
+        inside.append(ids)
     return inside
 
 
